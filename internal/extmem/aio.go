@@ -416,18 +416,16 @@ func (s *ioSession) drain() { s.wg.Wait() }
 
 // prefetchReader is a runReader with read-ahead: it owns two refill
 // buffers and always has the next span's read in flight on the IO queue
-// while the consumer drains the current buffer. The sequence of refill
-// spans — and therefore the charged read ledger — is identical to a
-// runReader with the same buffer capacity; the second buffer rides in
-// the parallel engine's documented slack beyond M.
+// while the consumer drains the current buffer. The sequence of spans —
+// and therefore the charged read ledger — is identical to a runReader
+// with the same buffer capacity; the second buffer rides in the
+// parallel engine's documented slack beyond M.
 type prefetchReader struct {
 	bf       *BlockFile
 	next, hi int
 	q        *ioSession
 	bufs     [2][]seq.Record
-	fill     int // index of the buffer the in-flight read targets
-	act      []seq.Record
-	pos      int
+	fill     int           // index of the buffer the in-flight read targets
 	pend     chan ioResult // nil when no read is in flight
 	done     bool          // exhausted or failed; no further launches
 }
@@ -469,9 +467,12 @@ func (r *prefetchReader) launch() {
 	r.q.submit(&ioOp{bf: r.bf, off: off, dst: buf, ch: ch})
 }
 
-func (r *prefetchReader) refill() (bool, error) {
+// span joins the in-flight read and returns its records, launching the
+// read of the following span into the other buffer before the consumer
+// starts on this one.
+func (r *prefetchReader) span() ([]seq.Record, error) {
 	if r.done {
-		return false, nil
+		return nil, nil
 	}
 	if r.pend == nil {
 		r.launch()
@@ -480,23 +481,12 @@ func (r *prefetchReader) refill() (bool, error) {
 	r.pend = nil
 	if res.err != nil || res.n == 0 {
 		r.done = true
-		return false, res.err
+		return nil, res.err
 	}
-	r.act = r.bufs[r.fill][:res.n]
-	r.pos = 0
+	s := r.bufs[r.fill][:res.n]
 	r.fill ^= 1
-	r.launch() // read ahead while the consumer drains act
-	return true, nil
-}
-
-func (r *prefetchReader) cur() seq.Record { return r.act[r.pos] }
-
-func (r *prefetchReader) advance() (bool, error) {
-	r.pos++
-	if r.pos < len(r.act) {
-		return true, nil
-	}
-	return r.refill()
+	r.launch()
+	return s, nil
 }
 
 // asyncWriter is a runWriter with write-behind: it fills one of two

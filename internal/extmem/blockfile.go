@@ -297,65 +297,45 @@ func (w *runWriter) flush() error {
 // written returns how many records have been flushed plus buffered.
 func (w *runWriter) written() int { return w.off + len(w.buf) }
 
-// recStream is the record source the loser tree merges: a positioned
-// cursor over one sorted run (or a sub-range of one). runReader is the
-// synchronous implementation; prefetchReader (aio.go) overlaps the next
-// refill with consumption.
+// recStream is the record source the loser tree merges: one sorted run
+// (or a sub-range of one), handed over a span at a time. runReader is
+// the synchronous implementation; prefetchReader (aio.go) overlaps the
+// next refill with consumption.
 type recStream interface {
-	// refill loads the next span; it reports whether records remain.
-	refill() (bool, error)
-	// cur returns the record under the cursor; valid only after a
-	// successful refill/advance.
-	cur() seq.Record
-	// advance moves to the next record, refilling as needed; it reports
-	// whether a current record exists.
-	advance() (bool, error)
+	// span returns the run's next records in order, empty at the end.
+	// The span stays valid only until the next call.
+	span() ([]seq.Record, error)
 }
 
 // runReader streams records of a region [lo, hi) of a BlockFile through
-// a prefetch buffer of bufRecs records, one ReadAt per refill. Buffers
-// smaller than a block make consecutive refills re-read the straddled
+// a prefetch buffer of bufRecs records, one ReadAt per span. Buffers
+// smaller than a block make consecutive spans re-read the straddled
 // device block — the deliberate read amplification of the wide merge.
 type runReader struct {
 	bf   *BlockFile
-	next int // next record offset to refill from
+	next int // next record offset to read from
 	hi   int
 	buf  []seq.Record
-	pos  int // cursor within buf
 }
 
-// newRunReader adopts buf (empty, non-zero capacity) as the prefetch
-// buffer; the engine carves one per run from its arena.
+// newRunReader adopts buf (non-zero capacity) as the prefetch buffer;
+// the engine carves one per run from its arena.
 func newRunReader(bf *BlockFile, lo, hi int, buf []seq.Record) *runReader {
 	if cap(buf) == 0 {
 		panic("extmem: runReader buffer must have capacity")
 	}
-	return &runReader{bf: bf, next: lo, hi: hi, buf: buf[:0]}
+	return &runReader{bf: bf, next: lo, hi: hi, buf: buf[:cap(buf)]}
 }
 
-func (r *runReader) refill() (bool, error) {
-	n := r.hi - r.next
+func (r *runReader) span() ([]seq.Record, error) {
+	n := min(r.hi-r.next, len(r.buf))
 	if n <= 0 {
-		return false, nil
+		return nil, nil
 	}
-	if n > cap(r.buf) {
-		n = cap(r.buf)
-	}
-	r.buf = r.buf[:n]
-	if err := r.bf.ReadAt(r.next, r.buf); err != nil {
-		return false, err
+	s := r.buf[:n]
+	if err := r.bf.ReadAt(r.next, s); err != nil {
+		return nil, err
 	}
 	r.next += n
-	r.pos = 0
-	return true, nil
-}
-
-func (r *runReader) cur() seq.Record { return r.buf[r.pos] }
-
-func (r *runReader) advance() (bool, error) {
-	r.pos++
-	if r.pos < len(r.buf) {
-		return true, nil
-	}
-	return r.refill()
+	return s, nil
 }

@@ -2,6 +2,7 @@ package extmem
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -141,5 +142,82 @@ func TestLoserTreeRandomProperty(t *testing.T) {
 		}
 		bufRecs := 1 + int(r.Uint64n(16))
 		checkMerge(t, runs, bufRecs)
+	}
+}
+
+func TestLoserTreeAllOnesRecords(t *testing.T) {
+	// The +∞ sentinel is Key = Val = MaxUint64 with the run index offset
+	// past every real run, so a real all-ones record must still come out
+	// — alone, duplicated across runs, beside empty runs, and in the last
+	// real slot before the padding at fan-ins that are not powers of two.
+	top := seq.Record{Key: math.MaxUint64, Val: math.MaxUint64}
+	nearTop := []seq.Record{{Key: math.MaxUint64, Val: math.MaxUint64 - 1}, top}
+	cases := map[string][][]seq.Record{
+		"alone":           {{top}},
+		"duplicated":      {{top}, {top}, {top, top}},
+		"beside-empty":    {{}, {top}, {}, {{Key: 1, Val: 2}, top}, {}},
+		"near-top":        {nearTop, {top}, {{Key: math.MaxUint64 - 1, Val: math.MaxUint64}, top}},
+		"only-empty-tail": {{top}, {}, {}},
+	}
+	for _, k := range []int{3, 5, 6, 7, 9, 33} {
+		runs := make([][]seq.Record, k)
+		for i := range runs {
+			runs[i] = append(sortedRun(i, uint64(k*10+i)), top)
+		}
+		runs[k-1] = []seq.Record{top} // the last real leaf, next to the padding
+		cases[fmt.Sprintf("k=%d", k)] = runs
+	}
+	for name, runs := range cases {
+		t.Run(name, func(t *testing.T) {
+			for _, bufRecs := range []int{1, 2, 64} {
+				checkMerge(t, runs, bufRecs)
+			}
+		})
+	}
+}
+
+// memStream is an in-memory recStream: it hands out a sorted run in
+// spans of at most n records.
+type memStream struct {
+	recs []seq.Record
+	n    int
+}
+
+func (m *memStream) span() ([]seq.Record, error) {
+	s := m.recs[:min(m.n, len(m.recs))]
+	m.recs = m.recs[len(s):]
+	return s, nil
+}
+
+// BenchmarkLoserTree times the merge kernel alone: 2¹⁸ uniform records
+// split into f sorted in-memory runs, handed over in spans of 64
+// records, popped to exhaustion. ns/rec is the per-record cost of one
+// pass through the tree (build included) at each fan-in.
+func BenchmarkLoserTree(b *testing.B) {
+	const n = 1 << 18
+	for _, f := range []int{2, 64, 256, 4096} {
+		runs := make([][]seq.Record, f)
+		for i := range runs {
+			runs[i] = sortedRun(n/f, uint64(f*7919+i))
+		}
+		b.Run(fmt.Sprintf("fanin=%d", f), func(b *testing.B) {
+			rdrs := make([]recStream, f)
+			for b.Loop() {
+				for i, run := range runs {
+					rdrs[i] = &memStream{recs: run, n: 64}
+				}
+				lt, err := newLoserTree(rdrs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for {
+					_, ok, _ := lt.pop()
+					if !ok {
+						break
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/rec")
+		})
 	}
 }

@@ -386,6 +386,7 @@ func (e *engine) mergeNodeSeq(nd *planNode) error {
 		post = e.cfg.post
 	}
 	pos := nd.lo
+	left := 0 // records until the next block boundary
 	for {
 		rec, ok, err := lt.pop()
 		if err != nil {
@@ -394,14 +395,16 @@ func (e *engine) mergeNodeSeq(nd *planNode) error {
 		if !ok {
 			break
 		}
-		if (pos-nd.lo)%e.cfg.block == 0 {
+		if left == 0 {
 			if err := e.canceled(); err != nil {
 				return err
 			}
 			if idx != nil {
 				idx[(pos-nd.lo)/e.cfg.block] = rec
 			}
+			left = e.cfg.block
 		}
+		left--
 		pos++
 		if post != nil {
 			err = post.Push(rec, w.add)

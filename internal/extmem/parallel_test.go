@@ -204,16 +204,23 @@ func TestPrefetchReaderMatchesRunReader(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// drain also checks the span shape: every span but the last
+			// fills the reader's buffer.
 			drain := func(s recStream) []seq.Record {
 				var out []seq.Record
-				ok, err := s.refill()
-				for ; ok && err == nil; ok, err = s.advance() {
-					out = append(out, s.cur())
+				for {
+					sp, err := s.span()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(sp) == 0 {
+						return out
+					}
+					if len(sp) > bufRecs || (len(sp) < bufRecs && len(out)+len(sp) != span[1]-span[0]) {
+						t.Fatalf("buf=%d span=%v: a span of %d records before the run's end", bufRecs, span, len(sp))
+					}
+					out = append(out, sp...)
 				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				return out
 			}
 			want := drain(newRunReader(sbf, span[0], span[1], make([]seq.Record, bufRecs)))
 			got := drain(newPrefetchReader(pbf, span[0], span[1], q, bufRecs))

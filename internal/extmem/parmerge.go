@@ -292,6 +292,7 @@ func (e *engine) mergeRange(nd *planNode, srcs []*BlockFile, cuts [][]int, wi in
 			arena[f*c:f*c+wLen:f*c+wLen], arena[f*c+wLen:f*c+2*wLen:f*c+2*wLen])
 	}
 	pos := lo
+	left := (B - (headEnd-nd.lo)%B) % B // body records until the next block boundary
 	for {
 		rec, ok, err := lt.pop()
 		if err != nil {
@@ -305,7 +306,7 @@ func (e *engine) mergeRange(nd *planNode, srcs []*BlockFile, cuts [][]int, wi in
 		case pos < headEnd:
 			out.head = append(out.head, rec)
 		case pos < bodyEnd:
-			if (pos-nd.lo)%B == 0 {
+			if left == 0 {
 				if err := e.canceled(); err != nil {
 					out.err = err
 					return out
@@ -313,7 +314,9 @@ func (e *engine) mergeRange(nd *planNode, srcs []*BlockFile, cuts [][]int, wi in
 				if idx != nil {
 					idx[(pos-nd.lo)/B] = rec
 				}
+				left = B
 			}
+			left--
 			if err := w.add(rec); err != nil {
 				out.err = err
 				return out

@@ -39,49 +39,45 @@ type Streamer interface {
 // through a bounded refill buffer, charging each refill to the file's
 // ledger. It is the cursor the scan-based kernel compositions
 // (internal/kernel's top-k, histogram, and merge-join co-stream) are
-// built from; the engine's own merge readers remain the internal
-// recStream implementations.
+// built from: the engine's synchronous span reader, one record per call.
 type RecordScanner struct {
-	r       runReader
-	started bool
+	r    *runReader
+	rest []seq.Record // the current span's unreturned records
 }
 
 // NewRecordScanner returns a scanner over records [lo, hi) of bf with
 // a bufRecs-record refill buffer (clamped to at least one block).
 func NewRecordScanner(bf *BlockFile, lo, hi, bufRecs int) *RecordScanner {
-	if bufRecs < bf.b {
-		bufRecs = bf.b
-	}
-	return &RecordScanner{r: runReader{bf: bf, next: lo, hi: hi, buf: make([]seq.Record, 0, bufRecs)}}
+	return &RecordScanner{r: newRunReader(bf, lo, hi, make([]seq.Record, max(bufRecs, bf.b)))}
 }
 
 // Next returns the next record in order, ok=false at the end.
 func (s *RecordScanner) Next() (seq.Record, bool, error) {
-	var ok bool
-	var err error
-	if !s.started {
-		s.started = true
-		ok, err = s.r.refill()
-	} else {
-		ok, err = s.r.advance()
+	if len(s.rest) == 0 {
+		sp, err := s.r.span()
+		if err != nil || len(sp) == 0 {
+			return seq.Record{}, false, err
+		}
+		s.rest = sp
 	}
-	if err != nil || !ok {
-		return seq.Record{}, false, err
-	}
-	return s.r.cur(), true, nil
+	r := s.rest[0]
+	s.rest = s.rest[1:]
+	return r, true, nil
 }
 
 // ScanRecords streams records [lo, hi) of bf through fn in order — the
 // charged one-pass scan the scan-only kernels run instead of a sort.
 func ScanRecords(bf *BlockFile, lo, hi int, fn func(r seq.Record) error) error {
-	sc := NewRecordScanner(bf, lo, hi, formChunk)
+	rd := newRunReader(bf, lo, hi, make([]seq.Record, max(formChunk, bf.b)))
 	for {
-		r, ok, err := sc.Next()
-		if err != nil || !ok {
+		sp, err := rd.span()
+		if err != nil || len(sp) == 0 {
 			return err
 		}
-		if err := fn(r); err != nil {
-			return err
+		for _, r := range sp {
+			if err := fn(r); err != nil {
+				return err
+			}
 		}
 	}
 }

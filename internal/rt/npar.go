@@ -2,7 +2,6 @@ package rt
 
 import (
 	"math/bits"
-	"slices"
 
 	"asymsort/internal/seq"
 )
@@ -16,7 +15,9 @@ import (
 const sortLeaf = 1 << 12
 
 // SortRecords sorts recs in place: parallel mergesort with merge-path
-// parallel merges and SeqSortRecords leaves. The order is the strict
+// parallel merges and SeqSortRecords (radix) leaves. Slices of at most
+// sortLeaf records, and every slice on a one-worker pool, go straight
+// to the in-place leaf and allocate nothing. The order is the strict
 // total order seq.TotalLess, matching every metered sort in the
 // repository, so native and simulated runs produce identical outputs.
 func SortRecords(p *Pool, recs []seq.Record) {
@@ -28,46 +29,89 @@ func SortRecords(p *Pool, recs []seq.Record) {
 	msort(p, recs, buf, false)
 }
 
-// SeqSortRecords sorts recs in place by the repository's total record
-// order — the sequential leaf sort of the native backend. It is a
-// median-of-three Hoare quicksort with an insertion-sort base and an
-// introsort-style depth fallback to slices.SortFunc: seq.TotalLess
-// compiles inline here, where slices.SortFunc pays an indirect
-// comparison call per element pair, and the span-ported sorts are
-// leaf-dominated.
+// radixCutoff is the bucket size below which SeqSortRecords finishes
+// with insertion sort: a 256-bucket digit pass costs more than the few
+// inversions of a tiny bucket.
+const radixCutoff = 32
+
+// SeqSortRecords sorts a in place by the repository's total record
+// order — the sequential leaf sort of the native backend. It is an
+// in-place MSD radix sort (American flag sort) on 8-bit digits of the
+// 128-bit (Key, Val) composite, whose unsigned digit order is exactly
+// seq.TotalLess. Each bucket starts at the highest bit where its keys
+// differ, read from the OR and AND of the keys, and moves on to Val
+// digits once every Key bit agrees; a bucket whose records all agree is
+// done. Every digit consumes at least 8 of the 128 bits, so recursion
+// is at most 16 digits deep, and buckets under radixCutoff records
+// finish with insertion sort.
 func SeqSortRecords(a []seq.Record) {
-	quickRecs(a, 2*bits.Len(uint(len(a))))
+	if len(a) < radixCutoff {
+		insertionRecs(a)
+		return
+	}
+	or, and := a[0].Key, a[0].Key
+	for _, r := range a[1:] {
+		or |= r.Key
+		and &= r.Key
+	}
+	if d := or ^ and; d != 0 {
+		flagSort(a, ^uint64(0), d)
+		return
+	}
+	or, and = a[0].Val, a[0].Val
+	for _, r := range a[1:] {
+		or |= r.Val
+		and &= r.Val
+	}
+	if d := or ^ and; d != 0 {
+		flagSort(a, 0, d)
+	}
 }
 
-func quickRecs(a []seq.Record, depth int) {
-	for len(a) > 24 {
-		if depth == 0 {
-			slices.SortFunc(a, seq.TotalCompare)
-			return
-		}
-		depth--
-		v := median3(a[0], a[len(a)/2], a[len(a)-1])
-		i, j := -1, len(a)
-		for {
-			for i++; seq.TotalLess(a[i], v); i++ {
+// flagSort permutes a into 256 buckets by the 8-bit digit whose top bit
+// is the highest set bit of diff, then sorts every bucket. The digit is
+// read from Key when keyMask is all ones and from Val when it is zero;
+// bits above diff's top bit agree across a, so they never split it.
+func flagSort(a []seq.Record, keyMask, diff uint64) {
+	valMask := ^keyMask
+	shift := max(bits.Len64(diff)-8, 0)
+	digit := func(r seq.Record) uint8 { return uint8((r.Key&keyMask | r.Val&valMask) >> shift) }
+	var head, end [256]int
+	for i := range a {
+		end[digit(a[i])]++
+	}
+	off := 0
+	for b, c := range end {
+		head[b] = off
+		off += c
+		end[b] = off
+	}
+	// Cycle leader: take the first unplaced record of bucket b and swap
+	// it into its own bucket's next free slot until one belonging to b
+	// comes back.
+	for b := range head {
+		for h := head[b]; h < end[b]; h = head[b] {
+			v := a[h]
+			for d := digit(v); int(d) != b; d = digit(v) {
+				j := head[d]
+				head[d]++
+				v, a[j] = a[j], v
 			}
-			for j--; seq.TotalLess(v, a[j]); j-- {
-			}
-			if i >= j {
-				break
-			}
-			a[i], a[j] = a[j], a[i]
-		}
-		// Recurse into the smaller half, iterate on the larger, so the
-		// stack stays O(log n) even when the depth guard never trips.
-		if j+1 <= len(a)-(j+1) {
-			quickRecs(a[:j+1], depth)
-			a = a[j+1:]
-		} else {
-			quickRecs(a[j+1:], depth)
-			a = a[:j+1]
+			a[h] = v
+			head[b]++
 		}
 	}
+	lo := 0
+	for _, hi := range end {
+		if hi-lo > 1 {
+			SeqSortRecords(a[lo:hi])
+		}
+		lo = hi
+	}
+}
+
+// insertionRecs sorts a small a in place under seq.TotalLess.
+func insertionRecs(a []seq.Record) {
 	for i := 1; i < len(a); i++ {
 		v := a[i]
 		j := i - 1
@@ -77,20 +121,6 @@ func quickRecs(a []seq.Record, depth int) {
 		}
 		a[j+1] = v
 	}
-}
-
-// median3 returns the median of three records under seq.TotalLess.
-func median3(x, y, z seq.Record) seq.Record {
-	if seq.TotalLess(y, x) {
-		x, y = y, x
-	}
-	if seq.TotalLess(z, y) {
-		y = z
-		if seq.TotalLess(y, x) {
-			y = x
-		}
-	}
-	return y
 }
 
 // msort sorts a, leaving the result in b when toBuf is set and in a

@@ -165,46 +165,3 @@ func TestSliceCapsCapacity(t *testing.T) {
 		}
 	}
 }
-
-// TestSeqSortRecords checks the native leaf sort against the stdlib
-// across input families (including duplicate-heavy and adversarial
-// patterns that stress the quicksort partitioning) and sizes around the
-// insertion-sort base.
-func TestSeqSortRecords(t *testing.T) {
-	gen := map[string]func(n int) []seq.Record{
-		"random":   func(n int) []seq.Record { return seq.Uniform(n, uint64(n)*7+1) },
-		"sorted":   func(n int) []seq.Record { return seq.Sorted(n) },
-		"reversed": func(n int) []seq.Record { return seq.Reversed(n) },
-		"dup":      func(n int) []seq.Record { return seq.FewDistinct(n, 3, uint64(n)+2) },
-		"all-equal": func(n int) []seq.Record {
-			out := make([]seq.Record, n)
-			for i := range out {
-				out[i] = seq.Record{Key: 5, Val: 5}
-			}
-			return out
-		},
-		"organ-pipe": func(n int) []seq.Record {
-			out := make([]seq.Record, n)
-			for i := range out {
-				k := i
-				if k > n-1-i {
-					k = n - 1 - i
-				}
-				out[i] = seq.Record{Key: uint64(k), Val: uint64(i)}
-			}
-			return out
-		},
-	}
-	for name, g := range gen {
-		for _, n := range []int{0, 1, 2, 23, 24, 25, 100, 1000, 5000} {
-			in := g(n)
-			got := slices.Clone(in)
-			SeqSortRecords(got)
-			want := slices.Clone(in)
-			slices.SortFunc(want, seq.TotalCompare)
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s n=%d: SeqSortRecords diverges from slices.Sort", name, n)
-			}
-		}
-	}
-}
