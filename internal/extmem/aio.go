@@ -2,8 +2,6 @@ package extmem
 
 import (
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"asymsort/internal/seq"
 )
@@ -15,31 +13,12 @@ import (
 // counterparts (runReader, runWriter) would issue, span for span, so
 // the IOStats ledger is identical whether IO is overlapped or not; the
 // only difference is when the pread/pwrite happens relative to the
-// compute that consumes or produced the records.
-//
-// The queue is typed, not opaque: a submitted transfer carries its
-// (file, offset, span, direction), which lets the queue merge adjacent
-// pending extents of the same file and direction into one chain and
-// service the whole chain with a single vectored preadv/pwritev
-// syscall (vectored_linux.go; other platforms degrade to the per-op
-// sequence). Coalescing changes only the syscall count, never the
-// ledger: the chain charges IOStats span by span, exactly the blocks
-// each constituent op's own ReadAt/WriteAt would have charged, so the
-// engine-vs-simulator write identity is untouched. Adjacency arises
-// across façades — neighbouring parallel-merge workers stream
-// consecutive extents of the same spill file — while each façade alone
-// keeps at most one transfer in flight.
-
-// Chain bounds. maxVecOps caps the iovec batch of one chain;
-// maxMergeRecs caps the single op the queue will merge (larger ops are
-// already syscall-efficient and would bloat the chain's scratch);
-// maxChainRecs caps a chain's total span so one worker never sits on an
-// oversized transfer while others idle.
-const (
-	maxVecOps    = 8
-	maxMergeRecs = 1 << 14
-	maxChainRecs = 1 << 15
-)
+// compute that consumes or produced the records. Each queued op is one
+// BlockFile.ReadAt or WriteAt, which charges the ledger and feeds the ω
+// meter itself. A façade keeps at most one transfer in flight, so the
+// buffers, not the queue, set the syscall sizes: merge writers flush
+// whole stages of at least formChunk records rounded to blocks
+// (mergeWriteRecs), not single blocks.
 
 // ioResult carries one completed async transfer: the record count moved
 // and its error.
@@ -48,99 +27,45 @@ type ioResult struct {
 	err error
 }
 
-// ioOp is one queued task: a typed block transfer — a read into dst or
-// a write of src — or an opaque fn (tests use fn to occupy workers;
-// fn tasks never merge). finish delivers the result exactly once on
-// every service path: inline, single-op, vectored, or fallback.
+// ioOp is one queued block transfer: a read into dst or a write of src.
+// run delivers the result exactly once, inline or on a worker.
 type ioOp struct {
 	bf   *BlockFile
 	off  int
 	dst  []seq.Record    // read target; nil unless a read
 	src  []seq.Record    // write source; nil unless a write
-	fn   func()          // opaque task; nil unless a plain func
-	ch   chan<- ioResult // result channel; may be nil (fn tasks)
-	done func()          // session accounting hook; may be nil
+	ch   chan<- ioResult // result channel
+	done func()          // session accounting hook (ioSession.submit)
 }
 
-// run services the op through the per-op BlockFile path — the
-// uncoalesced route, which does its own charging and error reporting.
+// run services the op through BlockFile, which does its own charging
+// and error reporting.
 func (op *ioOp) run() {
-	if op.fn != nil {
-		op.fn()
-		if op.done != nil {
-			op.done()
-		}
-		return
-	}
 	var res ioResult
 	if op.dst != nil {
 		res = ioResult{len(op.dst), op.bf.ReadAt(op.off, op.dst)}
 	} else {
 		res = ioResult{len(op.src), op.bf.WriteAt(op.off, op.src)}
 	}
-	op.finish(res)
+	op.ch <- res
+	op.done()
 }
 
-func (op *ioOp) finish(res ioResult) {
-	if op.ch != nil {
-		op.ch <- res
-	}
-	if op.done != nil {
-		op.done()
-	}
-}
-
-// span returns the op's record count and direction.
-func (op *ioOp) span() (n int, read bool) {
-	if op.dst != nil {
-		return len(op.dst), true
-	}
-	return len(op.src), false
-}
-
-// ioChain is a FIFO queue entry: one op, or several ops over adjacent
-// extents of the same file in the same direction, serviced together.
-// A chain only grows while it is on the queue — workers pop it under
-// the lock before executing, so a draining chain can never gain ops.
-type ioChain struct {
-	ops  []*ioOp
-	bf   *BlockFile // nil for fn chains, which never merge
-	read bool
-	end  int // record offset the next adjacent op must start at
-	recs int // total records across ops
-}
-
-func newChain(op *ioOp) *ioChain {
-	c := &ioChain{ops: []*ioOp{op}}
-	if op.fn != nil {
-		return c
-	}
-	c.bf = op.bf
-	c.recs, c.read = op.span()
-	c.end = op.off + c.recs
-	return c
-}
-
-// IOQueue is a fixed pool of IO worker goroutines over a FIFO of
-// coalescible chains. submit enqueues a task when the pending count is
-// under the queue's bound and otherwise runs it inline on the caller,
-// so the queue can never deadlock and degrades gracefully to
-// synchronous IO under pressure. A queue may be private to one engine
-// or shared by many concurrent ones (Config.IOQ): the serve broker
-// owns one machine-wide queue so the aggregate async-IO parallelism
-// stays bounded no matter how many jobs run.
+// IOQueue is a fixed pool of IO worker goroutines over a FIFO of ops.
+// submit enqueues an op when the queue holds fewer than its bound and
+// otherwise runs it inline on the caller, so the queue can never
+// deadlock and degrades gracefully to synchronous IO under pressure. A
+// queue may be private to one engine or shared by many concurrent ones
+// (Config.IOQ): the serve broker owns one machine-wide queue so the
+// aggregate async-IO parallelism stays bounded no matter how many jobs
+// run.
 type IOQueue struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	chains  []*ioChain
-	pending int // queued ops, counting every op inside every chain
-	limit   int
-	closed  bool
-	wg      sync.WaitGroup
-
-	// Telemetry, readable without the lock (tests and benchmarks).
-	merged  atomic.Uint64 // ops appended to an already-pending chain
-	batches atomic.Uint64 // multi-op chains serviced by one vectored syscall
+	mu     sync.Mutex
+	cond   *sync.Cond
+	ops    []*ioOp
+	limit  int
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // NewIOQueue starts a queue of the given worker count (min 1).
@@ -161,84 +86,44 @@ func (q *IOQueue) worker() {
 	defer q.wg.Done()
 	q.mu.Lock()
 	for {
-		for len(q.chains) == 0 && !q.closed {
+		for len(q.ops) == 0 && !q.closed {
 			q.cond.Wait()
 		}
-		if len(q.chains) == 0 {
+		if len(q.ops) == 0 {
 			q.mu.Unlock()
 			return
 		}
-		c := q.chains[0]
-		q.chains = q.chains[1:]
-		q.pending -= len(c.ops)
+		op := q.ops[0]
+		q.ops = q.ops[1:]
 		q.mu.Unlock()
-		c.exec(q)
+		op.run()
 		q.mu.Lock()
 	}
 }
 
 // submit runs op asynchronously when queue capacity allows, inline
-// otherwise, merging it into a pending adjacent chain when possible.
+// otherwise.
 func (q *IOQueue) submit(op *ioOp) {
 	q.mu.Lock()
-	if q.closed || q.pending >= q.limit {
+	if q.closed || len(q.ops) >= q.limit {
 		q.mu.Unlock()
 		op.run()
 		return
 	}
-	q.pending++
-	if q.tryMerge(op) {
-		q.mu.Unlock()
-		return
-	}
-	q.chains = append(q.chains, newChain(op))
+	q.ops = append(q.ops, op)
 	q.cond.Signal()
 	q.mu.Unlock()
 }
 
-// submitFunc enqueues an opaque task; it is never coalesced.
-func (q *IOQueue) submitFunc(f func()) {
-	q.submit(&ioOp{fn: f})
-}
-
-// Depth reports the number of queued ops across all pending chains — a
-// point-in-time reading for the serve layer's ioq-depth gauge.
+// Depth reports the number of queued ops — a point-in-time reading for
+// the serve layer's ioq-depth gauge.
 func (q *IOQueue) Depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.pending
+	return len(q.ops)
 }
 
-// tryMerge appends op to a pending chain whose extent ends exactly
-// where op begins, same file, same direction. Called with q.mu held.
-// Write merging is disabled while fault injection is armed — the hook
-// must see every op's own (path, offset).
-func (q *IOQueue) tryMerge(op *ioOp) bool {
-	if op.fn != nil {
-		return false
-	}
-	n, read := op.span()
-	if n == 0 || n > maxMergeRecs || op.off < 0 {
-		return false
-	}
-	if !read && testWriteErr != nil {
-		return false
-	}
-	for i := len(q.chains) - 1; i >= 0; i-- {
-		c := q.chains[i]
-		if c.bf == op.bf && c.read == read && c.end == op.off &&
-			len(c.ops) < maxVecOps && c.recs+n <= maxChainRecs {
-			c.ops = append(c.ops, op)
-			c.end += n
-			c.recs += n
-			q.merged.Add(1)
-			return true
-		}
-	}
-	return false
-}
-
-// Close stops the workers after draining every queued task. Only the
+// Close stops the workers after draining every queued op. Only the
 // queue's owner may call it, and only once no engine is using the
 // queue.
 func (q *IOQueue) Close() {
@@ -247,151 +132,6 @@ func (q *IOQueue) Close() {
 	q.cond.Broadcast()
 	q.mu.Unlock()
 	q.wg.Wait()
-}
-
-// exec services a popped chain: single ops take the ordinary per-op
-// path; multi-op chains go vectored.
-func (c *ioChain) exec(q *IOQueue) {
-	if len(c.ops) == 1 {
-		c.ops[0].run()
-		return
-	}
-	if c.read {
-		q.execReadChain(c)
-	} else {
-		q.execWriteChain(c)
-	}
-}
-
-// fallback services every op through its own ReadAt/WriteAt. The
-// vectored paths charge nothing before falling back, so no block span
-// is ever double-charged, and each op gets its own exact error.
-func (c *ioChain) fallback() {
-	for _, op := range c.ops {
-		op.run()
-	}
-}
-
-// vecPiece is one iovec of a chain transfer: a ≤ioChunk-record slice of
-// one op's payload backed by pool scratch, mirroring how ReadAt/WriteAt
-// chunk their own transfers through the same pool.
-type vecPiece struct {
-	recs []seq.Record
-	raw  []byte
-	sp   *[]byte
-}
-
-// carveChain cuts every op's payload into pool-backed pieces and
-// returns them with the matching iovec byte slices.
-func carveChain(c *ioChain) ([]vecPiece, [][]byte) {
-	pieces := make([]vecPiece, 0, len(c.ops))
-	for _, op := range c.ops {
-		recs := op.dst
-		if recs == nil {
-			recs = op.src
-		}
-		for start := 0; start < len(recs); start += ioChunk {
-			sub := recs[start:min(start+ioChunk, len(recs))]
-			sp := scratchPool.Get().(*[]byte)
-			pieces = append(pieces, vecPiece{recs: sub, raw: (*sp)[:len(sub)*RecordBytes], sp: sp})
-		}
-	}
-	bufs := make([][]byte, len(pieces))
-	for i := range pieces {
-		bufs[i] = pieces[i].raw
-	}
-	return pieces, bufs
-}
-
-func releasePieces(pieces []vecPiece) {
-	for i := range pieces {
-		scratchPool.Put(pieces[i].sp)
-	}
-}
-
-// execReadChain services adjacent reads with one vectored pread,
-// charging the ledger span by span exactly as each op's own ReadAt
-// would. Bounds violations and device errors fall back to the per-op
-// path for exact per-op errors.
-func (q *IOQueue) execReadChain(c *ioChain) {
-	bf := c.bf
-	lo := c.ops[0].off
-	if lo < 0 || int64(c.end) > bf.n.Load() {
-		c.fallback()
-		return
-	}
-	pieces, bufs := carveChain(c)
-	start := time.Now()
-	if err := sysReadV(bf.f, int64(lo)*RecordBytes, bufs); err != nil {
-		releasePieces(pieces)
-		c.fallback()
-		return
-	}
-	wall := time.Since(start)
-	for _, p := range pieces {
-		decodeRecs(p.recs, p.raw)
-	}
-	releasePieces(pieces)
-	q.batches.Add(1)
-	// The chain's wall cost is one syscall over all ops; feed the meter
-	// once with the whole span so the per-block estimate reflects the
-	// transfer as the device serviced it, while the ledger still charges
-	// op by op exactly as the synchronous path would.
-	var blocks uint64
-	for _, op := range c.ops {
-		n := bf.blockSpan(op.off, len(op.dst))
-		blocks += n
-		if bf.stats != nil {
-			bf.stats.reads.Add(n)
-		}
-	}
-	if bf.stats != nil && bf.stats.meter != nil {
-		bf.stats.meter.ObserveRead(blocks, wall)
-	}
-	for _, op := range c.ops {
-		op.finish(ioResult{len(op.dst), nil})
-	}
-}
-
-// execWriteChain services adjacent writes with one vectored pwrite,
-// then extends the length watermark and charges the ledger per op.
-// If fault injection armed after the ops merged, the chain falls back
-// so the hook sees every op individually.
-func (q *IOQueue) execWriteChain(c *ioChain) {
-	bf := c.bf
-	lo := c.ops[0].off
-	if lo < 0 || testWriteErr != nil {
-		c.fallback()
-		return
-	}
-	pieces, bufs := carveChain(c)
-	for _, p := range pieces {
-		encodeRecs(p.raw, p.recs)
-	}
-	start := time.Now()
-	err := sysWriteV(bf.f, int64(lo)*RecordBytes, bufs)
-	wall := time.Since(start)
-	releasePieces(pieces)
-	if err != nil {
-		c.fallback()
-		return
-	}
-	q.batches.Add(1)
-	var blocks uint64
-	for _, op := range c.ops {
-		bf.extend(op.off + len(op.src))
-		n := bf.blockSpan(op.off, len(op.src))
-		blocks += n
-		if bf.stats != nil {
-			bf.stats.writes.Add(n)
-		}
-	}
-	if bf.stats != nil && bf.stats.meter != nil {
-		bf.stats.meter.ObserveWrite(blocks, wall)
-	}
-	for _, op := range c.ops {
-		op.finish(ioResult{len(op.src), nil})
-	}
 }
 
 // ioSession tracks one engine's in-flight tasks on a (possibly shared)

@@ -33,12 +33,13 @@
 //   - Async IO (aio.go): a small pool of IO worker goroutines under
 //     BlockFile issues the merge readers' prefetches and the writers'
 //     write-behind flushes, overlapping block transfer with compute.
-//     Pending transfers over adjacent extents of the same file in the
-//     same direction coalesce into single vectored preadv/pwritev
-//     syscalls (vectored_linux.go). The async façades issue exactly
-//     the spans their synchronous counterparts would, and a coalesced
-//     chain charges IOStats span by span, so neither overlapping nor
-//     coalescing ever changes the ledger.
+//     The async façades issue exactly the spans their synchronous
+//     counterparts would, so overlapping never changes the ledger.
+//     Every merge writer flushes in stages of at least formChunk
+//     records rounded down to whole blocks (128 KiB at B = 64), so
+//     a node's output costs two 64 KiB pwrites per stage instead of
+//     one syscall per block, while the ledger still charges the
+//     ⌈len/B⌉ blocks the node touches.
 //
 // Crucially, the merge tree the engine executes is the exact partition
 // tree AEM-MERGESORT builds for the same (n, M, B, k) — top-down,
@@ -164,16 +165,21 @@ type Config struct {
 	// block. On a one-worker pool the engine's record buffers all live
 	// in one M-record arena: run formation uses it as the candidate
 	// set, and each merge carves it into the per-run prefetch buffers
-	// plus the write buffer, so resident record storage stays at M
+	// plus the write share, so resident record storage stays at M
 	// throughout. Outside the budget ride only what the simulator's
 	// slackBlocks also grants — O(fan-in) metadata, a streaming read
-	// chunk, the bounded encode/decode scratch pool. A parallel engine
-	// (Procs > 1) runs the paper's P-processor machine (§3), where
-	// every processor owns a private memory of size M: the formation
-	// pipeline circulates two M-record candidate buffers plus the
-	// transient rt.SortRecords merge scratch, each of the P merge
-	// workers carves a full M/(f+1)-per-run share of reader and writer
-	// buffers (aggregate merge residency ≤ P·M), and each run keeps a
+	// chunk of formChunk records, the bounded encode/decode scratch
+	// pool. The read chunk is idle while merging, so it doubles as the
+	// merge writer's stage: a write share below one stage is raised to
+	// it and the footprint does not grow. A parallel engine (Procs > 1)
+	// runs the paper's P-processor machine (§3), where every processor
+	// owns a private memory of size M: the formation pipeline
+	// circulates two M-record candidate buffers plus the transient
+	// rt.SortRecords merge scratch, each of the P merge workers carves
+	// a full M/(f+1)-per-run share of reader buffers plus two
+	// write-behind buffers, each its write share raised to at least one
+	// stage (aggregate merge residency about P·M plus the second write
+	// buffer and the stage slack), and each run keeps a
 	// one-record-per-block cut index in memory for the parent's
 	// splitter search.
 	Mem int

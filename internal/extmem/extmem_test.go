@@ -250,3 +250,132 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestSortInSkip: handing the engine a file with a junk prefix plus
+// Config.InSkip must produce the byte-identical output and the
+// identical write ledger as sorting the bare payload — the zero-copy
+// contiguous-frame handoff's correctness contract.
+func TestSortInSkip(t *testing.T) {
+	const n, mem, block, k = 5000, 128, 16, 2
+	payload := seq.Uniform(n, 77)
+	dir := t.TempDir()
+
+	barePath := filepath.Join(dir, "bare.bin")
+	if err := WriteRecordsFile(barePath, payload); err != nil {
+		t.Fatal(err)
+	}
+	framed := append([]seq.Record{{Key: ^uint64(0), Val: ^uint64(0)}}, payload...)
+	framedPath := filepath.Join(dir, "framed.bin")
+	if err := WriteRecordsFile(framedPath, framed); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			cfg := Config{Mem: mem, Block: block, K: k, TmpDir: dir, Procs: procs}
+			bareOut := filepath.Join(dir, fmt.Sprintf("bare-out%d.bin", procs))
+			bareRep, err := Sort(cfg, barePath, bareOut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.InSkip = 1
+			skipOut := filepath.Join(dir, fmt.Sprintf("skip-out%d.bin", procs))
+			skipRep, err := Sort(cfg, framedPath, skipOut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if skipRep.N != n || bareRep.N != n {
+				t.Fatalf("reports cover %d and %d records, want %d", bareRep.N, skipRep.N, n)
+			}
+			if skipRep.Total.Writes != bareRep.Total.Writes || skipRep.PlanWrites != bareRep.PlanWrites {
+				t.Fatalf("InSkip write ledger %d (plan %d), bare %d (plan %d)",
+					skipRep.Total.Writes, skipRep.PlanWrites, bareRep.Total.Writes, bareRep.PlanWrites)
+			}
+			want, err := ReadRecordsFile(bareOut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadRecordsFile(skipOut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%d records, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("outputs diverge at record %d", i)
+				}
+			}
+		})
+	}
+
+	if _, err := Sort(Config{Mem: mem, Block: block, K: k, TmpDir: dir, InSkip: -1},
+		barePath, filepath.Join(dir, "neg.bin")); err == nil {
+		t.Fatal("negative InSkip was accepted")
+	}
+	if _, err := Sort(Config{Mem: mem, Block: block, K: k, TmpDir: dir, InSkip: n + 2},
+		barePath, filepath.Join(dir, "over.bin")); err == nil {
+		t.Fatal("InSkip beyond the input length was accepted")
+	}
+}
+
+// TestScanChargesTouchedBlocks: a scan of [lo, hi) charges exactly the
+// blocks it touches, blockSpan(lo, hi−lo), when neither lo (lo = 1 is
+// the InSkip = 1 contiguous-frame case) nor B lines up with the refill
+// buffer — through ScanRecords and through a RecordScanner asked for a
+// buffer that is not a whole number of blocks.
+func TestScanChargesTouchedBlocks(t *testing.T) {
+	const n = 100_000
+	recs := seq.Uniform(n+1, 13)
+	path := filepath.Join(t.TempDir(), "scan.bin")
+	if err := WriteRecordsFile(path, recs); err != nil {
+		t.Fatal(err)
+	}
+	for _, block := range []int{64, 100} {
+		for _, lo := range []int{0, 1} {
+			hi := lo + n
+			var stats IOStats
+			bf, err := OpenBlockFile(path, block, &stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := bf.blockSpan(lo, hi-lo)
+			i := lo
+			err = ScanRecords(bf, lo, hi, func(r seq.Record) error {
+				if r != recs[i] {
+					return fmt.Errorf("record %d differs", i)
+				}
+				i++
+				return nil
+			})
+			if err != nil || i != hi {
+				t.Fatalf("B=%d lo=%d: ScanRecords stopped at %d of [%d,%d): %v", block, lo, i, lo, hi, err)
+			}
+			if got := stats.Snapshot().Reads; got != want {
+				t.Fatalf("B=%d lo=%d: ScanRecords charged %d reads for %d blocks touched", block, lo, got, want)
+			}
+			base := stats.Snapshot().Reads
+			sc := NewRecordScanner(bf, lo, hi, 1000)
+			for i = lo; ; i++ {
+				r, ok, err := sc.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				if r != recs[i] {
+					t.Fatalf("B=%d lo=%d: RecordScanner record %d differs", block, lo, i)
+				}
+			}
+			if i != hi {
+				t.Fatalf("B=%d lo=%d: RecordScanner stopped at %d of [%d,%d)", block, lo, i, lo, hi)
+			}
+			if got := stats.Snapshot().Reads - base; got != want {
+				t.Fatalf("B=%d lo=%d: RecordScanner charged %d reads for %d blocks touched", block, lo, got, want)
+			}
+			bf.Close()
+		}
+	}
+}

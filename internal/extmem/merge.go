@@ -333,28 +333,33 @@ func (e *engine) mergeNode(nd *planNode) error {
 // the read amplification AEM-MERGESORT trades for its shallower tree.
 func (e *engine) mergeNodeSeq(nd *planNode) error {
 	f := len(nd.kids)
-	// Carve the prefetch and write buffers out of the formation arena —
-	// formation and merging never overlap in the phased execution, so
-	// the engine's resident record buffers stay at one M throughout
-	// (one levelMem, when a lease resized the grant). The write buffer
-	// takes whole blocks; degenerate configs whose f+1 shares round
-	// below one record (or one block) fall back to a slightly larger
-	// scratch allocation, the same small slack the simulator grants.
-	c := e.levelMem / (f + 1)
-	if c < 1 {
-		c = 1
-	}
-	wLen := c - c%e.cfg.block
-	if wLen < e.cfg.block {
-		wLen = e.cfg.block
+	// Carve the prefetch buffers out of the formation arena — formation
+	// and merging never overlap in the phased execution, so the
+	// engine's resident record buffers stay at one M throughout (one
+	// levelMem, when a lease resized the grant). Degenerate configs
+	// whose f+1 shares round below one record fall back to a slightly
+	// larger scratch allocation, the same small slack the simulator
+	// grants. The write buffer is the write share raised to one stage
+	// (mergeWriteRecs); a stage fits e.readBuf, the formation read
+	// chunk, which is idle while merging, so only a write share larger
+	// than a stage is carved from the arena.
+	c := max(e.levelMem/(f+1), 1)
+	wLen := mergeWriteRecs(c, e.cfg.block)
+	need := f * c
+	if wLen > cap(e.readBuf) {
+		need += wLen
 	}
 	arena := e.formBuf
-	if need := f*c + wLen; need > len(arena) {
+	if need > len(arena) {
 		// Degenerate carves — and, routinely, a lease grown past the
 		// admission-time M — need a larger arena; keep it so every
 		// node of the level reuses one allocation.
 		arena = make([]seq.Record, need)
 		e.formBuf = arena
+	}
+	wBuf := e.readBuf[:0:wLen]
+	if wLen > cap(e.readBuf) {
+		wBuf = arena[f*c : f*c : f*c+wLen]
 	}
 	rdrs := make([]recStream, f)
 	for i, kid := range nd.kids {
@@ -377,7 +382,7 @@ func (e *engine) mergeNodeSeq(nd *planNode) error {
 	if e.captureIndex(nd) {
 		idx = newIndex(nd, e.cfg.block)
 	}
-	w := newRunWriter(dst, nd.lo, arena[f*c:f*c+wLen:f*c+wLen])
+	w := newRunWriter(dst, nd.lo, wBuf)
 	// The root of a streamed run folds the merged stream through the
 	// post-pass hook; emitted records flow into the same block-aligned
 	// writer, so the root level costs ⌈emitted/B⌉ block writes.

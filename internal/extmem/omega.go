@@ -12,11 +12,14 @@ import (
 // OmegaMeter is the online ω estimator: an exponentially-weighted
 // moving average of the per-block wall cost of block reads and block
 // writes, fed by the same charge sites that maintain the IOStats
-// ledger (BlockFile.ReadAt/WriteAt and the vectored chain paths in
-// aio.go). The ratio of the two EWMAs is the measured ω — the
-// block-write/block-read cost ratio the Appendix A rule consumes —
-// so a daemon can pick k per job from the device it is actually
-// running on instead of a static flag.
+// ledger (BlockFile.ReadAt/WriteAt). Each transfer is one observation
+// at the size the engine issues it — a merge refill of an M/(f+1)
+// share, a merge writer's stage of formChunk records — so ω is the
+// device's cost ratio at the engine's own transfer sizes. The ratio
+// of the two EWMAs is the measured ω — the block-write/block-read
+// cost ratio the Appendix A rule consumes — so a daemon can pick k
+// per job from the device it is actually running on instead of a
+// static flag.
 //
 // One meter corresponds to one device, keyed by the spill directory
 // it measures: all of a serve daemon's engines share the daemon's

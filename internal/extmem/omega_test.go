@@ -192,8 +192,8 @@ func TestOmegaMeterPersistence(t *testing.T) {
 }
 
 // TestSortFeedsMeter runs real sorts — sequential and parallel (the
-// vectored chain paths) — with a meter wired and checks the meter
-// warms up while the write ledger still equals the plan.
+// async IO workers) — with a meter wired and checks the meter warms up
+// while the write ledger still equals the plan.
 func TestSortFeedsMeter(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		dir := t.TempDir()

@@ -1,11 +1,14 @@
 package extmem
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -140,6 +143,9 @@ func TestSortErrorCleanup(t *testing.T) {
 		{"formation-late-write-par", 4, "spill0", 50},
 		{"mid-merge-seq", 1, "spill1", 3},
 		{"mid-merge-par", 4, "spill1", 3},
+		// The root's first staged write to the output file.
+		{"root-stage-write-seq", 1, "out", 1},
+		{"root-stage-write-par", 4, "out", 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -241,72 +247,184 @@ func TestPrefetchReaderMatchesRunReader(t *testing.T) {
 	}
 }
 
-// TestAsyncWriterMatchesRunWriter drives write-behind and the
-// synchronous writer over the same record stream: same file bytes,
-// same charged write ledger.
+// TestAsyncWriterMatchesRunWriter drives write-behind, the synchronous
+// writer and a reference that issues every flush as one WriteAt over
+// the same record stream, at the buffer sizes the merges use
+// (mergeWriteRecs): a one-block and a seven-block share, both raised to
+// a stage, and a share larger than a stage. Block sizes include 100,
+// which does not divide formChunk; bases are block-aligned but not
+// stage-aligned; lengths end mid-block. All three must issue the same
+// WriteAt offsets and leave byte-identical files of equal Len(), and
+// both writers must charge Σ⌈flush/B⌉ block writes.
 func TestAsyncWriterMatchesRunWriter(t *testing.T) {
-	recs := seq.Uniform(777, 9)
 	dir := t.TempDir()
 	q := &ioSession{q: NewIOQueue(2)}
 	defer q.q.Close()
-	for _, bufBlocks := range []int{1, 2, 7} {
-		for _, base := range []int{0, 16, 160} {
-			write := func(path string, async bool) (costW uint64) {
-				var stats IOStats
-				bf, err := CreateBlockFile(path, 16, &stats)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer bf.Close()
-				if async {
-					w := newAsyncWriter(bf, base, q, bufBlocks*16)
-					for _, r := range recs {
-						if err := w.add(r); err != nil {
+	var mu sync.Mutex
+	offs := map[string][]int{} // WriteAt offsets by file, in issue order
+	testWriteErr = func(path string, off int) error {
+		mu.Lock()
+		offs[path] = append(offs[path], off)
+		mu.Unlock()
+		return nil
+	}
+	defer func() { testWriteErr = nil }()
+	for _, B := range []int{16, 48, 100} {
+		stage := stageRecs(B)
+		for _, share := range []int{B, 7 * B, stage + 3*B + 1} {
+			wLen := mergeWriteRecs(share, B)
+			for _, base := range []int{0, 3 * B, stage + 5*B} {
+				for _, n := range []int{B/2 + 1, 2*wLen + 5*B + B/3} {
+					name := fmt.Sprintf("B=%d/share=%d/base=%d/n=%d", B, share, base, n)
+					recs := seq.Uniform(n, uint64(B*n+base))
+					var flushBlocks uint64
+					for off := 0; off < n; off += wLen {
+						flushBlocks += uint64((min(wLen, n-off) + B - 1) / B)
+					}
+					// write runs one writer kind into a fresh file and returns
+					// the file's path, Len() and charged block writes.
+					write := func(kind string) (string, int, uint64) {
+						var stats IOStats
+						path := filepath.Join(dir, fmt.Sprintf("%s-%d-%d-%d-%d.bin", kind, B, share, base, n))
+						bf, err := CreateBlockFile(path, B, &stats)
+						if err != nil {
 							t.Fatal(err)
 						}
-					}
-					if err := w.close(); err != nil {
-						t.Fatal(err)
-					}
-					if w.written() != len(recs) {
-						t.Fatalf("asyncWriter wrote %d, want %d", w.written(), len(recs))
-					}
-				} else {
-					w := newRunWriter(bf, base, make([]seq.Record, 0, bufBlocks*16))
-					for _, r := range recs {
-						if err := w.add(r); err != nil {
+						defer bf.Close()
+						var w interface {
+							add(seq.Record) error
+							written() int
+						}
+						var finish func() error
+						switch kind {
+						case "ref":
+							for off := 0; off < n; off += wLen {
+								if err := bf.WriteAt(base+off, recs[off:min(off+wLen, n)]); err != nil {
+									t.Fatal(err)
+								}
+							}
+							return path, bf.Len(), stats.Snapshot().Writes
+						case "sync":
+							rw := newRunWriter(bf, base, make([]seq.Record, 0, wLen))
+							w, finish = rw, rw.flush
+						case "async":
+							aw := newAsyncWriter(bf, base, q, wLen)
+							w, finish = aw, aw.close
+						}
+						for _, r := range recs {
+							if err := w.add(r); err != nil {
+								t.Fatal(err)
+							}
+						}
+						if err := finish(); err != nil {
 							t.Fatal(err)
 						}
+						if w.written() != n {
+							t.Fatalf("%s: %s writer wrote %d records, want %d", name, kind, w.written(), n)
+						}
+						return path, bf.Len(), stats.Snapshot().Writes
 					}
-					if err := w.flush(); err != nil {
+					refPath, refLen, refW := write("ref")
+					want, err := os.ReadFile(refPath)
+					if err != nil {
 						t.Fatal(err)
 					}
-				}
-				return stats.Snapshot().Writes
-			}
-			sPath := filepath.Join(dir, fmt.Sprintf("s-%d-%d.bin", bufBlocks, base))
-			aPath := filepath.Join(dir, fmt.Sprintf("a-%d-%d.bin", bufBlocks, base))
-			sw := write(sPath, false)
-			aw := write(aPath, true)
-			if sw != aw {
-				t.Fatalf("buf=%d base=%d: async charged %d writes, sync %d", bufBlocks, base, aw, sw)
-			}
-			want, err := ReadRecordsFile(sPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := ReadRecordsFile(aPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("file lengths differ: %d vs %d", len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("buf=%d base=%d: byte %d differs", bufBlocks, base, i)
+					for _, kind := range []string{"sync", "async"} {
+						path, gotLen, w := write(kind)
+						if w != flushBlocks || refW != flushBlocks {
+							t.Fatalf("%s: %s charged %d writes, reference %d, want Σ⌈flush/B⌉ = %d",
+								name, kind, w, refW, flushBlocks)
+						}
+						if gotLen != refLen || gotLen != base+n {
+							t.Fatalf("%s: %s Len() %d, reference %d, want %d", name, kind, gotLen, refLen, base+n)
+						}
+						got, err := os.ReadFile(path)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(got, want) {
+							t.Fatalf("%s: %s file differs from the reference", name, kind)
+						}
+						mu.Lock()
+						gotOffs, wantOffs := offs[path], offs[refPath]
+						mu.Unlock()
+						if !slices.Equal(gotOffs, wantOffs) {
+							t.Fatalf("%s: %s issued %d WriteAts starting %v, reference %d starting %v", name, kind,
+								len(gotOffs), gotOffs[:min(4, len(gotOffs))], len(wantOffs), wantOffs[:min(4, len(wantOffs))])
+						}
+					}
 				}
 			}
 		}
 	}
+}
+
+// BenchmarkMergeWriter writes 16 MiB through the synchronous and the
+// write-behind merge writer at ext-classic-p1's shape — B = 64 and a
+// one-block M/(f+1) share, sized by mergeWriteRecs as the merges size
+// it — beside the ceiling: a raw os.File.WriteAt loop of stage-sized
+// transfers in the same directory. Every iteration overwrites the same
+// file, so the numbers compare writer overhead, not block allocation.
+func BenchmarkMergeWriter(b *testing.B) {
+	const block, total = 64, 16 << 20
+	recs := seq.Uniform(total/RecordBytes, 3)
+	wLen := mergeWriteRecs(block, block)
+	dir := b.TempDir()
+	open := func(b *testing.B, name string) *BlockFile {
+		bf, err := CreateBlockFile(filepath.Join(dir, name), block, &IOStats{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { bf.Close() })
+		return bf
+	}
+	b.Run("sync", func(b *testing.B) {
+		bf := open(b, "sync.bin")
+		b.SetBytes(total)
+		for b.Loop() {
+			w := newRunWriter(bf, 0, make([]seq.Record, 0, wLen))
+			for _, r := range recs {
+				if err := w.add(r); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := w.flush(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("async", func(b *testing.B) {
+		bf := open(b, "async.bin")
+		q := &ioSession{q: NewIOQueue(2)}
+		defer q.q.Close()
+		b.SetBytes(total)
+		for b.Loop() {
+			w := newAsyncWriter(bf, 0, q, wLen)
+			for _, r := range recs {
+				if err := w.add(r); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := w.close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("pwrite-ceiling", func(b *testing.B) {
+		f, err := os.Create(filepath.Join(dir, "raw.bin"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer f.Close()
+		stage := make([]byte, wLen*RecordBytes)
+		encodeRecs(stage, recs[:wLen])
+		b.SetBytes(total)
+		for b.Loop() {
+			for off := 0; off < total; off += len(stage) {
+				if _, err := f.WriteAt(stage[:min(len(stage), total-off)], int64(off)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }

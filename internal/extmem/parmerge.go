@@ -154,23 +154,19 @@ func (e *engine) mergeNodePar(nd *planNode, P int) error {
 	// that machine (P·levelMem when a lease resized the grant).
 	// Keeping the per-run refill span at the sequential size also
 	// keeps the read amplification at the sequential ≈k× instead of
-	// multiplying it by P.
-	c := e.levelMem / (f + 1)
-	if c < 1 {
-		c = 1
-	}
-	wLen := c - c%B
-	if wLen < B {
-		wLen = B
-	}
+	// multiplying it by P. The write-behind buffers are each raised to
+	// one stage (mergeWriteRecs), slack beyond the share like the
+	// sequential engine's read chunk.
+	c := max(e.levelMem/(f+1), 1)
+	wLen := mergeWriteRecs(c, B)
 
 	var idx []seq.Record
 	if e.captureIndex(nd) {
 		idx = newIndex(nd, B)
 	}
 	// Per-worker arenas: f run-reader shares of c records (a prefetching
-	// reader splits its share into two halves) plus the write-behind
-	// double buffer — grown once, reused across every node.
+	// reader splits its share into two halves) plus the two write-behind
+	// stages — grown once, reused across every node.
 	if e.parArena == nil {
 		e.parArena = make([][]seq.Record, e.cfg.procs)
 	}

@@ -34,8 +34,25 @@ import (
 
 // formChunk is the streaming read granularity of a selection pass, in
 // records (clamped to a block minimum). Like the simulator's load
-// block, it rides in the slack beyond M.
+// block, it rides in the slack beyond M. Rounded down to whole blocks
+// it is also the writers' stage (stageRecs).
 const formChunk = 1 << 13
+
+// stageRecs is the smallest flush of the engine's output writers:
+// formChunk rounded down to whole blocks, at least one block. A
+// 128 KiB stage reaches the device as two ioChunk-sized pwrites where
+// a one-block flush would cost one syscall per block.
+func stageRecs(block int) int {
+	return max(formChunk-formChunk%block, block)
+}
+
+// mergeWriteRecs sizes a merge writer's flush buffer from the node's
+// per-run share c = M/(f+1): c rounded down to whole blocks, raised to
+// at least one stage. Flushes stay block-aligned, so a node of n
+// records still costs ⌈n/B⌉ block writes whatever the buffer size.
+func mergeWriteRecs(c, block int) int {
+	return max(c-c%block, stageRecs(block))
+}
 
 // passSpan opens one selection-pass trace span under the formation
 // span. The caller closes it with endPass once the pass's record count

@@ -39,22 +39,46 @@ type Streamer interface {
 // through a bounded refill buffer, charging each refill to the file's
 // ledger. It is the cursor the scan-based kernel compositions
 // (internal/kernel's top-k, histogram, and merge-join co-stream) are
-// built from: the engine's synchronous span reader, one record per call.
+// built from. Its buffer is a whole number of blocks and every refill
+// but the last ends on a block boundary, so consecutive refills never
+// share a device block and a scan charges exactly the blocks it
+// touches, whatever its start offset.
 type RecordScanner struct {
-	r    *runReader
-	rest []seq.Record // the current span's unreturned records
+	bf       *BlockFile
+	next, hi int
+	buf      []seq.Record
+	rest     []seq.Record // the current span's unreturned records
 }
 
 // NewRecordScanner returns a scanner over records [lo, hi) of bf with
-// a bufRecs-record refill buffer (clamped to at least one block).
+// a bufRecs-record refill buffer, rounded down to whole blocks (at
+// least one block).
 func NewRecordScanner(bf *BlockFile, lo, hi, bufRecs int) *RecordScanner {
-	return &RecordScanner{r: newRunReader(bf, lo, hi, make([]seq.Record, max(bufRecs, bf.b)))}
+	n := max(bufRecs-bufRecs%bf.b, bf.b)
+	return &RecordScanner{bf: bf, next: lo, hi: hi, buf: make([]seq.Record, n)}
+}
+
+// span reads the next refill, empty at the end.
+func (s *RecordScanner) span() ([]seq.Record, error) {
+	end := min(s.hi, s.next+len(s.buf))
+	if end < s.hi {
+		end -= end % s.bf.b
+	}
+	if end <= s.next {
+		return nil, nil
+	}
+	sp := s.buf[:end-s.next]
+	if err := s.bf.ReadAt(s.next, sp); err != nil {
+		return nil, err
+	}
+	s.next = end
+	return sp, nil
 }
 
 // Next returns the next record in order, ok=false at the end.
 func (s *RecordScanner) Next() (seq.Record, bool, error) {
 	if len(s.rest) == 0 {
-		sp, err := s.r.span()
+		sp, err := s.span()
 		if err != nil || len(sp) == 0 {
 			return seq.Record{}, false, err
 		}
@@ -68,9 +92,9 @@ func (s *RecordScanner) Next() (seq.Record, bool, error) {
 // ScanRecords streams records [lo, hi) of bf through fn in order — the
 // charged one-pass scan the scan-only kernels run instead of a sort.
 func ScanRecords(bf *BlockFile, lo, hi int, fn func(r seq.Record) error) error {
-	rd := newRunReader(bf, lo, hi, make([]seq.Record, max(formChunk, bf.b)))
+	s := NewRecordScanner(bf, lo, hi, formChunk)
 	for {
-		sp, err := rd.span()
+		sp, err := s.span()
 		if err != nil || len(sp) == 0 {
 			return err
 		}
@@ -92,11 +116,9 @@ func ScanRecords(bf *BlockFile, lo, hi int, fn func(r seq.Record) error) error {
 // case only Flush runs.
 func (e *engine) formRootStreamed(nd *planNode) error {
 	post := e.cfg.post
-	wLen := formChunk - formChunk%e.cfg.block
-	if wLen < e.cfg.block {
-		wLen = e.cfg.block
-	}
-	w := newRunWriter(e.out, 0, make([]seq.Record, 0, wLen))
+	// Its own stage buffer: the selection passes below stream the input
+	// through e.readBuf while this writer fills.
+	w := newRunWriter(e.out, 0, make([]seq.Record, 0, stageRecs(e.cfg.block)))
 	if nd != nil && nd.len() > 0 {
 		if err := e.canceled(); err != nil {
 			return err
