@@ -149,6 +149,26 @@ func TestSortFanInOverride(t *testing.T) {
 		t.Fatalf("binary merge tree (%d levels) should be deeper than fan-in %d (%d levels)",
 			deep.Levels(), wide.FanIn, wide.Levels())
 	}
+
+	// A narrow fan-in under a large M gives each merge writer a share
+	// c = M/(f+1) wider than one stage, so its buffer is carved from the
+	// arena rather than the formation read chunk. Both the sequential
+	// engine and the parallel merge must take that path and keep the
+	// write ledger on plan.
+	big := seq.Uniform(70000, 10)
+	for _, procs := range []int{1, 4} {
+		cfg := Config{Mem: 1 << 15, Block: 16, K: 1, FanIn: 2, Procs: procs}
+		if c := cfg.Mem / (cfg.FanIn + 1); mergeWriteRecs(c, cfg.Block) <= stageRecs(cfg.Block) {
+			t.Fatalf("share %d does not exceed a stage of %d records", c, stageRecs(cfg.Block))
+		}
+		rep := runSort(t, cfg, big)
+		if rep.Levels < 2 {
+			t.Fatalf("P=%d: %d merge levels, want ≥ 2", procs, rep.Levels)
+		}
+		if rep.Total.Writes != rep.PlanWrites {
+			t.Fatalf("P=%d: %d block writes, plan %d", procs, rep.Total.Writes, rep.PlanWrites)
+		}
+	}
 }
 
 func TestSortConcurrentSameTmpDir(t *testing.T) {

@@ -77,6 +77,33 @@ func TestLeaseResizeKeepsOutputAndWriteLedger(t *testing.T) {
 	}
 }
 
+// TestLeaseGrowthPastStage grows the grant far enough that every merge
+// writer's share M/(f+1) is wider than one stage, so the write buffer
+// is carved from the (regrown) arena instead of the formation read
+// chunk. Output and the write ledger must match the fixed-budget run.
+func TestLeaseGrowthPastStage(t *testing.T) {
+	const n, mem, block = 20000, 128, 16
+	const grown = 1 << 17
+	in := seq.Uniform(n, 78)
+	base := runSort(t, Config{Mem: mem, Block: block, K: 1, Procs: 1}, in)
+	if f := base.FanIn; mergeWriteRecs(grown/(f+1), block) <= stageRecs(block) {
+		t.Fatalf("grown share %d does not exceed a stage of %d records", grown/(f+1), stageRecs(block))
+	}
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			l := newTestLease(grown)
+			rep := runSort(t, Config{Mem: mem, Block: block, K: 1, Procs: procs, Lease: l}, in)
+			if l.calls.Load() == 0 {
+				t.Fatal("engine never consulted the lease")
+			}
+			if rep.Total.Writes != base.Total.Writes || rep.Total.Writes != rep.PlanWrites {
+				t.Errorf("write ledger moved under a grown lease: measured %d, plan %d, fixed-budget run %d",
+					rep.Total.Writes, rep.PlanWrites, base.Total.Writes)
+			}
+		})
+	}
+}
+
 // TestLeaseNonPositiveGrantKeepsBudget pins the "keep the admission
 // budget" escape hatch: a lease reporting 0 must behave exactly like no
 // lease at all.

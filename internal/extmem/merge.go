@@ -345,8 +345,9 @@ func (e *engine) mergeNodeSeq(nd *planNode) error {
 	// than a stage is carved from the arena.
 	c := max(e.levelMem/(f+1), 1)
 	wLen := mergeWriteRecs(c, e.cfg.block)
+	carveW := wLen > cap(e.readBuf)
 	need := f * c
-	if wLen > cap(e.readBuf) {
+	if carveW {
 		need += wLen
 	}
 	arena := e.formBuf
@@ -357,9 +358,11 @@ func (e *engine) mergeNodeSeq(nd *planNode) error {
 		arena = make([]seq.Record, need)
 		e.formBuf = arena
 	}
-	wBuf := e.readBuf[:0:wLen]
-	if wLen > cap(e.readBuf) {
+	var wBuf []seq.Record
+	if carveW {
 		wBuf = arena[f*c : f*c : f*c+wLen]
+	} else {
+		wBuf = e.readBuf[:0:wLen]
 	}
 	rdrs := make([]recStream, f)
 	for i, kid := range nd.kids {

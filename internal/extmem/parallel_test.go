@@ -249,13 +249,17 @@ func TestPrefetchReaderMatchesRunReader(t *testing.T) {
 
 // TestAsyncWriterMatchesRunWriter drives write-behind, the synchronous
 // writer and a reference that issues every flush as one WriteAt over
-// the same record stream, at the buffer sizes the merges use
+// the same record stream. Buffer sizes are the ones the merges use
 // (mergeWriteRecs): a one-block and a seven-block share, both raised to
-// a stage, and a share larger than a stage. Block sizes include 100,
-// which does not divide formChunk; bases are block-aligned but not
-// stage-aligned; lengths end mid-block. All three must issue the same
-// WriteAt offsets and leave byte-identical files of equal Len(), and
-// both writers must charge Σ⌈flush/B⌉ block writes.
+// a stage, and a share larger than a stage. Beside them run raw 1-, 2-
+// and 7-block buffers, the sizes mergeWriteRecs returns once B ≥
+// formChunk, over a 777-record stream that alternates the write-behind
+// double buffer dozens of times; B = formChunk covers that regime
+// through the helper itself. Block sizes include 100, which does not
+// divide formChunk; bases are block-aligned but not stage-aligned;
+// lengths end mid-block. All three must issue the same WriteAt offsets
+// and leave byte-identical files of equal Len(), and both writers must
+// charge Σ⌈flush/B⌉ block writes.
 func TestAsyncWriterMatchesRunWriter(t *testing.T) {
 	dir := t.TempDir()
 	q := &ioSession{q: NewIOQueue(2)}
@@ -269,13 +273,22 @@ func TestAsyncWriterMatchesRunWriter(t *testing.T) {
 		return nil
 	}
 	defer func() { testWriteErr = nil }()
-	for _, B := range []int{16, 48, 100} {
+	for _, B := range []int{16, 48, 100, formChunk} {
 		stage := stageRecs(B)
+		var wLens []int
 		for _, share := range []int{B, 7 * B, stage + 3*B + 1} {
-			wLen := mergeWriteRecs(share, B)
+			wLens = append(wLens, mergeWriteRecs(share, B))
+		}
+		if B < formChunk {
+			wLens = append(wLens, B, 2*B, 7*B)
+		} else {
+			wLens = wLens[:1] // a one-block share stays one block
+		}
+		slices.Sort(wLens)
+		for _, wLen := range slices.Compact(wLens) {
 			for _, base := range []int{0, 3 * B, stage + 5*B} {
-				for _, n := range []int{B/2 + 1, 2*wLen + 5*B + B/3} {
-					name := fmt.Sprintf("B=%d/share=%d/base=%d/n=%d", B, share, base, n)
+				for _, n := range []int{B/2 + 1, 777, 2*wLen + 5*B + B/3} {
+					name := fmt.Sprintf("B=%d/wLen=%d/base=%d/n=%d", B, wLen, base, n)
 					recs := seq.Uniform(n, uint64(B*n+base))
 					var flushBlocks uint64
 					for off := 0; off < n; off += wLen {
@@ -285,7 +298,7 @@ func TestAsyncWriterMatchesRunWriter(t *testing.T) {
 					// the file's path, Len() and charged block writes.
 					write := func(kind string) (string, int, uint64) {
 						var stats IOStats
-						path := filepath.Join(dir, fmt.Sprintf("%s-%d-%d-%d-%d.bin", kind, B, share, base, n))
+						path := filepath.Join(dir, fmt.Sprintf("%s-%d-%d-%d-%d.bin", kind, B, wLen, base, n))
 						bf, err := CreateBlockFile(path, B, &stats)
 						if err != nil {
 							t.Fatal(err)
