@@ -870,15 +870,32 @@ type clusterStats struct {
 // every recorded job reached "done" — a coordinator that silently
 // absorbed a failed scatter would show up here even if the client-side
 // stream checks somehow passed. Prints the shard/retry/hedge summary.
+// Like checkMetrics it polls briefly: the coordinator records a job
+// done when its handler returns, a hair after the client sees the
+// response body end.
 func checkClusterStats(addr string, jobs int) (failures int, err error) {
-	resp, err := http.Get(addr + "/stats")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
 	var snap clusterStats
-	if err := decodeJSON(resp.Body, &snap); err != nil {
-		return 0, err
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		resp, err := http.Get(addr + "/stats")
+		if err != nil {
+			return 0, err
+		}
+		snap = clusterStats{}
+		err = decodeJSON(resp.Body, &snap)
+		resp.Body.Close()
+		if err != nil {
+			return 0, err
+		}
+		live := false
+		for _, j := range snap.Jobs {
+			switch j.State {
+			case "staging", "running", "streaming":
+				live = true
+			}
+		}
+		if !live || time.Now().After(deadline) {
+			break
+		}
 	}
 	done, shards, retries, hedges := 0, 0, 0, 0
 	for _, j := range snap.Jobs {

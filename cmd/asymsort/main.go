@@ -36,9 +36,10 @@
 // -tmpdir and merging them at the fan-in the paper's Appendix A rule
 // picks for the device's read/write cost ratio ω (override with
 // -fanin), and reports the measured block-IO ledger next to wall-clock.
-// With -procs P > 1 (the default is GOMAXPROCS) the engine pipelines
-// run formation, cuts every merge into P worker-private key ranges,
-// and overlaps block IO with compute — the block-write ledger is
+// With -procs P > 1 (the default is GOMAXPROCS) the engine forms runs
+// on P workers, each with a private M-record buffer, cuts every merge
+// into P worker-private key ranges, and overlaps merge IO with
+// compute — the block-write ledger is
 // identical to the sequential engine's at any P; -procs 1 selects the
 // strictly sequential baseline.
 package main

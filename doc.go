@@ -27,8 +27,9 @@
 //     compositions ride) that sorts files larger than RAM and whose
 //     measured block-write ledger matches the simulated AEM machine's
 //     level-for-level (cmd/asymsort -model ext). With -procs P > 1 it
-//     runs the paper's P-processor machine: run formation pipelines
-//     read→sort→write across leaves, each merge is cut by exact
+//     runs the paper's P-processor machine: P run-formation workers
+//     each read, select, sort and write their own leaves on a private
+//     M-record buffer, each merge is cut by exact
 //     splitter bounds into P worker-private key ranges merged through
 //     private loser trees, and an async IO worker layer prefetches and
 //     writes behind — output and write ledger identical at every P,

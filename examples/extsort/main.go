@@ -12,8 +12,8 @@
 // against the Appendix A prediction k/log k < ω/log(M/B).
 //
 // The sweep runs the one-worker sequential engine; a coda then re-runs
-// the best k on the GOMAXPROCS-wide parallel engine — pipelined run
-// formation, splitter-partitioned merge, async IO — and shows the
+// the best k on the GOMAXPROCS-wide parallel engine — run formation on
+// P private workers, splitter-partitioned merge, async IO — and shows the
 // wall-clock dropping while the write ledger stays bit-identical.
 //
 // Run: go run ./examples/extsort
@@ -124,10 +124,11 @@ func main() {
 		measBestK, measBest, 100*(1-measBest/measBase))
 	fmt.Printf("the write columns agree exactly: the engine executes the simulator's merge tree\n")
 
-	// Coda: the same sort at the best k on the parallel engine. Run
-	// formation pipelines read→sort→write, the merge fans out over
-	// worker-private key ranges, and the IO layer prefetches and
-	// writes behind — the ledger must not move by a single block.
+	// Coda: the same sort at the best k on the parallel engine. P
+	// formation workers each read, select, sort and write their own
+	// leaves, the merge fans out over worker-private key ranges, and
+	// the IO layer prefetches and writes behind — the ledger must not
+	// move by a single block.
 	procs := runtime.GOMAXPROCS(0)
 	outPath := filepath.Join(dir, "out.bin")
 	timed := func(p int) (*extmem.Report, time.Duration) {

@@ -23,8 +23,10 @@ const RecordBytes = 16
 // per touched block, exactly as aem.File.ReadRange/WriteRange charge
 // the simulated ledger. Reading a span smaller than a block therefore
 // still costs a whole block read — which is how the merge stage's
-// sub-block prefetch buffers realize the paper's k× read multiplier on
-// a real device.
+// sub-block prefetch buffers realize the paper's read multiplier on a
+// real device: B/c + 1 − 1/c block reads per block per merge level for
+// a c-record refill, ≈ k + 1 at the canonical fan-in, because almost
+// every sub-block refill straddles a block boundary.
 //
 // A BlockFile is safe for concurrent use: transfers go through
 // pread/pwrite on disjoint extents, encode/decode scratch comes from a

@@ -16,11 +16,11 @@
 //     formed with the Lemma 4.2 selection sort under the M-record
 //     budget: up to k read passes over the leaf, each retaining the M
 //     smallest records above the previous pass's watermark in a bounded
-//     max-heap, sorting the retained set in parallel with
-//     rt.SortRecords on the rt native pool, and writing it out once.
-//     On a parallel pool (Config.Procs > 1) formation is a three-stage
-//     read→sort→write pipeline across the leaves, so the device and
-//     the cores stay busy simultaneously.
+//     max-heap, sorting the retained set, and writing it out once.
+//     min(P, leaves) workers form the leaves, each taking the next leaf
+//     and running read → select → sort → write on its own private
+//     M-record buffer; at P = 1 that is one goroutine on the engine's
+//     one arena.
 //   - K-way merge (losertree.go, merge.go, parmerge.go): each internal
 //     node of the tree merges its children's runs through a loser-tree
 //     selector with per-run block prefetch buffers and a buffered
@@ -53,8 +53,10 @@
 // differ in the constant (the simulator re-reads run blocks across
 // queue rounds, the engine re-reads them across prefetch refills, and
 // the parallel merge adds at most P-1 splitter-probe block reads per
-// run) but both realize the ~k× read multiplier that buys the
-// shallower recursion.
+// run) but both realize the read multiplier that buys the shallower
+// recursion: the engine's merge reads each block B/c + 1 − 1/c times
+// per level, c = ⌊M/(f+1)⌋ its per-run refill, which is ≈ k + 1 at the
+// canonical fan-in (see mergeNodeSeq).
 //
 // The read multiplier k is chosen from the paper's Appendix A rule
 // k/log k < ω/log(M/B), where ω is the measured (or configured) ratio
@@ -94,10 +96,11 @@ var ErrCanceled = errors.New("extmem: sort canceled (lease revoked)")
 // carves that level's reader/writer buffers from the returned grant
 // instead of Config.Mem. A shrunken grant trades reads (smaller
 // prefetch buffers refill more often, raising the read amplification
-// beyond the planned ≈k×); a grown grant buys them back. Writes are
-// unaffected: every node still writes its output exactly once through
-// block-aligned buffers, so the ledger identity with the simulated AEM
-// machine holds at any grant trajectory.
+// beyond the planned ≈ k + 1 per block per merge level); a grown grant
+// buys them back. Writes are unaffected: every node still writes its
+// output exactly once through block-aligned buffers, so the ledger
+// identity with the simulated AEM machine holds at any grant
+// trajectory.
 //
 // Both methods are called from engine goroutines and must be safe for
 // concurrent use.
@@ -173,15 +176,14 @@ type Config struct {
 	// merge writer's stage: a write share below one stage is raised to
 	// it and the footprint does not grow. A parallel engine (Procs > 1)
 	// runs the paper's P-processor machine (§3), where every processor
-	// owns a private memory of size M: the formation pipeline
-	// circulates two M-record candidate buffers plus the transient
-	// rt.SortRecords merge scratch, each of the P merge workers carves
-	// a full M/(f+1)-per-run share of reader buffers plus two
-	// write-behind buffers, each its write share raised to at least one
-	// stage (aggregate merge residency about P·M plus the second write
-	// buffer and the stage slack), and each run keeps a
-	// one-record-per-block cut index in memory for the parent's
-	// splitter search.
+	// owns a private memory of size M: each formation worker holds an
+	// M-record candidate buffer and its own read chunk (P·(M + chunk)
+	// in all), each of the P merge workers carves a full M/(f+1)-per-run
+	// share of reader buffers plus two write-behind buffers, each its
+	// write share raised to at least one stage (aggregate merge
+	// residency about P·M plus the second write buffer and the stage
+	// slack), and each run keeps a one-record-per-block cut index in
+	// memory for the parent's splitter search.
 	Mem int
 	// Block is the device block/page size in records (the model's B).
 	Block int
@@ -202,13 +204,14 @@ type Config struct {
 	// TmpDir is where spill files live. Empty means os.TempDir(). The
 	// engine always removes its spill files before returning.
 	TmpDir string
-	// Procs is the engine's worker count (0 = GOMAXPROCS): the pool
-	// width of the in-memory run sorts, the formation pipeline, the
-	// splitter-partitioned parallel merge, and the async IO layer.
-	// Procs == 1 selects the strictly sequential engine — one
-	// goroutine, one M-record arena — whose wall-clock is the baseline
-	// the parallel speedup is measured against. Any Procs produces the
-	// identical output file and the identical block-write ledger.
+	// Procs is the engine's worker count (0 = GOMAXPROCS): the number
+	// of formation workers, the pool width of a lone worker's run
+	// sorts, the splitter-partitioned parallel merge, and the async IO
+	// layer. Procs == 1 is the degenerate case — one formation worker
+	// and sequential merges on one goroutine and one M-record arena —
+	// whose wall-clock is the baseline the parallel speedup is measured
+	// against. Any Procs produces the identical output file and the
+	// identical block-write ledger.
 	Procs int
 	// Pool, when non-nil, supplies the engine's worker pool instead of a
 	// fresh rt.NewPool(Procs): the serve broker lends each job a

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+	"time"
 
 	"asymsort/internal/seq"
 )
@@ -396,6 +397,38 @@ func TestScanChargesTouchedBlocks(t *testing.T) {
 				t.Fatalf("B=%d lo=%d: RecordScanner charged %d reads for %d blocks touched", block, lo, got, want)
 			}
 			bf.Close()
+		}
+	}
+}
+
+// BenchmarkFormation sorts a seeded 2²⁰-record file (16 MiB) at
+// M = 4096, B = 64 for K ∈ {1, 4} × P ∈ {1, 2} and reports run
+// formation's throughput: input MB (10⁶ bytes) over Report.FormTime.
+// At K = 1 each of the 256 leaves is one read-sort-write pass; at
+// K = 4 each of the 64 leaves takes four selection passes.
+func BenchmarkFormation(b *testing.B) {
+	const n, mem, block = 1 << 20, 4096, 64
+	dir := b.TempDir()
+	inPath := filepath.Join(dir, "in.bin")
+	if err := WriteRecordsFile(inPath, seq.Uniform(n, 20)); err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []int{1, 4} {
+		for _, procs := range []int{1, 2} {
+			b.Run(fmt.Sprintf("k=%d/procs=%d", k, procs), func(b *testing.B) {
+				var form time.Duration
+				sorts := 0
+				for b.Loop() {
+					rep, err := Sort(Config{Mem: mem, Block: block, K: k, Procs: procs, TmpDir: dir},
+						inPath, filepath.Join(dir, "out.bin"))
+					if err != nil {
+						b.Fatal(err)
+					}
+					form += rep.FormTime
+					sorts++
+				}
+				b.ReportMetric(float64(sorts*n*RecordBytes)/1e6/form.Seconds(), "form_MB/s")
+			})
 		}
 	}
 }

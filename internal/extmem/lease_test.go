@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -168,6 +169,32 @@ func TestCancelMidMerge(t *testing.T) {
 			l.onMem = func(call int64, l *testLease) { l.Cancel() }
 			cancelSort(t, Config{Mem: 128, Block: 16, K: 1, Procs: procs, Lease: l}, in)
 		})
+	}
+}
+
+// TestCancelMidFormation revokes the lease from inside run formation —
+// on the third spill-file write, with leaves still in flight on every
+// formation worker — and asserts the workers stop, join, and leave an
+// empty spill dir, at both engine widths and for single- and
+// multi-pass leaves. The write hook runs on concurrent workers, so its
+// counter is atomic.
+func TestCancelMidFormation(t *testing.T) {
+	in := seq.Uniform(20000, 11)
+	for _, procs := range []int{1, 4} {
+		for _, k := range []int{1, 2} {
+			t.Run(fmt.Sprintf("procs=%d/k=%d", procs, k), func(t *testing.T) {
+				l := newTestLease(128)
+				var writes atomic.Int64
+				testWriteErr = func(path string, off int) error {
+					if strings.Contains(filepath.Base(path), "spill0") && writes.Add(1) == 3 {
+						l.Cancel()
+					}
+					return nil
+				}
+				defer func() { testWriteErr = nil }()
+				cancelSort(t, Config{Mem: 128, Block: 16, K: k, Procs: procs, Lease: l}, in)
+			})
+		}
 	}
 }
 

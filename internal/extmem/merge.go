@@ -10,13 +10,13 @@ import (
 )
 
 // engine executes one plan in two phases: run formation over every
-// leaf, then the merge levels bottom-up. On a one-worker pool both
-// phases are strictly sequential on the calling goroutine — the
-// baseline "sequential engine". On a parallel pool formation becomes a
-// read→sort→write pipeline (runform.go), each merge node fans out over
-// worker-private key ranges (parmerge.go), and IO overlaps compute
-// through the ioq layer (aio.go); the block-write ledger is identical
-// in either mode.
+// leaf, then the merge levels bottom-up. Formation runs min(P, leaves)
+// private workers (runform.go); on a one-worker pool that is the
+// calling goroutine, and the merges are strictly sequential too — the
+// baseline "sequential engine". On a parallel pool each merge node
+// fans out over worker-private key ranges (parmerge.go), and merge IO
+// overlaps compute through the ioq layer (aio.go); the block-write
+// ledger is identical in either mode.
 type engine struct {
 	cfg     resolved
 	plan    *Plan
@@ -24,8 +24,8 @@ type engine struct {
 	in      *BlockFile
 	out     *BlockFile
 	spill   [2]*BlockFile // ping-pong by level parity; created lazily
-	formBuf []seq.Record  // M records, reused by every leaf and merge
-	readBuf []seq.Record  // streaming chunk for selection passes
+	formBuf []seq.Record  // M records: formation worker 0's candidates, then every merge's arena
+	readBuf []seq.Record  // formation worker 0's read chunk, then the merge writer's stage
 	ioq     *ioSession    // nil on the sequential engine
 	// levelMem is the memory grant the current phase's buffers carve
 	// from: the admission-time budget, or — when a Lease is wired — the
@@ -188,7 +188,7 @@ func (e *engine) run() error {
 		base := e.stats.Snapshot()
 		e.formSpan = e.cfg.span.Child("form")
 		start := time.Now()
-		err := e.formLeaves(leaves)
+		err := e.formRuns(leaves)
 		e.report.FormTime += time.Since(start)
 		e.addLevel(0, base)
 		e.endFormSpan(base)
@@ -279,8 +279,9 @@ func (e *engine) mergeLevel(lvl int, nodes []*planNode) (err error) {
 // contents (the grandchildren's runs) have been consumed. Two spill
 // files bound the engine's fd count at four (input, output, spills)
 // regardless of fan-in, where one-file-per-run would exhaust the fd
-// limit at the canonical kM/B fan-in. It is called only from the
-// coordinator goroutine, never from pipeline or merge workers.
+// limit at the canonical kM/B fan-in. It creates spill files lazily,
+// so it is called only from the coordinator goroutine, never from
+// formation or merge workers.
 func (e *engine) dst(nd *planNode) (*BlockFile, error) {
 	if nd == e.plan.root {
 		return e.out, nil
@@ -327,10 +328,14 @@ func (e *engine) mergeNode(nd *planNode) error {
 
 // mergeNodeSeq is the sequential merge: one loser tree over all
 // children, one block-aligned writer. The memory budget M splits
-// evenly across the fan-in's prefetch buffers plus one write buffer;
-// with the canonical fan-in kM/B the per-run buffer is ≈B/k records,
-// so each device block is fetched ≈k times per level, which is exactly
-// the read amplification AEM-MERGESORT trades for its shallower tree.
+// evenly across the fan-in's prefetch buffers plus one write buffer,
+// c = ⌊M/(f+1)⌋ records each. A refill of c records at an arbitrary
+// offset touches 1 + (c−1)/B blocks on average, so the ledger charges
+// B/c + 1 − 1/c reads per device block per level: with the canonical
+// fan-in kM/B, c ≈ B/k and that is ≈ k + 1, since almost every
+// sub-block refill straddles a block boundary (exactly 2 at k = 1 and
+// 5.2 at k = 4 for M = 4096, B = 64). This is the read amplification
+// AEM-MERGESORT trades for its shallower tree.
 func (e *engine) mergeNodeSeq(nd *planNode) error {
 	f := len(nd.kids)
 	// Carve the prefetch buffers out of the formation arena — formation

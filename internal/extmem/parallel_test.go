@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"asymsort/internal/seq"
 )
@@ -19,9 +20,11 @@ import (
 // gate: for every configuration and every worker count, the engine
 // must produce the byte-identical output file and the identical
 // per-level block-write ledger as the one-worker engine (which the
-// integration tests pin to the simulated AEM machine). Reads may only
-// grow — the splitter probes and the narrower per-worker prefetch
-// buffers add reads, never remove any.
+// integration tests pin to the simulated AEM machine). Formation
+// (LevelIO[0]) issues the same spans at any worker count, so its reads
+// must match exactly too. Merge reads may only grow — the splitter
+// probes and the narrower per-worker prefetch buffers add reads, never
+// remove any.
 func TestSortParallelMatchesSequential(t *testing.T) {
 	cases := []struct {
 		n, mem, block, k int
@@ -32,7 +35,8 @@ func TestSortParallelMatchesSequential(t *testing.T) {
 		{5000, 128, 16, 2},     // multi-pass selection leaves
 		{12345, 256, 16, 3},    // ragged everything, odd k
 		{50000, 512, 64, 4},    // wide fan-in
-		{3000, 1 << 12, 64, 1}, // whole file fits one run: pipeline, no merge
+		{20011, 256, 16, 4},    // more multi-pass leaves than workers, ragged last leaf
+		{3000, 1 << 12, 64, 1}, // whole file fits one run: one worker, no merge
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("n=%d/M=%d/B=%d/k=%d", tc.n, tc.mem, tc.block, tc.k), func(t *testing.T) {
@@ -85,6 +89,10 @@ func TestSortParallelMatchesSequential(t *testing.T) {
 							procs, lvl, parRep.LevelIO[lvl].Writes, seqRep.LevelIO[lvl].Writes)
 					}
 				}
+				if parRep.LevelIO[0] != seqRep.LevelIO[0] {
+					t.Errorf("procs=%d formation ledger %+v, sequential %+v",
+						procs, parRep.LevelIO[0], seqRep.LevelIO[0])
+				}
 				if parRep.Total.Reads < seqRep.Total.Reads {
 					t.Errorf("procs=%d: %d block reads, fewer than sequential %d",
 						procs, parRep.Total.Reads, seqRep.Total.Reads)
@@ -125,27 +133,33 @@ func TestSortParallelWorkloadShapes(t *testing.T) {
 
 // TestSortErrorCleanup injects a device write failure mid-run and
 // asserts the engine surfaces it and still leaves the spill directory
-// empty — the error path must join every pipeline stage, merge worker,
-// and in-flight async transfer before the cleanup defers run.
+// empty — the error path must join every formation worker, merge
+// worker, and in-flight async transfer before the cleanup defers run.
 func TestSortErrorCleanup(t *testing.T) {
 	boom := errors.New("injected device failure")
 	// n=8192, M=64, B=16, k=1 builds a 3-level tree: spill parity 0
 	// holds formation output, parity 1 the first merge level, so
 	// failing on a "spill1" path hits the engine strictly mid-merge.
+	// At k=2 the same input forms 64 two-pass leaves (128 formation
+	// writes) under two merge levels.
 	cases := []struct {
 		name   string
+		k      int
 		procs  int
 		target string // path substring that should fail
 		nth    int64  // which matching write fails (1-based)
 	}{
-		{"formation-first-write-seq", 1, "spill0", 1},
-		{"formation-first-write-par", 4, "spill0", 1},
-		{"formation-late-write-par", 4, "spill0", 50},
-		{"mid-merge-seq", 1, "spill1", 3},
-		{"mid-merge-par", 4, "spill1", 3},
+		{"formation-first-write-seq", 1, 1, "spill0", 1},
+		{"formation-first-write-par", 1, 4, "spill0", 1},
+		{"formation-late-write-par", 1, 4, "spill0", 50},
+		{"mid-merge-seq", 1, 1, "spill1", 3},
+		{"mid-merge-par", 1, 4, "spill1", 3},
 		// The root's first staged write to the output file.
-		{"root-stage-write-seq", 1, "out", 1},
-		{"root-stage-write-par", 4, "out", 1},
+		{"root-stage-write-seq", 1, 1, "out", 1},
+		{"root-stage-write-par", 1, 4, "out", 1},
+		// Multi-pass leaves on concurrent formation workers.
+		{"multipass-first-write-par", 2, 4, "spill0", 1},
+		{"multipass-late-write-par", 2, 4, "spill0", 100},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -167,7 +181,7 @@ func TestSortErrorCleanup(t *testing.T) {
 				return nil
 			}
 			defer func() { testWriteErr = nil }()
-			_, err := Sort(Config{Mem: 64, Block: 16, K: 1, TmpDir: spill, Procs: tc.procs},
+			_, err := Sort(Config{Mem: 64, Block: 16, K: tc.k, TmpDir: spill, Procs: tc.procs},
 				inPath, filepath.Join(dir, "out.bin"))
 			if !errors.Is(err, boom) {
 				t.Fatalf("Sort returned %v, want the injected failure", err)
@@ -184,6 +198,52 @@ func TestSortErrorCleanup(t *testing.T) {
 				t.Fatalf("spill dir not cleaned after error: %v", names)
 			}
 		})
+	}
+}
+
+// TestFormationConcurrentFailures fails the first spill write of every
+// formation worker, with the writes held at a barrier until all four
+// workers have reached one, so the workers record their failures
+// concurrently. Sort must return the injected error and leave the
+// spill dir empty.
+func TestFormationConcurrentFailures(t *testing.T) {
+	const procs = 4
+	boom := errors.New("injected device failure")
+	dir := t.TempDir()
+	spill := filepath.Join(dir, "spill")
+	if err := os.Mkdir(spill, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	inPath := filepath.Join(dir, "in.bin")
+	if err := WriteRecordsFile(inPath, seq.Uniform(8192, 13)); err != nil {
+		t.Fatal(err)
+	}
+	var arrived atomic.Int64
+	all := make(chan struct{})
+	testWriteErr = func(path string, off int) error {
+		if !strings.Contains(filepath.Base(path), "spill0") {
+			return nil
+		}
+		if arrived.Add(1) == procs {
+			close(all)
+		}
+		select {
+		case <-all:
+		case <-time.After(5 * time.Second): // fewer workers ran; the count check reports it
+		}
+		return boom
+	}
+	defer func() { testWriteErr = nil }()
+	_, err := Sort(Config{Mem: 64, Block: 16, K: 1, TmpDir: spill, Procs: procs},
+		inPath, filepath.Join(dir, "out.bin"))
+	if !errors.Is(err, boom) {
+		t.Fatalf("Sort returned %v, want the injected failure", err)
+	}
+	if n := arrived.Load(); n != procs {
+		t.Errorf("%d formation writes failed, want one per worker (%d)", n, procs)
+	}
+	if left, err := os.ReadDir(spill); err != nil || len(left) != 0 {
+		t.Fatalf("spill dir not cleaned after error: %d entries (%v)", len(left), err)
 	}
 }
 

@@ -153,7 +153,8 @@ func (e *engine) mergeNodePar(nd *planNode, P int) error {
 	// engine's aggregate merge residency of ≤ P·M realizes exactly
 	// that machine (P·levelMem when a lease resized the grant).
 	// Keeping the per-run refill span at the sequential size also
-	// keeps the read amplification at the sequential ≈k× instead of
+	// keeps the read amplification at the sequential B/c + 1 − 1/c
+	// reads per block (≈ k + 1, see mergeNodeSeq) instead of
 	// multiplying it by P. The write-behind buffers are each raised to
 	// one stage (mergeWriteRecs), slack beyond the share like the
 	// sequential engine's read chunk.

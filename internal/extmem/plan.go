@@ -136,8 +136,8 @@ func (p *Plan) assignLevels(root *planNode) int {
 // is IO-equivalent to the depth-first order (every node still writes
 // its own region exactly once, a region is only consumed by the next
 // level up, and a same-parity spill region is only overwritten two
-// levels later, after its reader finished) but lets run formation
-// pipeline across leaves.
+// levels later, after its reader finished) but lets the formation
+// workers take leaves in any order.
 func (p *Plan) phases() (leaves []*planNode, byLevel [][]*planNode) {
 	byLevel = make([][]*planNode, p.levels+1)
 	if p.root == nil {

@@ -2,7 +2,6 @@ package extmem
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"asymsort/internal/obs"
@@ -12,25 +11,22 @@ import (
 
 // This file forms the leaf runs of the merge tree: the real counterpart
 // of aemsort.SelectionSortFile (Lemma 4.2). A leaf holds at most kM
-// records but the engine may hold only M in memory, so a leaf is formed
+// records but a worker may hold only M in memory, so a leaf is formed
 // in ⌈n/M⌉ ≤ k passes: each pass streams the leaf's range of the input
 // file, retains the M smallest records above the previous pass's
-// watermark in a bounded max-heap, sorts the retained set with
-// rt.SortRecords, and writes it out once. Reads multiply by up to k;
-// every record is written exactly once — the paper's trade.
+// watermark in a bounded max-heap, sorts the retained set, and writes
+// it out once. Reads multiply by up to k; every record is written
+// exactly once — the paper's trade.
 //
-// On a one-worker pool the leaves are formed strictly one after
-// another (formRunSeq). On a parallel pool formation is a three-stage
-// producer/consumer pipeline over all leaves: the calling goroutine
-// streams candidate sets out of the input file, a sort stage runs
-// rt.SortRecords on the pool, and a write-behind stage drains sorted
-// sets to the spill file — so the read of one pass, the sort of the
-// previous, and the write of the one before that overlap. Two M-record
-// candidate buffers circulate through the stages (the pipeline's
-// double buffer); the second buffer and the sort scratch are the
-// documented parallel-mode slack beyond the budget. The IO ledger is
-// unchanged: the same ReadAt/WriteAt spans are issued in the same
-// per-stage order, only overlapped in time.
+// Formation runs on min(P, leaves) workers, each one processor of the
+// paper's parallel machine (§3) with a private memory of size M: a
+// worker takes the next leaf from a shared counter and runs read →
+// select → sort → write on its own M-record candidate buffer and its
+// own formChunk read chunk. Worker 0 forms on the engine's arena
+// (formBuf, readBuf), so the one-worker engine is one goroutine on one
+// M-record buffer. Every pass issues the same ReadAt/WriteAt spans at
+// any P — only their interleaving across leaves changes — so the IO
+// ledger does not depend on the worker count.
 
 // formChunk is the streaming read granularity of a selection pass, in
 // records (clamped to a block minimum). Like the simulator's load
@@ -68,211 +64,128 @@ func endPass(sp *obs.Span, recs int) {
 	sp.End()
 }
 
-// formLeaves forms every leaf run of the plan, in plan order.
-func (e *engine) formLeaves(leaves []*planNode) error {
-	if e.cfg.procs == 1 {
-		for _, nd := range leaves {
-			if err := e.formRunSeq(nd); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return e.formLeavesPipelined(leaves)
-}
-
-// formBatch is one sorted-run write: the pipeline's unit of work. buf
-// is unsorted when it leaves the producer, sorted from the sort stage
-// on, and recycled into the free list after the write.
-type formBatch struct {
-	nd  *planNode
-	dst *BlockFile
-	off int // absolute destination offset
-	buf []seq.Record
-}
-
-// formLeavesPipelined runs the three-stage formation pipeline.
-func (e *engine) formLeavesPipelined(leaves []*planNode) error {
-	var (
-		sortCh  = make(chan formBatch, 1)
-		writeCh = make(chan formBatch, 1)
-		free    = make(chan []seq.Record, 2)
-		wErr    = make(chan error, 1)
-		failed  atomic.Bool
-	)
-	free <- e.formBuf
-	free <- make([]seq.Record, e.cfg.mem)
-
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // sort stage
-		defer wg.Done()
-		defer close(writeCh)
-		for b := range sortCh {
-			if !failed.Load() {
-				rt.SortRecords(e.cfg.pool, b.buf)
-			}
-			writeCh <- b
-		}
-	}()
-	go func() { // write-behind stage
-		defer wg.Done()
-		for b := range writeCh {
-			if !failed.Load() {
-				if err := b.dst.WriteAt(b.off, b.buf); err != nil {
-					failed.Store(true)
-					wErr <- err
-				} else if idx := b.nd.index; idx != nil {
-					blk := e.cfg.block
-					for j := (blk - (b.off-b.nd.lo)%blk) % blk; j < len(b.buf); j += blk {
-						idx[(b.off+j-b.nd.lo)/blk] = b.buf[j]
-					}
-				}
-			}
-			// Recycle the buffer even after a failure, so the producer
-			// can never block on an empty free list.
-			free <- b.buf[:cap(b.buf)]
-		}
-	}()
-
-	err := e.produceLeaves(leaves, sortCh, free, &failed)
-	close(sortCh)
-	wg.Wait()
-	select {
-	case werr := <-wErr:
-		if err == nil {
-			err = werr
-		}
-	default:
-	}
-	return err
-}
-
-// produceLeaves is the pipeline's first stage: it streams each leaf's
-// candidate sets out of the input file and hands them to the sort
-// stage. It owns all reads of the formation phase, so the read ledger
-// is charged in exactly the sequential engine's order.
-func (e *engine) produceLeaves(leaves []*planNode, sortCh chan<- formBatch, free chan []seq.Record, failed *atomic.Bool) error {
-	for _, nd := range leaves {
-		if failed.Load() {
-			return nil // the write stage reports its own error
-		}
-		if err := e.canceled(); err != nil {
-			return err
-		}
-		n := nd.len()
-		if n == 0 {
-			continue
-		}
+// formRuns forms the plan's leaves into their spill files (the output
+// file, for a root leaf). dst creates spill files lazily and is
+// coordinator-only, so every leaf's destination and cut index are
+// resolved here, before the workers start; the sink then writes each
+// batch and fills the leaf's cut index from it.
+func (e *engine) formRuns(leaves []*planNode) error {
+	dsts := make([]*BlockFile, len(leaves))
+	for i, nd := range leaves {
 		dst, err := e.dst(nd)
 		if err != nil {
 			return err
 		}
+		dsts[i] = dst
 		if e.captureIndex(nd) {
 			nd.index = newIndex(nd, e.cfg.block)
 		}
-		// Fast path: the leaf fits the budget (always, when k = 1) — one
-		// read pass, one sort, one write, no watermark (and hence no
-		// uniqueness requirement).
-		if n <= e.cfg.mem {
-			sp := e.passSpan(nd, nd.lo)
-			buf := (<-free)[:n]
-			if err := e.in.ReadAt(nd.lo+e.cfg.inSkip, buf); err != nil {
-				free <- buf[:cap(buf)]
-				endPass(sp, 0)
-				return err
-			}
-			endPass(sp, n)
-			sortCh <- formBatch{nd: nd, dst: dst, off: nd.lo, buf: buf}
-			continue
-		}
-		var watermark seq.Record
-		have := false
-		for outOff := nd.lo; outOff < nd.hi; {
-			if failed.Load() {
-				return nil
-			}
-			sp := e.passSpan(nd, outOff)
-			cand, err := e.selectPass(nd, watermark, have, (<-free)[:0])
-			endPass(sp, len(cand))
-			if err != nil {
-				free <- cand[:cap(cand)]
-				return err
-			}
-			if len(cand) == 0 {
-				free <- cand[:cap(cand)]
-				return noProgressErr(nd, outOff)
-			}
-			// The next pass's watermark is the candidate maximum — what
-			// the sort stage will place last, computed here so the scan
-			// need not wait for the sort.
-			watermark, have = cand[0], true
-			for _, r := range cand[1:] {
-				if seq.TotalLess(watermark, r) {
-					watermark = r
-				}
-			}
-			sortCh <- formBatch{nd: nd, dst: dst, off: outOff, buf: cand}
-			outOff += len(cand)
-		}
 	}
-	return nil
+	blk := e.cfg.block
+	return e.formLeaves(leaves, func(i, off int, batch []seq.Record) error {
+		if err := dsts[i].WriteAt(off, batch); err != nil {
+			return err
+		}
+		if nd := leaves[i]; nd.index != nil {
+			for j := (blk - (off-nd.lo)%blk) % blk; j < len(batch); j += blk {
+				nd.index[(off+j-nd.lo)/blk] = batch[j]
+			}
+		}
+		return nil
+	})
 }
 
-// formRunSeq sorts input records [nd.lo, nd.hi) into dst at the same
-// offsets, strictly sequentially — the one-worker engine's formation.
-func (e *engine) formRunSeq(nd *planNode) error {
-	n := nd.len()
-	if n == 0 {
-		return nil
+// formLeaves forms every leaf on min(P, len(leaves)) workers. Leaf i's
+// sorted batches reach sink in order, each holding the leaf's records
+// at offsets [off, off+len(batch)); workers call sink concurrently for
+// different leaves. A lone worker sorts on the whole pool; several
+// workers already fill it, so each sorts in place. After the first
+// failure the workers stop at their next leaf boundary, and formLeaves
+// returns that error once all of them have joined.
+func (e *engine) formLeaves(leaves []*planNode, sink func(i, off int, batch []seq.Record) error) error {
+	P := min(e.cfg.procs, len(leaves))
+	sortRecs := rt.SeqSortRecords
+	if P == 1 {
+		sortRecs = func(recs []seq.Record) { rt.SortRecords(e.cfg.pool, recs) }
 	}
+	var (
+		next     atomic.Int64
+		failed   atomic.Bool
+		firstErr error // written only by the worker that sets failed
+	)
+	tasks := make([]func(), P)
+	for w := range tasks {
+		tasks[w] = func() {
+			buf, chunk := e.formBuf, e.readBuf
+			if w > 0 {
+				buf, chunk = make([]seq.Record, e.cfg.mem), make([]seq.Record, 0, cap(e.readBuf))
+			}
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= len(leaves) {
+					return
+				}
+				err := e.formLeaf(leaves[i], buf, chunk, sortRecs, func(off int, batch []seq.Record) error {
+					return sink(i, off, batch)
+				})
+				if err != nil {
+					if failed.CompareAndSwap(false, true) {
+						firstErr = err
+					}
+					return
+				}
+			}
+		}
+	}
+	e.cfg.pool.Run(tasks...)
+	return firstErr
+}
+
+// formLeaf forms one leaf on a worker's candidate buffer buf (M
+// records) and read chunk. A leaf that fits the budget (always, when
+// k = 1) takes one read, one sort and one emit, with no watermark and
+// hence no uniqueness requirement. A larger leaf runs selection passes,
+// each emitting the M smallest records above the previous pass's last.
+func (e *engine) formLeaf(nd *planNode, buf, chunk []seq.Record, sortRecs func([]seq.Record), emit func(off int, batch []seq.Record) error) error {
 	if err := e.canceled(); err != nil {
 		return err
 	}
-	dst, err := e.dst(nd)
-	if err != nil {
-		return err
-	}
-	if n <= e.cfg.mem {
+	if n := nd.len(); n <= e.cfg.mem {
 		sp := e.passSpan(nd, nd.lo)
 		defer endPass(sp, n)
-		buf := e.formBuf[:n]
-		if err := e.in.ReadAt(nd.lo+e.cfg.inSkip, buf); err != nil {
+		cand := buf[:n]
+		if err := e.in.ReadAt(nd.lo+e.cfg.inSkip, cand); err != nil {
 			return err
 		}
-		rt.SortRecords(e.cfg.pool, buf)
-		return dst.WriteAt(nd.lo, buf)
+		sortRecs(cand)
+		return emit(nd.lo, cand)
 	}
 	var watermark seq.Record
-	have := false
-	for outOff := nd.lo; outOff < nd.hi; {
-		sp := e.passSpan(nd, outOff)
-		cand, err := e.selectPass(nd, watermark, have, e.formBuf[:0])
-		if err != nil {
-			endPass(sp, len(cand))
-			return err
+	for off := nd.lo; off < nd.hi; {
+		sp := e.passSpan(nd, off)
+		cand, err := e.selectPass(nd, watermark, off > nd.lo, buf[:0], chunk)
+		if err == nil && len(cand) == 0 {
+			err = noProgressErr(nd, off)
 		}
-		if len(cand) == 0 {
-			endPass(sp, 0)
-			return noProgressErr(nd, outOff)
+		if err == nil {
+			sortRecs(cand)
+			err = emit(off, cand)
 		}
-		rt.SortRecords(e.cfg.pool, cand)
-		err = dst.WriteAt(outOff, cand)
 		endPass(sp, len(cand))
 		if err != nil {
 			return err
 		}
-		outOff += len(cand)
-		watermark, have = cand[len(cand)-1], true
+		off += len(cand)
+		watermark = cand[len(cand)-1]
 	}
 	return nil
 }
 
 // selectPass runs one Lemma 4.2 selection pass over the leaf's input
-// range: it gathers into cand (capacity ≥ M) up to M candidates above
-// the watermark, first by filling, then by max-heap replacement.
-func (e *engine) selectPass(nd *planNode, watermark seq.Record, have bool, cand []seq.Record) ([]seq.Record, error) {
-	chunk := e.readBuf
+// range, streamed through chunk: it gathers into cand (capacity ≥ M) up
+// to M candidates above the watermark, first by filling, then by
+// max-heap replacement.
+func (e *engine) selectPass(nd *planNode, watermark seq.Record, have bool, cand, chunk []seq.Record) ([]seq.Record, error) {
 	heaped := false
 	for off := nd.lo; off < nd.hi; off += len(chunk) {
 		if err := e.canceled(); err != nil {

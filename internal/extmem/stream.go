@@ -1,9 +1,6 @@
 package extmem
 
-import (
-	"asymsort/internal/rt"
-	"asymsort/internal/seq"
-)
+import "asymsort/internal/seq"
 
 // The streaming post-pass hook: the third reusable phase of the engine
 // next to run formation and the planned k-way merge. A Streamer wired
@@ -108,62 +105,28 @@ func ScanRecords(bf *BlockFile, lo, hi int, fn func(r seq.Record) error) error {
 
 // formRootStreamed handles the streamed run whose plan is a single
 // leaf (n ≤ kM, no merge levels): formation and the post-pass fuse.
-// The leaf's selection passes emit their sorted batches in global
-// sorted order, so the streamer folds across pass boundaries exactly
-// as it folds across the root merge's stream, and the output file
+// The leaf's passes emit their sorted batches in global sorted order,
+// so the sink folds them through the streamer across pass boundaries
+// exactly as the root merge's stream is folded, and the output file
 // receives only the emitted records — ⌈out/B⌉ block writes — through
 // one block-aligned writer. nd may be nil (an empty input), in which
 // case only Flush runs.
 func (e *engine) formRootStreamed(nd *planNode) error {
 	post := e.cfg.post
-	// Its own stage buffer: the selection passes below stream the input
-	// through e.readBuf while this writer fills.
+	// Its own stage buffer: formation streams the input through
+	// e.readBuf while this writer fills.
 	w := newRunWriter(e.out, 0, make([]seq.Record, 0, stageRecs(e.cfg.block)))
-	if nd != nil && nd.len() > 0 {
-		if err := e.canceled(); err != nil {
-			return err
-		}
-		n := nd.len()
-		if n <= e.cfg.mem {
-			sp := e.passSpan(nd, nd.lo)
-			buf := e.formBuf[:n]
-			if err := e.in.ReadAt(nd.lo+e.cfg.inSkip, buf); err != nil {
-				endPass(sp, 0)
-				return err
-			}
-			rt.SortRecords(e.cfg.pool, buf)
-			for _, r := range buf {
+	if nd != nil {
+		err := e.formLeaves([]*planNode{nd}, func(_, _ int, batch []seq.Record) error {
+			for _, r := range batch {
 				if err := post.Push(r, w.add); err != nil {
-					endPass(sp, n)
 					return err
 				}
 			}
-			endPass(sp, n)
-		} else {
-			var watermark seq.Record
-			have := false
-			for outOff := nd.lo; outOff < nd.hi; {
-				sp := e.passSpan(nd, outOff)
-				cand, err := e.selectPass(nd, watermark, have, e.formBuf[:0])
-				if err != nil {
-					endPass(sp, len(cand))
-					return err
-				}
-				if len(cand) == 0 {
-					endPass(sp, 0)
-					return noProgressErr(nd, outOff)
-				}
-				rt.SortRecords(e.cfg.pool, cand)
-				for _, r := range cand {
-					if err := post.Push(r, w.add); err != nil {
-						endPass(sp, len(cand))
-						return err
-					}
-				}
-				endPass(sp, len(cand))
-				outOff += len(cand)
-				watermark, have = cand[len(cand)-1], true
-			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	if err := post.Flush(w.add); err != nil {

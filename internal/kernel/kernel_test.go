@@ -245,21 +245,26 @@ func TestExtEmptyInput(t *testing.T) {
 }
 
 // TestSemisortStreamedLevels pins the two Post-streamer code paths in
-// the engine: the fused root-is-leaf formation (Levels == 0) and the
-// streamed root merge (Levels >= 1), both with the adjusted PlanWrites.
+// the engine: the fused root-is-leaf formation (Levels == 0) — in one
+// pass at n ≤ M and in selection passes at M < n ≤ kM — and the
+// streamed root merge (Levels >= 1), all with the adjusted PlanWrites.
 func TestSemisortStreamedLevels(t *testing.T) {
 	k, _ := Get("semisort")
 	in := seq.FewDistinct(900, 37, 3)
-	for cname, cfg := range extConfigs() {
+	cfgs := extConfigs()
+	// 900 records under M = 256, kM = 1024: one leaf of 4 passes.
+	cfgs["multipass"] = extmem.Config{Mem: 256, Block: 8, K: 4, Procs: 1}
+	cfgs["multipass-par"] = extmem.Config{Mem: 256, Block: 8, K: 4, Procs: 4}
+	for cname, cfg := range cfgs {
 		res, out := runExt(t, k, cfg, in, 0, Params{})
 		if len(res.Sorts) != 1 {
 			t.Fatalf("%s: %d sort reports, want 1", cname, len(res.Sorts))
 		}
 		rep := res.Sorts[0]
 		switch cname {
-		case "singlerun":
+		case "singlerun", "multipass", "multipass-par":
 			if rep.Levels != 0 {
-				t.Fatalf("singlerun: plan has %d levels, want 0", rep.Levels)
+				t.Fatalf("%s: plan has %d levels, want 0", cname, rep.Levels)
 			}
 		default:
 			if rep.Levels < 1 {
