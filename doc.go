@@ -31,9 +31,9 @@
 //     each read, select, sort and write their own leaves on a private
 //     M-record buffer, each merge is cut by exact
 //     splitter bounds into P worker-private key ranges merged through
-//     private loser trees, and an async IO worker layer prefetches and
-//     writes behind — output and write ledger identical at every P,
-//     asserted by internal/integration at P ∈ {1, 4}
+//     private loser trees refilling from mapped spill files, and an
+//     IO worker layer writes behind — output and write ledger identical
+//     at every P, asserted by internal/integration at P ∈ {1, 4}
 //   - internal/icache, internal/co — Asymmetric Ideal-Cache + the
 //     low-depth cache-oblivious execution substrate
 //   - internal/core/... — the paper's algorithms: §3 RAM/PRAM sorts,

@@ -13,7 +13,7 @@
 //
 // The sweep runs the one-worker sequential engine; a coda then re-runs
 // the best k on the GOMAXPROCS-wide parallel engine — run formation on
-// P private workers, splitter-partitioned merge, async IO — and shows the
+// P private workers, splitter-partitioned merge, write-behind — and shows the
 // wall-clock dropping while the write ledger stays bit-identical.
 //
 // Run: go run ./examples/extsort
@@ -127,7 +127,7 @@ func main() {
 	// Coda: the same sort at the best k on the parallel engine. P
 	// formation workers each read, select, sort and write their own
 	// leaves, the merge fans out over worker-private key ranges, and
-	// the IO layer prefetches and writes behind — the ledger must not
+	// the IO layer writes behind — the ledger must not
 	// move by a single block.
 	procs := runtime.GOMAXPROCS(0)
 	outPath := filepath.Join(dir, "out.bin")

@@ -6,48 +6,31 @@ import (
 	"asymsort/internal/seq"
 )
 
-// This file is the asynchronous IO worker layer under BlockFile: a
-// small pool of IO goroutines (IOQueue) plus the two façades the engine
-// stacks on it — prefetchReader (read-ahead) and asyncWriter
-// (write-behind). Both issue exactly the transfers their synchronous
-// counterparts (runReader, runWriter) would issue, span for span, so
-// the IOStats ledger is identical whether IO is overlapped or not; the
-// only difference is when the pread/pwrite happens relative to the
-// compute that consumes or produced the records. Each queued op is one
-// BlockFile.ReadAt or WriteAt, which charges the ledger and feeds the ω
-// meter itself. A façade keeps at most one transfer in flight, so the
-// buffers, not the queue, set the syscall sizes: merge writers flush
-// whole stages of at least formChunk records rounded to blocks
-// (mergeWriteRecs), not single blocks.
+// This file is the write-behind layer under BlockFile: a small pool of
+// IO goroutines (IOQueue) under the parallel merge workers' asyncWriter,
+// which issues exactly the flushes a runWriter with the same buffer
+// would, so overlapping a pwrite with the merge never moves the ledger.
+// Each queued op is one BlockFile.WriteAt, which charges the ledger and
+// feeds the ω meter itself. A writer keeps at most one flush in flight,
+// so its buffers, not the queue, set the syscall sizes: whole stages of
+// at least formChunk records rounded to blocks (mergeWriteRecs). Merge
+// reads need no queue: a refill is a synchronous copy out of the
+// level's mapping (BlockFile.mapRead).
 
-// ioResult carries one completed async transfer: the record count moved
-// and its error.
-type ioResult struct {
-	n   int
-	err error
-}
-
-// ioOp is one queued block transfer: a read into dst or a write of src.
-// run delivers the result exactly once, inline or on a worker.
+// ioOp is one queued block write of src at record offset off. run
+// delivers the result exactly once, inline or on a worker.
 type ioOp struct {
 	bf   *BlockFile
 	off  int
-	dst  []seq.Record    // read target; nil unless a read
-	src  []seq.Record    // write source; nil unless a write
-	ch   chan<- ioResult // result channel
-	done func()          // session accounting hook (ioSession.submit)
+	src  []seq.Record
+	ch   chan<- error // result channel
+	done func()       // session accounting hook (ioSession.submit)
 }
 
 // run services the op through BlockFile, which does its own charging
 // and error reporting.
 func (op *ioOp) run() {
-	var res ioResult
-	if op.dst != nil {
-		res = ioResult{len(op.dst), op.bf.ReadAt(op.off, op.dst)}
-	} else {
-		res = ioResult{len(op.src), op.bf.WriteAt(op.off, op.src)}
-	}
-	op.ch <- res
+	op.ch <- op.bf.WriteAt(op.off, op.src)
 	op.done()
 }
 
@@ -57,8 +40,8 @@ func (op *ioOp) run() {
 // deadlock and degrades gracefully to synchronous IO under pressure. A
 // queue may be private to one engine or shared by many concurrent ones
 // (Config.IOQ): the serve broker owns one machine-wide queue so the
-// aggregate async-IO parallelism stays bounded no matter how many jobs
-// run.
+// aggregate write-behind parallelism stays bounded no matter how many
+// jobs run.
 type IOQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -134,12 +117,12 @@ func (q *IOQueue) Close() {
 	q.wg.Wait()
 }
 
-// ioSession tracks one engine's in-flight tasks on a (possibly shared)
+// ioSession tracks one engine's in-flight writes on a (possibly shared)
 // IOQueue: every submit is counted, and drain blocks until the
-// engine's own transfers have completed. This is what lets an engine
+// engine's own writes have completed. This is what lets an engine
 // remove its spill files on exit — including error and cancellation
-// exits with prefetches still in flight — without closing a queue
-// other engines are using.
+// exits with a write-behind flush still in flight — without closing a
+// queue other engines are using.
 type ioSession struct {
 	q  *IOQueue
 	wg sync.WaitGroup
@@ -154,81 +137,6 @@ func (s *ioSession) submit(op *ioOp) {
 // drain waits for every transfer this session submitted.
 func (s *ioSession) drain() { s.wg.Wait() }
 
-// prefetchReader is a runReader with read-ahead: it owns two refill
-// buffers and always has the next span's read in flight on the IO queue
-// while the consumer drains the current buffer. The sequence of spans —
-// and therefore the charged read ledger — is identical to a runReader
-// with the same buffer capacity; the second buffer rides in the
-// parallel engine's documented slack beyond M.
-type prefetchReader struct {
-	bf       *BlockFile
-	next, hi int
-	q        *ioSession
-	bufs     [2][]seq.Record
-	fill     int           // index of the buffer the in-flight read targets
-	pend     chan ioResult // nil when no read is in flight
-	done     bool          // exhausted or failed; no further launches
-}
-
-// newPrefetchReader streams [lo, hi) of bf through double buffers of
-// bufRecs records each.
-func newPrefetchReader(bf *BlockFile, lo, hi int, q *ioSession, bufRecs int) *prefetchReader {
-	if bufRecs < 1 {
-		panic("extmem: prefetchReader buffer must have capacity")
-	}
-	return newPrefetchReaderBufs(bf, lo, hi, q,
-		make([]seq.Record, bufRecs), make([]seq.Record, bufRecs))
-}
-
-// newPrefetchReaderBufs adopts two caller-owned refill buffers — the
-// merge workers carve them from their reusable arenas.
-func newPrefetchReaderBufs(bf *BlockFile, lo, hi int, q *ioSession, b0, b1 []seq.Record) *prefetchReader {
-	if len(b0) == 0 || len(b1) == 0 {
-		panic("extmem: prefetchReader buffers must have capacity")
-	}
-	return &prefetchReader{bf: bf, next: lo, hi: hi, q: q, bufs: [2][]seq.Record{b0, b1}}
-}
-
-// launch issues the next span's read into bufs[fill].
-func (r *prefetchReader) launch() {
-	ch := make(chan ioResult, 1)
-	r.pend = ch
-	n := r.hi - r.next
-	if n <= 0 {
-		ch <- ioResult{}
-		return
-	}
-	if n > len(r.bufs[r.fill]) {
-		n = len(r.bufs[r.fill])
-	}
-	off := r.next
-	buf := r.bufs[r.fill][:n]
-	r.next += n
-	r.q.submit(&ioOp{bf: r.bf, off: off, dst: buf, ch: ch})
-}
-
-// span joins the in-flight read and returns its records, launching the
-// read of the following span into the other buffer before the consumer
-// starts on this one.
-func (r *prefetchReader) span() ([]seq.Record, error) {
-	if r.done {
-		return nil, nil
-	}
-	if r.pend == nil {
-		r.launch()
-	}
-	res := <-r.pend
-	r.pend = nil
-	if res.err != nil || res.n == 0 {
-		r.done = true
-		return nil, res.err
-	}
-	s := r.bufs[r.fill][:res.n]
-	r.fill ^= 1
-	r.launch()
-	return s, nil
-}
-
 // asyncWriter is a runWriter with write-behind: it fills one of two
 // block-multiple buffers while the other's write is in flight on the
 // ioq. Flush offsets and spans are exactly those of a runWriter with
@@ -242,7 +150,7 @@ type asyncWriter struct {
 	bufs [2][]seq.Record
 	curi int
 	buf  []seq.Record // bufs[curi][:fillLevel]
-	pend chan ioResult
+	pend chan error
 }
 
 // newAsyncWriter appends to [base, …) of bf through two fresh buffers
@@ -281,7 +189,7 @@ func (w *asyncWriter) flush() error {
 	if err := w.join(); err != nil {
 		return err
 	}
-	ch := make(chan ioResult, 1)
+	ch := make(chan error, 1)
 	w.pend = ch
 	off, buf := w.base+w.off, w.buf
 	w.off += len(w.buf)
@@ -296,9 +204,9 @@ func (w *asyncWriter) join() error {
 	if w.pend == nil {
 		return nil
 	}
-	res := <-w.pend
+	err := <-w.pend
 	w.pend = nil
-	return res.err
+	return err
 }
 
 // close flushes the remainder and joins every outstanding write.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,22 +24,28 @@ const RecordBytes = 16
 // per touched block, exactly as aem.File.ReadRange/WriteRange charge
 // the simulated ledger. Reading a span smaller than a block therefore
 // still costs a whole block read — which is how the merge stage's
-// sub-block prefetch buffers realize the paper's read multiplier on a
+// sub-block refill buffers realize the paper's read multiplier on a
 // real device: B/c + 1 − 1/c block reads per block per merge level for
 // a c-record refill, ≈ k + 1 at the canonical fan-in, because almost
 // every sub-block refill straddles a block boundary.
 //
+// While a merge level holds the file mapped (mapRead), ReadAt decodes
+// spans inside the mapping straight out of memory instead of issuing a
+// pread, and charges them the same blocks.
+//
 // A BlockFile is safe for concurrent use: transfers go through
-// pread/pwrite on disjoint extents, encode/decode scratch comes from a
-// shared pool, the length watermark is atomic, and the IOStats ledger
-// is atomic. The parallel merge stage relies on this to let every
-// worker stream its own key range of the same spill file.
+// pread/pwrite or the mapping on disjoint extents, encode/decode
+// scratch comes from a shared pool, the length watermark is atomic,
+// and the IOStats ledger is atomic. The parallel merge stage relies on
+// this to let every worker stream its own key range of the same spill
+// file. Only mapRead and unmap must not race with transfers.
 type BlockFile struct {
 	f     *os.File
 	path  string
 	b     int          // block size in records
 	n     atomic.Int64 // file length in records (max extent written)
 	stats *IOStats     // nil = uncharged (staging and test fixtures)
+	mm    []byte       // read-only mapping of the file's head; nil = pread only
 }
 
 // testWriteErr, when non-nil, is consulted by every WriteAt before it
@@ -157,8 +164,10 @@ func (bf *BlockFile) extend(end int) {
 const ioChunk = 1 << 12
 
 // ReadAt fills dst with records [off, off+len(dst)), charging one block
-// read per touched block. Short reads — a file truncated behind the
-// engine's back — are hard errors, never partially decoded data.
+// read per touched block, from the mapping when it covers the span and
+// through pread otherwise. Short reads and faults on the mapping — a
+// file truncated behind the engine's back, a device read error — are
+// hard errors, never partially decoded data.
 func (bf *BlockFile) ReadAt(off int, dst []seq.Record) error {
 	if len(dst) == 0 {
 		return nil
@@ -166,22 +175,46 @@ func (bf *BlockFile) ReadAt(off int, dst []seq.Record) error {
 	if off < 0 || int64(off+len(dst)) > bf.n.Load() {
 		return fmt.Errorf("extmem: read [%d,%d) beyond %s length %d", off, off+len(dst), bf.path, bf.Len())
 	}
-	sp := scratchPool.Get().(*[]byte)
-	defer scratchPool.Put(sp)
 	start := time.Now()
-	for lo := 0; lo < len(dst); lo += ioChunk {
-		sub := dst[lo:min(lo+ioChunk, len(dst))]
-		raw := (*sp)[:len(sub)*RecordBytes]
-		n, err := bf.f.ReadAt(raw, int64(off+lo)*RecordBytes)
-		if n != len(raw) {
-			return fmt.Errorf("extmem: short read of %s at record %d (%d of %d bytes): %v",
-				bf.path, off+lo, n, len(raw), err)
+	if off+len(dst) <= len(bf.mm)/RecordBytes {
+		if err := bf.copyMapped(off, dst); err != nil {
+			return err
 		}
-		decodeRecs(sub, raw)
+	} else {
+		sp := scratchPool.Get().(*[]byte)
+		defer scratchPool.Put(sp)
+		for lo := 0; lo < len(dst); lo += ioChunk {
+			sub := dst[lo:min(lo+ioChunk, len(dst))]
+			raw := (*sp)[:len(sub)*RecordBytes]
+			n, err := bf.f.ReadAt(raw, int64(off+lo)*RecordBytes)
+			if n != len(raw) {
+				return fmt.Errorf("extmem: short read of %s at record %d (%d of %d bytes): %v",
+					bf.path, off+lo, n, len(raw), err)
+			}
+			decodeRecs(sub, raw)
+		}
 	}
 	if bf.stats != nil {
 		bf.stats.chargeRead(bf.blockSpan(off, len(dst)), time.Since(start))
 	}
+	return nil
+}
+
+// copyMapped decodes records [off, off+len(dst)) out of the mapping. A
+// mapping reports a page it cannot read (truncated away, or a device
+// error) as a fault; the fault becomes an error naming the file and the
+// record offset, as a short pread does, instead of killing the process.
+func (bf *BlockFile) copyMapped(off int, dst []seq.Record) (err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			if _, fault := r.(interface{ Addr() uintptr }); !fault {
+				panic(r)
+			}
+			err = fmt.Errorf("extmem: fault reading mapped %s at record %d (truncated or unreadable)", bf.path, off)
+		}
+	}()
+	decodeRecs(dst, bf.mm[off*RecordBytes:(off+len(dst))*RecordBytes])
 	return nil
 }
 
@@ -219,12 +252,15 @@ func (bf *BlockFile) WriteAt(off int, src []seq.Record) error {
 	return nil
 }
 
-// Close closes the underlying file.
-func (bf *BlockFile) Close() error { return bf.f.Close() }
+// Close unmaps and closes the underlying file.
+func (bf *BlockFile) Close() error {
+	_ = bf.unmap() // the size check matters only to a merge level still reading
+	return bf.f.Close()
+}
 
 // Remove closes and deletes the file.
 func (bf *BlockFile) Remove() error {
-	bf.f.Close()
+	bf.Close()
 	return os.Remove(bf.path)
 }
 
@@ -300,9 +336,8 @@ func (w *runWriter) flush() error {
 func (w *runWriter) written() int { return w.off + len(w.buf) }
 
 // recStream is the record source the loser tree merges: one sorted run
-// (or a sub-range of one), handed over a span at a time. runReader is
-// the synchronous implementation; prefetchReader (aio.go) overlaps the
-// next refill with consumption.
+// (or a sub-range of one), handed over a span at a time. runReader
+// implements it over a BlockFile; the tests feed in-memory spans.
 type recStream interface {
 	// span returns the run's next records in order, empty at the end.
 	// The span stays valid only until the next call.
@@ -310,9 +345,10 @@ type recStream interface {
 }
 
 // runReader streams records of a region [lo, hi) of a BlockFile through
-// a prefetch buffer of bufRecs records, one ReadAt per span. Buffers
-// smaller than a block make consecutive spans re-read the straddled
-// device block — the deliberate read amplification of the wide merge.
+// a refill buffer of bufRecs records, one synchronous ReadAt per span —
+// a copy out of the level's mapping, or a pread. Buffers smaller than a
+// block make consecutive spans re-read the straddled device block — the
+// deliberate read amplification of the wide merge.
 type runReader struct {
 	bf   *BlockFile
 	next int // next record offset to read from
@@ -320,7 +356,7 @@ type runReader struct {
 	buf  []seq.Record
 }
 
-// newRunReader adopts buf (non-zero capacity) as the prefetch buffer;
+// newRunReader adopts buf (non-zero capacity) as the refill buffer;
 // the engine carves one per run from its arena.
 func newRunReader(bf *BlockFile, lo, hi int, buf []seq.Record) *runReader {
 	if cap(buf) == 0 {

@@ -23,19 +23,20 @@
 //     one arena.
 //   - K-way merge (losertree.go, merge.go, parmerge.go): each internal
 //     node of the tree merges its children's runs through a loser-tree
-//     selector with per-run block prefetch buffers and a buffered
-//     block writer. On a parallel pool the node is cut into P disjoint
-//     key ranges by exact splitter cuts over the runs' in-memory block
-//     indexes, and each pool worker merges its range through a private
-//     loser tree into a private output extent; the sub-block fragments
-//     at extent boundaries are stitched by the coordinator so no device
-//     block is ever written twice.
-//   - Async IO (aio.go): a small pool of IO worker goroutines under
-//     BlockFile issues the merge readers' prefetches and the writers'
-//     write-behind flushes, overlapping block transfer with compute.
-//     The async façades issue exactly the spans their synchronous
-//     counterparts would, so overlapping never changes the ledger.
-//     Every merge writer flushes in stages of at least formChunk
+//     selector with per-run refill buffers and a buffered block
+//     writer. Each level maps its source spill file read-only, so a
+//     refill is a copy out of the mapping, not a pread. On a parallel
+//     pool the node is cut into P disjoint key ranges by exact splitter
+//     cuts over the runs' in-memory block indexes, and each pool worker
+//     merges its range through a private loser tree into a private
+//     output extent; the sub-block fragments at extent boundaries are
+//     stitched by the coordinator so no device block is ever written
+//     twice.
+//   - Write-behind (aio.go): a small pool of IO worker goroutines
+//     under BlockFile issues the parallel merge writers' flushes,
+//     overlapping pwrite with merging. The async writer issues exactly
+//     the spans the synchronous one would, so overlap never changes the
+//     ledger. Every merge writer flushes in stages of at least formChunk
 //     records rounded down to whole blocks (128 KiB at B = 64), so
 //     a node's output costs two 64 KiB pwrites per stage instead of
 //     one syscall per block, while the ledger still charges the
@@ -51,7 +52,7 @@
 // parallel workers write only whole private blocks, boundary fragments
 // are stitched once — and the integration tests assert this. Reads
 // differ in the constant (the simulator re-reads run blocks across
-// queue rounds, the engine re-reads them across prefetch refills, and
+// queue rounds, the engine re-reads them across sub-block refills, and
 // the parallel merge adds at most P-1 splitter-probe block reads per
 // run) but both realize the read multiplier that buys the shallower
 // recursion: the engine's merge reads each block B/c + 1 − 1/c times
@@ -95,7 +96,7 @@ var ErrCanceled = errors.New("extmem: sort canceled (lease revoked)")
 // it runs: the engine calls Mem at every merge-level boundary and
 // carves that level's reader/writer buffers from the returned grant
 // instead of Config.Mem. A shrunken grant trades reads (smaller
-// prefetch buffers refill more often, raising the read amplification
+// refill buffers refill more often, raising the read amplification
 // beyond the planned ≈ k + 1 per block per merge level); a grown grant
 // buys them back. Writes are unaffected: every node still writes its
 // output exactly once through block-aligned buffers, so the ledger
@@ -167,7 +168,7 @@ type Config struct {
 	// rounded down to a multiple of Block and must leave at least one
 	// block. On a one-worker pool the engine's record buffers all live
 	// in one M-record arena: run formation uses it as the candidate
-	// set, and each merge carves it into the per-run prefetch buffers
+	// set, and each merge carves it into the per-run refill buffers
 	// plus the write share, so resident record storage stays at M
 	// throughout. Outside the budget ride only what the simulator's
 	// slackBlocks also grants — O(fan-in) metadata, a streaming read
@@ -183,7 +184,10 @@ type Config struct {
 	// write share raised to at least one stage (aggregate merge
 	// residency about P·M plus the second write buffer and the stage
 	// slack), and each run keeps a one-record-per-block cut index in
-	// memory for the parent's splitter search.
+	// memory for the parent's splitter search. Process RSS also counts
+	// the page-cache pages of the spill file a merge level maps for its
+	// refills, up to 16 bytes per record for one level at a time; the
+	// refills still copy into the M carve, which does not change.
 	Mem int
 	// Block is the device block/page size in records (the model's B).
 	Block int
@@ -206,12 +210,12 @@ type Config struct {
 	TmpDir string
 	// Procs is the engine's worker count (0 = GOMAXPROCS): the number
 	// of formation workers, the pool width of a lone worker's run
-	// sorts, the splitter-partitioned parallel merge, and the async IO
-	// layer. Procs == 1 is the degenerate case — one formation worker
-	// and sequential merges on one goroutine and one M-record arena —
-	// whose wall-clock is the baseline the parallel speedup is measured
-	// against. Any Procs produces the identical output file and the
-	// identical block-write ledger.
+	// sorts, the splitter-partitioned parallel merge, and the
+	// write-behind layer. Procs == 1 is the degenerate case — one
+	// formation worker and sequential merges on one goroutine and one
+	// M-record arena — whose wall-clock is the baseline the parallel
+	// speedup is measured against. Any Procs produces the identical
+	// output file and the identical block-write ledger.
 	Procs int
 	// Pool, when non-nil, supplies the engine's worker pool instead of a
 	// fresh rt.NewPool(Procs): the serve broker lends each job a
@@ -220,11 +224,11 @@ type Config struct {
 	// oversubscribe the machine in aggregate. Procs is ignored when Pool
 	// is set; the engine's width is Pool.Procs().
 	Pool *rt.Pool
-	// IOQ, when non-nil, supplies a shared pool of async-IO workers
+	// IOQ, when non-nil, supplies a shared pool of write-behind workers
 	// (NewIOQueue) instead of a per-engine one. The engine drains its
-	// own in-flight transfers before removing its spill files but never
+	// own in-flight writes before removing its spill files but never
 	// closes a shared queue — the owner (the serve broker) does. Ignored
-	// by the sequential engine, which issues no async IO.
+	// by the sequential engine, which writes synchronously.
 	IOQ *IOQueue
 	// Lease, when non-nil, lets an external budget broker resize the
 	// running job's memory between merge levels and cancel it — see the

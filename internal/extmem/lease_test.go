@@ -172,6 +172,51 @@ func TestCancelMidMerge(t *testing.T) {
 	}
 }
 
+// TestTruncatedSpillIsAnError truncates the level-0 spill file behind
+// the engine's back at the level-1 boundary, just before the merge
+// maps it: to half its length, so refills of whole lost pages fault,
+// and by one record, where the lost tail of the last page reads as
+// zeros and only the size check at unmap can tell. Either way Sort must
+// fail with an error naming the file (a short read on pread) and still
+// leave an empty spill dir.
+func TestTruncatedSpillIsAnError(t *testing.T) {
+	const n = 8192
+	in := seq.Uniform(n, 13)
+	for _, procs := range []int{1, 4} {
+		for _, size := range []int64{n * RecordBytes / 2, (n - 1) * RecordBytes} {
+			t.Run(fmt.Sprintf("procs=%d/size=%d", procs, size), func(t *testing.T) {
+				dir := t.TempDir()
+				inPath := filepath.Join(dir, "in.bin")
+				if err := WriteRecordsFile(inPath, in); err != nil {
+					t.Fatal(err)
+				}
+				spill := filepath.Join(dir, "spill")
+				if err := os.Mkdir(spill, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				var victim string
+				l := newTestLease(64)
+				l.onMem = func(call int64, l *testLease) {
+					if m, _ := filepath.Glob(filepath.Join(spill, "asymsort-ext-spill0-*")); call == 1 && len(m) == 1 {
+						victim = m[0]
+						if err := os.Truncate(victim, size); err != nil {
+							t.Error(err)
+						}
+					}
+				}
+				_, err := Sort(Config{Mem: 64, Block: 16, K: 1, Procs: procs, TmpDir: spill, Lease: l},
+					inPath, filepath.Join(dir, "out.bin"))
+				if victim == "" || err == nil || !strings.Contains(err.Error(), victim) {
+					t.Fatalf("Sort returned %v, want an error naming the truncated spill file %q", err, victim)
+				}
+				if left, err := os.ReadDir(spill); err != nil || len(left) != 0 {
+					t.Fatalf("spill dir not cleaned after the failed read: %d entries (%v)", len(left), err)
+				}
+			})
+		}
+	}
+}
+
 // TestCancelMidFormation revokes the lease from inside run formation —
 // on the third spill-file write, with leaves still in flight on every
 // formation worker — and asserts the workers stop, join, and leave an

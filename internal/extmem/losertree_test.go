@@ -12,7 +12,7 @@ import (
 )
 
 // mergeViaLoserTree lays the given runs back-to-back in one BlockFile,
-// merges them through runReaders + a loserTree with the given prefetch
+// merges them through runReaders + a loserTree with the given refill
 // buffer size, and returns the merged sequence.
 func mergeViaLoserTree(t *testing.T, runs [][]seq.Record, bufRecs int) []seq.Record {
 	t.Helper()
@@ -132,7 +132,7 @@ func TestLoserTreeNonPowerOfTwoRunCounts(t *testing.T) {
 
 func TestLoserTreeRandomProperty(t *testing.T) {
 	// Property sweep: random run counts, lengths (including empty), and
-	// prefetch buffer sizes — including buffers smaller than a block.
+	// refill buffer sizes — including buffers smaller than a block.
 	r := xrand.New(99)
 	for trial := 0; trial < 60; trial++ {
 		k := 1 + int(r.Uint64n(20))

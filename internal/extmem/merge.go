@@ -14,9 +14,9 @@ import (
 // private workers (runform.go); on a one-worker pool that is the
 // calling goroutine, and the merges are strictly sequential too — the
 // baseline "sequential engine". On a parallel pool each merge node
-// fans out over worker-private key ranges (parmerge.go), and merge IO
-// overlaps compute through the ioq layer (aio.go); the block-write
-// ledger is identical in either mode.
+// fans out over worker-private key ranges (parmerge.go), and merge
+// writes overlap compute through the write-behind layer (aio.go); the
+// block-write ledger is identical in either mode.
 type engine struct {
 	cfg     resolved
 	plan    *Plan
@@ -228,8 +228,19 @@ func (e *engine) endFormSpan(base cost.Snapshot) {
 // trace span that carries the level's read/write ledger delta and
 // fan-in as attributes — the per-level breakdown the /stats and trace
 // exports surface. The span is observational only; the ledger is still
-// charged through addLevel exactly as before.
+// charged through addLevel exactly as before. Every node of the level
+// reads its children from the parity-(lvl-1) spill file, so the level
+// maps that file read-only and its refills copy out of the mapping; it
+// unmaps once its last node has joined every reader.
 func (e *engine) mergeLevel(lvl int, nodes []*planNode) (err error) {
+	if src := e.spill[(lvl-1)%2]; src != nil {
+		src.mapRead()
+		defer func() {
+			if uerr := src.unmap(); err == nil {
+				err = uerr
+			}
+		}()
+	}
 	base := e.stats.Snapshot()
 	sp := e.cfg.span.Child("merge")
 	start := time.Now()
@@ -328,7 +339,7 @@ func (e *engine) mergeNode(nd *planNode) error {
 
 // mergeNodeSeq is the sequential merge: one loser tree over all
 // children, one block-aligned writer. The memory budget M splits
-// evenly across the fan-in's prefetch buffers plus one write buffer,
+// evenly across the fan-in's refill buffers plus one write buffer,
 // c = ⌊M/(f+1)⌋ records each. A refill of c records at an arbitrary
 // offset touches 1 + (c−1)/B blocks on average, so the ledger charges
 // B/c + 1 − 1/c reads per device block per level: with the canonical
@@ -338,7 +349,7 @@ func (e *engine) mergeNode(nd *planNode) error {
 // AEM-MERGESORT trades for its shallower tree.
 func (e *engine) mergeNodeSeq(nd *planNode) error {
 	f := len(nd.kids)
-	// Carve the prefetch buffers out of the formation arena — formation
+	// Carve the refill buffers out of the formation arena — formation
 	// and merging never overlap in the phased execution, so the
 	// engine's resident record buffers stay at one M throughout (one
 	// levelMem, when a lease resized the grant). Degenerate configs

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -23,7 +24,7 @@ import (
 // integration tests pin to the simulated AEM machine). Formation
 // (LevelIO[0]) issues the same spans at any worker count, so its reads
 // must match exactly too. Merge reads may only grow — the splitter
-// probes and the narrower per-worker prefetch buffers add reads, never
+// probes and the refills straddling the per-run cuts add reads, never
 // remove any.
 func TestSortParallelMatchesSequential(t *testing.T) {
 	cases := []struct {
@@ -247,63 +248,92 @@ func TestFormationConcurrentFailures(t *testing.T) {
 	}
 }
 
-// TestPrefetchReaderMatchesRunReader drives the async read-ahead facade
-// and the synchronous reader over the same region with the same buffer
-// capacity: same records, same charged read ledger.
-func TestPrefetchReaderMatchesRunReader(t *testing.T) {
-	recs := seq.Uniform(1000, 5)
+// TestMappedReadMatchesPread drives runReader over a mapped and an
+// unmapped BlockFile of the same records with the same buffer capacity:
+// same records, same charged IO ledger. Spans past the mapping (the file
+// grew after mapRead) and a file that was empty when mapped read through
+// pread with the same result, and a mapped read of a truncated file is
+// an error, not a crash.
+func TestMappedReadMatchesPread(t *testing.T) {
+	recs := seq.Uniform(1100, 5)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "r.bin")
-	if err := WriteRecordsFile(path, recs); err != nil {
+	if err := WriteRecordsFile(path, recs[:1000]); err != nil {
 		t.Fatal(err)
 	}
-	q := &ioSession{q: NewIOQueue(2)}
-	defer q.q.Close()
+	track := func(bf *BlockFile, err error) *BlockFile {
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { bf.Close() })
+		return bf
+	}
+	// check drains [lo, hi) of both files and also checks the span shape:
+	// every span but the last fills the reader's buffer.
+	check := func(mbf, pbf *BlockFile, lo, hi, bufRecs int) {
+		drain := func(bf *BlockFile) []seq.Record {
+			r := newRunReader(bf, lo, hi, make([]seq.Record, bufRecs))
+			var out []seq.Record
+			for {
+				sp, err := r.span()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(sp) == 0 {
+					return out
+				}
+				if len(sp) > bufRecs || (len(sp) < bufRecs && len(out)+len(sp) != hi-lo) {
+					t.Fatalf("buf=%d span=[%d,%d): a span of %d records before the run's end", bufRecs, lo, hi, len(sp))
+				}
+				out = append(out, sp...)
+			}
+		}
+		got, want := drain(mbf), drain(pbf)
+		if !slices.Equal(want, recs[lo:hi]) || !slices.Equal(got, want) {
+			t.Fatalf("buf=%d span=[%d,%d): mapped and pread records differ from the file", bufRecs, lo, hi)
+		}
+		if g, w := mbf.stats.Snapshot(), pbf.stats.Snapshot(); g != w {
+			t.Fatalf("buf=%d span=[%d,%d): mapped ledger %+v, pread ledger %+v", bufRecs, lo, hi, g, w)
+		}
+	}
 	for _, bufRecs := range []int{1, 3, 16, 64, 1000, 2000} {
 		for _, span := range [][2]int{{0, 1000}, {17, 923}, {500, 500}} {
-			var sStats, pStats IOStats
-			sbf, err := OpenBlockFile(path, 16, &sStats)
-			if err != nil {
-				t.Fatal(err)
+			mbf := track(OpenBlockFile(path, 16, &IOStats{}))
+			if mbf.mapRead(); mbf.mm == nil && runtime.GOOS == "linux" {
+				t.Fatal("mapRead left a 1000-record file unmapped")
 			}
-			pbf, err := OpenBlockFile(path, 16, &pStats)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// drain also checks the span shape: every span but the last
-			// fills the reader's buffer.
-			drain := func(s recStream) []seq.Record {
-				var out []seq.Record
-				for {
-					sp, err := s.span()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(sp) == 0 {
-						return out
-					}
-					if len(sp) > bufRecs || (len(sp) < bufRecs && len(out)+len(sp) != span[1]-span[0]) {
-						t.Fatalf("buf=%d span=%v: a span of %d records before the run's end", bufRecs, span, len(sp))
-					}
-					out = append(out, sp...)
-				}
-			}
-			want := drain(newRunReader(sbf, span[0], span[1], make([]seq.Record, bufRecs)))
-			got := drain(newPrefetchReader(pbf, span[0], span[1], q, bufRecs))
-			if len(got) != len(want) {
-				t.Fatalf("buf=%d span=%v: %d records, want %d", bufRecs, span, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("buf=%d span=%v: record %d differs", bufRecs, span, i)
-				}
-			}
-			if g, w := pStats.Snapshot(), sStats.Snapshot(); g != w {
-				t.Fatalf("buf=%d span=%v: prefetch ledger %+v, sync ledger %+v", bufRecs, span, g, w)
-			}
-			sbf.Close()
-			pbf.Close()
+			check(mbf, track(OpenBlockFile(path, 16, &IOStats{})), span[0], span[1], bufRecs)
 		}
+	}
+	for _, pre := range []int{1000, 0} {
+		mbf := track(CreateBlockFile(filepath.Join(dir, "m.bin"), 16, &IOStats{}))
+		pbf := track(CreateBlockFile(filepath.Join(dir, "p.bin"), 16, &IOStats{}))
+		for _, bf := range []*BlockFile{mbf, pbf} {
+			if err := bf.WriteAt(0, recs[:pre]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if mbf.mapRead(); pre == 0 && mbf.mm != nil {
+			t.Fatal("mapRead mapped an empty file")
+		}
+		for _, bf := range []*BlockFile{mbf, pbf} {
+			if err := bf.WriteAt(pre, recs[pre:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(mbf, pbf, 0, 1100, 64)
+		check(mbf, pbf, 990, 1100, 64)
+		if err := mbf.unmap(); err != nil {
+			t.Fatalf("unmap of a file that grew: %v", err)
+		}
+	}
+	mbf := track(OpenBlockFile(path, 16, nil))
+	mbf.mapRead()
+	if err := os.Truncate(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := mbf.ReadAt(500, make([]seq.Record, 10)); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("read of a truncated mapped file returned %v, want an error naming %s", err, path)
 	}
 }
 
@@ -500,4 +530,61 @@ func BenchmarkMergeWriter(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkMergeRefill streams a 16 MiB run file through runReader
+// refills at B = 64 with the per-run shares c = M/(f+1) of
+// ext-writeeff-p2 (15 records) and ext-classic-p1 (63), once copying
+// out of a mapping of the file and once through pread, beside the
+// ceiling: a plain copy of the same bytes in c-record pieces. The file
+// stays in the page cache, so the rows compare refill paths, not the
+// device.
+func BenchmarkMergeRefill(b *testing.B) {
+	const block, total = 64, 16 << 20
+	n := total / RecordBytes
+	path := filepath.Join(b.TempDir(), "run.bin")
+	if err := WriteRecordsFile(path, seq.Uniform(n, 4)); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []int{15, 63} {
+		for _, mode := range []string{"mapped", "pread"} {
+			b.Run(fmt.Sprintf("c=%d/%s", c, mode), func(b *testing.B) {
+				bf, err := OpenBlockFile(path, block, &IOStats{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer bf.Close()
+				if mode == "mapped" {
+					bf.mapRead()
+				}
+				buf := make([]seq.Record, c)
+				b.SetBytes(total)
+				for b.Loop() {
+					r := newRunReader(bf, 0, n, buf)
+					for {
+						sp, err := r.span()
+						if err != nil {
+							b.Fatal(err)
+						}
+						if len(sp) == 0 {
+							break
+						}
+					}
+				}
+			})
+		}
+		b.Run(fmt.Sprintf("c=%d/copy-ceiling", c), func(b *testing.B) {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dst := make([]byte, c*RecordBytes)
+			b.SetBytes(total)
+			for b.Loop() {
+				for off := 0; off < len(src); off += len(dst) {
+					copy(dst, src[off:])
+				}
+			}
+		})
+	}
 }

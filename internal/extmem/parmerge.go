@@ -14,10 +14,10 @@ import (
 // cut at the exact lower bound of every splitter (binary search over
 // the block index, then inside the one straddling block, read once),
 // and each worker merges its own sub-ranges through a private loser
-// tree with prefetching readers into a private output extent — workers
-// never share a device block. Because every run cut is exact, worker
-// i's extent is precisely the output ranks [T[i], T[i+1]) and the
-// concatenated extents equal the sequential merge's output
+// tree over synchronous run readers into a private output extent —
+// workers never share a device block. Because every run cut is exact,
+// worker i's extent is precisely the output ranks [T[i], T[i+1]) and
+// the concatenated extents equal the sequential merge's output
 // byte-for-byte (ties still break by run index inside each worker, and
 // records equal under seq.TotalLess never straddle a splitter).
 //
@@ -28,10 +28,9 @@ import (
 // per block, so the node still costs ⌈len/B⌉ block writes, the same as
 // the sequential runWriter and the simulated AEM ledger. Reads gain
 // only the splitter probes (at most P-1 block reads per run) plus the
-// blocks straddling the per-run cut points and halved read-ahead
-// spans; the refill span itself stays at the sequential carve, because
-// every worker owns a full private M — the paper's P-processor
-// parallel machine (§3).
+// blocks straddling the per-run cut points; the refill span itself
+// stays at the sequential carve, because every worker owns a full
+// private M — the paper's P-processor parallel machine (§3).
 
 // parMergeProcs returns how many workers a node's merge fans out over:
 // the pool width, clamped so every worker averages at least two output
@@ -165,9 +164,8 @@ func (e *engine) mergeNodePar(nd *planNode, P int) error {
 	if e.captureIndex(nd) {
 		idx = newIndex(nd, B)
 	}
-	// Per-worker arenas: f run-reader shares of c records (a prefetching
-	// reader splits its share into two halves) plus the two write-behind
-	// stages — grown once, reused across every node.
+	// Per-worker arenas: f run-reader shares of c records plus the two
+	// write-behind stages — grown once, reused across every node.
 	if e.parArena == nil {
 		e.parArena = make([][]seq.Record, e.cfg.procs)
 	}
@@ -253,20 +251,10 @@ func (e *engine) mergeRange(nd *planNode, srcs []*BlockFile, cuts [][]int, wi in
 	for r, src := range srcs {
 		rlo := nd.kids[r].lo + cuts[r][wi]
 		rhi := nd.kids[r].lo + cuts[r][wi+1]
-		share := arena[r*c : (r+1)*c : (r+1)*c]
 		if rlo == rhi {
 			continue // dropping empty sub-runs keeps relative run order, so ties break as sequentially
 		}
-		// Read-ahead pays only when the halved refill span still covers
-		// whole blocks; below that, tiny refills make the synchronous
-		// reader cheaper and keep the span (and the read ledger) at the
-		// sequential engine's size.
-		if e.ioq != nil && c >= 2*B {
-			rdrs = append(rdrs, newPrefetchReaderBufs(src, rlo, rhi, e.ioq,
-				share[:c/2], share[c/2:c/2*2]))
-		} else {
-			rdrs = append(rdrs, newRunReader(src, rlo, rhi, share))
-		}
+		rdrs = append(rdrs, newRunReader(src, rlo, rhi, arena[r*c:(r+1)*c:(r+1)*c]))
 	}
 	lt, err := newLoserTree(rdrs)
 	if err != nil {
