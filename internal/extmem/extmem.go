@@ -14,13 +14,13 @@
 //   - Run formation (runform.go): the leaves of the merge tree are
 //     sorted runs spilled to a temp file. A leaf of up to kM records is
 //     formed with the Lemma 4.2 selection sort under the M-record
-//     budget: up to k read passes over the leaf, each retaining the M
-//     smallest records above the previous pass's watermark in a bounded
-//     max-heap, sorting the retained set, and writing it out once.
-//     min(P, leaves) workers form the leaves, each taking the next leaf
-//     and running read → select → sort → write on its own private
-//     M-record buffer; at P = 1 that is one goroutine on the engine's
-//     one arena.
+//     budget: up to k read passes over the leaf, each keeping the M
+//     smallest records past the previous pass's watermark as a sorted
+//     candidate set, into which each read chunk's radix-sorted
+//     survivors are merged, and writing it out once. min(P, leaves)
+//     workers form the leaves, each taking the next leaf and running
+//     read → select → write on its own private M-record buffer; at
+//     P = 1 that is one goroutine on the engine's one arena.
 //   - K-way merge (losertree.go, merge.go, parmerge.go): each internal
 //     node of the tree merges its children's runs through a loser-tree
 //     selector with per-run refill buffers and a buffered block
@@ -63,12 +63,6 @@
 // k/log k < ω/log(M/B), where ω is the measured (or configured) ratio
 // of a block write's cost to a block read's on the target device — see
 // the authoritative discussion of ω's two roles on rt.Ctx.Omega.
-//
-// Records must be pairwise distinct under seq.TotalLess whenever a
-// leaf exceeds M records (k ≥ 2): the multi-pass selection watermark,
-// like the simulator's, drops exact (Key, Val) duplicates. Every
-// workload generator and the cmd/asymsort text loader produce unique
-// pairs (payload = input index).
 package extmem
 
 import (

@@ -107,6 +107,29 @@ func TestSortWorkloadShapes(t *testing.T) {
 	}
 }
 
+// TestSortRepeatedPairs: exact duplicate records survive multi-pass
+// formation. At M = 64, B = 16, K = 4 a 250-record input is one leaf of
+// four selection passes and a 3 000-record input has 16 leaves of two
+// or three passes. All or half of the records are copies of one or three
+// exact (Key, Val) pairs, so copies straddle the pass boundaries.
+// Runs of one pair also fill whole passes, which carries the
+// watermark's copy count across them.
+func TestSortRepeatedPairs(t *testing.T) {
+	for _, n := range []int{250, 3000} {
+		for _, shape := range []struct{ pairs, every int }{{1, 1}, {3, 1}, {3, 2}} {
+			in := repeatedPairs(n, shape.pairs, shape.every, uint64(n))
+			for _, procs := range []int{1, 4} {
+				t.Run(fmt.Sprintf("n=%d/pairs=%d/every=%d/P=%d", n, shape.pairs, shape.every, procs), func(t *testing.T) {
+					rep := runSort(t, Config{Mem: 64, Block: 16, K: 4, Procs: procs}, in)
+					if rep.Total.Writes != rep.PlanWrites {
+						t.Fatalf("measured %d block writes, plan %d", rep.Total.Writes, rep.PlanWrites)
+					}
+				})
+			}
+		}
+	}
+}
+
 func TestSortMeasuredWritesMatchPlan(t *testing.T) {
 	// The measured per-level block-write ledger must equal the plan's
 	// prediction exactly — the engine-side half of the level-for-level
@@ -401,25 +424,38 @@ func TestScanChargesTouchedBlocks(t *testing.T) {
 	}
 }
 
-// BenchmarkFormation sorts a seeded 2²⁰-record file (16 MiB) at
-// M = 4096, B = 64 for K ∈ {1, 4} × P ∈ {1, 2} and reports run
-// formation's throughput: input MB (10⁶ bytes) over Report.FormTime.
-// At K = 1 each of the 256 leaves is one read-sort-write pass; at
-// K = 4 each of the 64 leaves takes four selection passes.
+// BenchmarkFormation sorts a seeded file at M = 4096, B = 64 and
+// reports run formation's throughput: input MB (10⁶ bytes) over
+// Report.FormTime. The k=… rows sort 2²⁰ records (16 MiB) for
+// K ∈ {1, 4} × P ∈ {1, 2}. At K = 1 the plan cuts 4 096 leaves of
+// 256 records, and at K = 4 the root's kM/B = 256-way partition cuts
+// 256 leaves of exactly M records, so every leaf is one
+// read-sort-write pass. The n=4M rows sort 2²² records (64 MiB) at
+// K = 4, where each of the 256 leaves holds kM = 16 384 records and
+// takes four selection passes.
 func BenchmarkFormation(b *testing.B) {
-	const n, mem, block = 1 << 20, 4096, 64
+	const mem, block = 4096, 64
 	dir := b.TempDir()
-	inPath := filepath.Join(dir, "in.bin")
-	if err := WriteRecordsFile(inPath, seq.Uniform(n, 20)); err != nil {
-		b.Fatal(err)
-	}
-	for _, k := range []int{1, 4} {
+	inputs := map[int]string{}
+	rows := []struct {
+		name string
+		n, k int
+	}{{"", 1 << 20, 1}, {"", 1 << 20, 4}, {"n=4M/", 1 << 22, 4}}
+	for _, row := range rows {
 		for _, procs := range []int{1, 2} {
-			b.Run(fmt.Sprintf("k=%d/procs=%d", k, procs), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%sk=%d/procs=%d", row.name, row.k, procs), func(b *testing.B) {
+				inPath, ok := inputs[row.n]
+				if !ok {
+					inPath = filepath.Join(dir, fmt.Sprintf("in%d.bin", row.n))
+					if err := WriteRecordsFile(inPath, seq.Uniform(row.n, 20)); err != nil {
+						b.Fatal(err)
+					}
+					inputs[row.n] = inPath
+				}
 				var form time.Duration
 				sorts := 0
 				for b.Loop() {
-					rep, err := Sort(Config{Mem: mem, Block: block, K: k, Procs: procs, TmpDir: dir},
+					rep, err := Sort(Config{Mem: mem, Block: block, K: row.k, Procs: procs, TmpDir: dir},
 						inPath, filepath.Join(dir, "out.bin"))
 					if err != nil {
 						b.Fatal(err)
@@ -427,7 +463,7 @@ func BenchmarkFormation(b *testing.B) {
 					form += rep.FormTime
 					sorts++
 				}
-				b.ReportMetric(float64(sorts*n*RecordBytes)/1e6/form.Seconds(), "form_MB/s")
+				b.ReportMetric(float64(sorts*row.n*RecordBytes)/1e6/form.Seconds(), "form_MB/s")
 			})
 		}
 	}

@@ -119,16 +119,25 @@ func TestSortParallelWorkloadShapes(t *testing.T) {
 			runSort(t, Config{Mem: mem, Block: block, K: 2, Procs: 4}, in)
 		})
 	}
-	// Exact duplicates (legal at k=1, where leaves fit the budget and
-	// no selection watermark exists): every splitter equals every
-	// record, so all cut positions collapse and one worker inherits the
-	// whole merge — the degenerate-extent path.
+	// Exact duplicates: every splitter equals every record, so all cut
+	// positions collapse and one worker inherits the whole merge — the
+	// degenerate-extent path.
 	t.Run("exactdup", func(t *testing.T) {
 		in := make([]seq.Record, n)
 		for i := range in {
 			in[i] = seq.Record{Key: 7, Val: 7}
 		}
 		runSort(t, Config{Mem: mem, Block: block, K: 1, Procs: 4}, in)
+	})
+	// The same at k=2, where leaves above M records take two selection
+	// passes of copies and the second skips exactly the copies the
+	// first wrote.
+	t.Run("exactdup-k2", func(t *testing.T) {
+		in := make([]seq.Record, n)
+		for i := range in {
+			in[i] = seq.Record{Key: 7, Val: 7}
+		}
+		runSort(t, Config{Mem: mem, Block: block, K: 2, Procs: 4}, in)
 	})
 }
 

@@ -13,16 +13,17 @@ import (
 // of aemsort.SelectionSortFile (Lemma 4.2). A leaf holds at most kM
 // records but a worker may hold only M in memory, so a leaf is formed
 // in ⌈n/M⌉ ≤ k passes: each pass streams the leaf's range of the input
-// file, retains the M smallest records above the previous pass's
-// watermark in a bounded max-heap, sorts the retained set, and writes
-// it out once. Reads multiply by up to k; every record is written
-// exactly once — the paper's trade.
+// file, keeps the M smallest records past the previous pass's
+// watermark as a sorted candidate set (each read chunk's records that
+// can still make the cut are radix-sorted in the chunk and merged in),
+// and writes it out once. Reads multiply by up to k; every record is
+// written exactly once — the paper's trade.
 //
 // Formation runs on min(P, leaves) workers, each one processor of the
 // paper's parallel machine (§3) with a private memory of size M: a
 // worker takes the next leaf from a shared counter and runs read →
-// select → sort → write on its own M-record candidate buffer and its
-// own formChunk read chunk. Worker 0 forms on the engine's arena
+// select → write on its own M-record candidate buffer and its own
+// formChunk read chunk. Worker 0 forms on the engine's arena
 // (formBuf, readBuf), so the one-worker engine is one goroutine on one
 // M-record buffer. Every pass issues the same ReadAt/WriteAt spans at
 // any P — only their interleaving across leaves changes — so the IO
@@ -143,9 +144,9 @@ func (e *engine) formLeaves(leaves []*planNode, sink func(i, off int, batch []se
 
 // formLeaf forms one leaf on a worker's candidate buffer buf (M
 // records) and read chunk. A leaf that fits the budget (always, when
-// k = 1) takes one read, one sort and one emit, with no watermark and
-// hence no uniqueness requirement. A larger leaf runs selection passes,
-// each emitting the M smallest records above the previous pass's last.
+// k = 1) takes one read, one sort and one emit. A larger leaf runs
+// selection passes, each emitting the M smallest records past the
+// previous pass's watermark, already sorted.
 func (e *engine) formLeaf(nd *planNode, buf, chunk []seq.Record, sortRecs func([]seq.Record), emit func(off int, batch []seq.Record) error) error {
 	if err := e.canceled(); err != nil {
 		return err
@@ -160,15 +161,29 @@ func (e *engine) formLeaf(nd *planNode, buf, chunk []seq.Record, sortRecs func([
 		sortRecs(cand)
 		return emit(nd.lo, cand)
 	}
-	var watermark seq.Record
+	// next streams the leaf's range through chunk from rd, one span per
+	// call, with a cancellation check before each read.
+	var rd int
+	next := func() ([]seq.Record, error) {
+		if rd == nd.hi {
+			return nil, nil
+		}
+		if err := e.canceled(); err != nil {
+			return nil, err
+		}
+		span := chunk[:min(nd.hi-rd, cap(chunk))]
+		rd += len(span)
+		return span, e.in.ReadAt(rd-len(span)+e.cfg.inSkip, span)
+	}
+	var wm watermark
 	for off := nd.lo; off < nd.hi; {
 		sp := e.passSpan(nd, off)
-		cand, err := e.selectPass(nd, watermark, off > nd.lo, buf[:0], chunk)
+		rd = nd.lo
+		cand, err := selectSmallest(next, wm, buf[:0:e.cfg.mem], sortRecs)
 		if err == nil && len(cand) == 0 {
 			err = noProgressErr(nd, off)
 		}
 		if err == nil {
-			sortRecs(cand)
 			err = emit(off, cand)
 		}
 		endPass(sp, len(cand))
@@ -176,80 +191,104 @@ func (e *engine) formLeaf(nd *planNode, buf, chunk []seq.Record, sortRecs func([
 			return err
 		}
 		off += len(cand)
-		watermark = cand[len(cand)-1]
+		wm = wm.advance(cand)
 	}
 	return nil
 }
 
-// selectPass runs one Lemma 4.2 selection pass over the leaf's input
-// range, streamed through chunk: it gathers into cand (capacity ≥ M) up
-// to M candidates above the watermark, first by filling, then by
-// max-heap replacement.
-func (e *engine) selectPass(nd *planNode, watermark seq.Record, have bool, cand, chunk []seq.Record) ([]seq.Record, error) {
-	heaped := false
-	for off := nd.lo; off < nd.hi; off += len(chunk) {
-		if err := e.canceled(); err != nil {
-			return cand, err
-		}
-		c := nd.hi - off
-		if c > cap(chunk) {
-			c = cap(chunk)
-		}
-		chunk = chunk[:c]
-		if err := e.in.ReadAt(off+e.cfg.inSkip, chunk); err != nil {
-			return cand, err
-		}
-		for _, r := range chunk {
-			if have && !seq.TotalLess(watermark, r) {
-				continue // written by an earlier pass
-			}
-			if len(cand) < e.cfg.mem {
-				cand = append(cand, r)
-				continue
-			}
-			if !heaped {
-				heapify(cand)
-				heaped = true
-			}
-			if seq.TotalLess(r, cand[0]) {
-				cand[0] = r
-				siftDown(cand, 0)
-			}
-		}
-	}
-	return cand, nil
-}
-
-// noProgressErr reports a selection pass that found nothing above the
-// watermark — duplicate records under seq.TotalLess.
+// noProgressErr reports a selection pass that found nothing past the
+// watermark, which only an input changed under the sort can cause.
 func noProgressErr(nd *planNode, outOff int) error {
-	return fmt.Errorf("extmem: selection pass at %d/%d found no records above the watermark (duplicate records under seq.TotalLess?)",
+	return fmt.Errorf("extmem: selection pass at %d/%d found no records above the watermark (input changed during the sort?)",
 		outOff-nd.lo, nd.len())
 }
 
-// heapify establishes the max-heap property under seq.TotalLess.
-func heapify(h []seq.Record) {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
+// watermark is where a selection pass starts: the last record the
+// leaf's earlier passes emitted and how many copies of it they wrote,
+// so copies straddling a pass boundary are skipped exactly as often as
+// they were written. The zero watermark admits every record.
+type watermark struct {
+	rec  seq.Record
+	dups int
 }
 
-// siftDown restores the max-heap property below index i.
-func siftDown(h []seq.Record, i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
+// advance returns the watermark after a pass emitted the sorted batch.
+// A batch made only of copies of the watermark's record adds to its
+// count.
+func (w watermark) advance(batch []seq.Record) watermark {
+	last, n := batch[len(batch)-1], 1
+	for n < len(batch) && batch[len(batch)-1-n] == last {
+		n++
+	}
+	if n == len(batch) && last == w.rec {
+		n += w.dups
+	}
+	return watermark{last, n}
+}
+
+// selectSmallest runs one Lemma 4.2 selection pass over the spans next
+// returns, up to the first empty one, and returns cand holding the
+// cap(cand) ≥ 1 smallest records past the watermark, sorted. Each span
+// is its scratch: the span's records that can still make the cut —
+// past the watermark and, once cand is full, below cand's largest —
+// are compacted into the span's prefix. They top cand up, and cand is
+// sorted with sortRecs the moment it fills; survivors after that are
+// radix-sorted and merged into cand from the back.
+func selectSmallest(next func() ([]seq.Record, error), wm watermark, cand []seq.Record, sortRecs func([]seq.Record)) ([]seq.Record, error) {
+	m, skip := cap(cand), wm.dups
+	span, err := next()
+	for ; err == nil && len(span) > 0; span, err = next() {
+		full := len(cand) == m
+		k := 0
+		for _, r := range span {
+			if r == wm.rec && skip > 0 {
+				skip-- // a copy an earlier pass emitted
+				continue
+			}
+			if !seq.TotalLess(r, wm.rec) && (!full || seq.TotalLess(r, cand[m-1])) {
+				span[k] = r
+				k++
+			}
 		}
-		big := l
-		if r := l + 1; r < n && seq.TotalLess(h[l], h[r]) {
-			big = r
+		surv := span[:k]
+		if !full {
+			t := min(m-len(cand), len(surv))
+			cand, surv = append(cand, surv[:t]...), surv[t:]
+			if len(cand) < m {
+				continue
+			}
+			sortRecs(cand)
 		}
-		if !seq.TotalLess(h[i], h[big]) {
-			return
+		if len(surv) > 0 {
+			rt.SeqSortRecords(surv)
+			mergeSmallest(cand, surv[:min(len(surv), m)])
 		}
-		h[i], h[big] = h[big], h[i]
-		i = big
+	}
+	if err == nil && len(cand) < m {
+		sortRecs(cand) // the pass never filled cand
+	}
+	return cand, err
+}
+
+// mergeSmallest merges the sorted s, no longer than cand, into the
+// sorted cand in place, keeping the len(cand) smallest of the union: it
+// drops the union's len(s) largest, then merges the rest from the back.
+func mergeSmallest(cand, s []seq.Record) {
+	i, j := len(cand)-1, len(s)-1
+	for range s {
+		if seq.TotalLess(s[j], cand[i]) {
+			i--
+		} else {
+			j--
+		}
+	}
+	for w := len(cand) - 1; j >= 0; w-- {
+		if i >= 0 && seq.TotalLess(s[j], cand[i]) {
+			cand[w] = cand[i]
+			i--
+		} else {
+			cand[w] = s[j]
+			j--
+		}
 	}
 }

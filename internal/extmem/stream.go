@@ -1,6 +1,9 @@
 package extmem
 
-import "asymsort/internal/seq"
+import (
+	"asymsort/internal/rt"
+	"asymsort/internal/seq"
+)
 
 // The streaming post-pass hook: the third reusable phase of the engine
 // next to run formation and the planned k-way merge. A Streamer wired
@@ -101,6 +104,14 @@ func ScanRecords(bf *BlockFile, lo, hi int, fn func(r seq.Record) error) error {
 			}
 		}
 	}
+}
+
+// SmallestRecords returns the k smallest records of [lo, hi) of bf in
+// ascending order: one selection pass over ScanRecords' block-aligned
+// spans, holding k records (k ≥ 1 unless the range is empty).
+func SmallestRecords(bf *BlockFile, lo, hi, k int) ([]seq.Record, error) {
+	s := NewRecordScanner(bf, lo, hi, formChunk)
+	return selectSmallest(s.span, watermark{}, make([]seq.Record, 0, k), rt.SeqSortRecords)
 }
 
 // formRootStreamed handles the streamed run whose plan is a single

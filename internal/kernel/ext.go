@@ -5,15 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"asymsort/internal/extmem"
 	"asymsort/internal/seq"
 )
 
 // ErrBudget marks a composition whose working set cannot fit the
-// memory grant (histogram counts, the top-k heap, a merge-join key
-// group). Callers that admit jobs against a budget (the serving layer)
+// memory grant (histogram counts, the top-k candidates, a merge-join
+// key group). Callers that admit jobs against a budget (the serving layer)
 // match it to distinguish "grant too small" from engine failure.
 var ErrBudget = errors.New("memory budget exceeded")
 
@@ -174,9 +173,9 @@ func histogramExt(cfg extmem.Config, inPath, outPath string, p Params) (*ExtResu
 	}, nil
 }
 
-// topkExt is one charged scan through a bounded k-record max-heap plus
-// one ⌈k/B⌉-block write of the sorted result: every record is read
-// once, only heap entrants are ever written.
+// topkExt is one charged scan through a k-record selection pass
+// (extmem.SmallestRecords) plus one ⌈k/B⌉-block write of the sorted
+// result: every record is read once, only the k smallest are written.
 func topkExt(cfg extmem.Config, inPath, outPath string, p Params) (*ExtResult, error) {
 	var st extmem.IOStats
 	in, err := extmem.OpenBlockFile(inPath, cfg.Block, &st)
@@ -188,70 +187,27 @@ func topkExt(cfg extmem.Config, inPath, outPath string, p Params) (*ExtResult, e
 	if err := registry["top-k"].Check(n, p); err != nil {
 		return nil, err
 	}
-	k := p.K
-	if k > n {
-		k = n
-	}
+	k := min(p.K, n)
 	if k > cfg.Mem {
 		return nil, fmt.Errorf("kernel top-k: k=%d exceeds the %d-record grant: %w", k, cfg.Mem, ErrBudget)
 	}
-	heap := make([]seq.Record, 0, k)
-	err = extmem.ScanRecords(in, cfg.InSkip, in.Len(), func(r seq.Record) error {
-		if len(heap) < k {
-			heap = append(heap, r)
-			if len(heap) == k {
-				for i := k/2 - 1; i >= 0; i-- {
-					siftDownMax(heap, i)
-				}
-			}
-		} else if k > 0 && seq.TotalLess(r, heap[0]) {
-			heap[0] = r
-			siftDownMax(heap, 0)
-		}
-		return nil
-	})
+	top, err := extmem.SmallestRecords(in, cfg.InSkip, in.Len(), k)
 	if err != nil {
 		return nil, err
 	}
-	if len(heap) < k {
-		// n < k never reaches here (k clamped), so this is defensive.
-		k = len(heap)
-	}
-	slices.SortFunc(heap, seq.TotalCompare)
 	out, err := extmem.CreateBlockFile(outPath, cfg.Block, &st)
 	if err != nil {
 		return nil, err
 	}
 	defer out.Close()
-	if err := out.WriteAt(0, heap); err != nil {
+	if err := out.WriteAt(0, top); err != nil {
 		return nil, err
 	}
 	return &ExtResult{
 		Total:      st.Snapshot(),
 		PlanWrites: blocksOf(k, cfg.Block),
-		OutN:       k,
+		OutN:       len(top),
 	}, nil
-}
-
-// siftDownMax restores the max-heap property (under seq.TotalLess)
-// below index i.
-func siftDownMax(h []seq.Record, i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		big := l
-		if r := l + 1; r < n && seq.TotalLess(h[l], h[r]) {
-			big = r
-		}
-		if !seq.TotalLess(h[i], h[big]) {
-			return
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
-	}
 }
 
 // mergejoinExt sorts both relations with the write-efficient engine —

@@ -20,9 +20,9 @@
 //     rewrite pass.
 //   - histogram: ext = one charged counting scan + ⌈buckets/B⌉ output
 //     blocks — no sort at all. Classic baseline: sort, then count.
-//   - top-k: ext = one charged scan through a bounded k-record
-//     max-heap + ⌈k/B⌉ output blocks. Classic baseline: full sort,
-//     take the prefix.
+//   - top-k: ext = one charged scan through a k-record selection
+//     pass (sorted candidates, the engine's run-formation routine) +
+//     ⌈k/B⌉ output blocks. Classic baseline: full sort, take the prefix.
 //   - merge-join: ext = sort both relations (each write-efficient),
 //     then a charged co-stream that materializes only the matches.
 //

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -209,6 +210,38 @@ func TestExtMatchesRefAndLedger(t *testing.T) {
 				}
 				if res.Total.Reads == 0 {
 					t.Errorf("%s: ledger recorded no reads", label)
+				}
+			}
+		}
+	}
+}
+
+// TestTopKExtMultiSpan drives top-k's selection through many scan
+// spans: 20 000 records behind a one-record skip prefix take three
+// RecordScanner spans, so later spans' survivors are merged into the
+// candidates. The inputs are uniform records and records of which half
+// are copies of five exact pairs. Output must equal Ref, and the ledger
+// must hold exactly the ⌈(1+n)/B⌉ blocks the scan touches and the
+// ⌈k/B⌉ blocks written.
+func TestTopKExtMultiSpan(t *testing.T) {
+	const n = 20000
+	pairs := seq.Uniform(n, 19)
+	for i := 0; i < n; i += 2 {
+		pairs[i] = seq.Record{Key: pairs[i].Key % 5 << 61, Val: 1}
+	}
+	inputs := map[string][]seq.Record{"uniform": seq.Uniform(n, 17), "repeatedpairs": pairs}
+	topk, _ := Get("top-k")
+	for cname, cfg := range extConfigs() {
+		for iname, in := range inputs {
+			for _, k := range []int{1, 9, cfg.Mem} {
+				p := Params{K: k}
+				res, out := runExt(t, topk, cfg, in, 1, p)
+				label := fmt.Sprintf("%s/%s/k=%d", cname, iname, k)
+				recordsEqual(t, label, out, topk.Ref(in, p))
+				reads, writes := blocksOf(1+n, cfg.Block), blocksOf(min(k, n), cfg.Block)
+				if res.Total.Reads != reads || res.Total.Writes != writes {
+					t.Errorf("%s: ledger %d reads, %d writes; want %d, %d",
+						label, res.Total.Reads, res.Total.Writes, reads, writes)
 				}
 			}
 		}

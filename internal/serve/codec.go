@@ -131,8 +131,8 @@ func (c Codec) StreamFiles(w io.Writer, paths []string, n int) error {
 }
 
 // stageKeys parses one decimal uint64 key per line into a binary
-// record file (payload = line index — the unique-pair convention every
-// engine relies on) and returns the record count.
+// record file (payload = line index, so equal keys keep their input
+// order) and returns the record count.
 func stageKeys(r io.Reader, dst string) (int, error) {
 	bf, err := extmem.CreateBlockFile(dst, 1, nil)
 	if err != nil {

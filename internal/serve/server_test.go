@@ -426,18 +426,25 @@ func (s *testService) postRaw(t *testing.T, query, contentType, accept string, b
 	return resp, out
 }
 
-// frameOfKeys renders keys as a chunked binary frame (payload = index,
-// the unique-pair convention binary clients uphold themselves).
+// frameOfKeys renders keys as a chunked binary frame with payload =
+// index, so the sorted records follow from the keys alone
+// (sortedRecsOfKeys).
 func frameOfKeys(t *testing.T, keys []uint64, chunkRecs int) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	fw, err := wire.NewWriter(&buf, int64(len(keys)))
-	if err != nil {
-		t.Fatal(err)
-	}
 	recs := make([]seq.Record, len(keys))
 	for i, k := range keys {
 		recs[i] = seq.Record{Key: k, Val: uint64(i)}
+	}
+	return frameOfRecords(t, recs, chunkRecs)
+}
+
+// frameOfRecords renders recs as a chunked binary frame.
+func frameOfRecords(t *testing.T, recs []seq.Record, chunkRecs int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	fw, err := wire.NewWriter(&buf, int64(len(recs)))
+	if err != nil {
+		t.Fatal(err)
 	}
 	for len(recs) > 0 {
 		n := min(chunkRecs, len(recs))
@@ -537,6 +544,38 @@ func TestServeBinaryWire(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestServeBinaryExactDuplicates: binary clients choose their payloads,
+// so a frame may repeat exact records. On a K = 2 server a 1 500-record
+// job under a 1024-record grant is one leaf of two selection passes,
+// and copies of one (Key, Val) pair straddle the pass boundary; the
+// sorted frame must hold every copy.
+func TestServeBinaryExactDuplicates(t *testing.T) {
+	b, err := NewBroker(BrokerConfig{Mem: 1 << 14, Procs: 2, MinLease: 16 * 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(ServerConfig{Broker: b, Block: 64, Omega: 8, K: 2, TmpDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer b.Close()
+	defer ts.Close()
+	s := &testService{b: b, srv: srv, ts: ts}
+	recs := make([]seq.Record, 1500)
+	for i := range recs {
+		recs[i] = seq.Record{Key: uint64(i % 10), Val: 1}
+	}
+	resp, body := s.postRaw(t, "?model=ext&mem=1024", wire.ContentType, "", frameOfRecords(t, recs, 500))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %.300s", resp.StatusCode, body)
+	}
+	slices.SortFunc(recs, seq.TotalCompare)
+	if got := decodeFrame(t, body); !slices.Equal(got, recs) {
+		t.Fatalf("got %d records, want the %d input records sorted", len(got), len(recs))
 	}
 }
 
