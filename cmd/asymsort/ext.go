@@ -150,7 +150,7 @@ func extRun(inPath, outPath, memFlag string, blockRecs int, omega uint64, k, fan
 		extmem.ChooseK(float64(omega), rep.Mem, rep.Block))
 	engine := "sequential engine"
 	if rep.Procs > 1 {
-		engine = fmt.Sprintf("%d formation workers + %d-worker parallel merge + write-behind", rep.Procs, rep.Procs)
+		engine = fmt.Sprintf("%d formation workers + %d-worker parallel merge", rep.Procs, rep.Procs)
 	}
 	fmt.Printf("  procs    : %d (%s)\n", rep.Procs, engine)
 	for lvl, io := range rep.LevelIO {

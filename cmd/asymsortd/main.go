@@ -33,7 +33,7 @@
 //	GET  /healthz  liveness JSON: status ok|draining, uptime, leases,
 //	               build info (module version, vcs revision)
 //	GET  /metrics  Prometheus text exposition: jobs, queue, grants,
-//	               pool/ioq occupancy, block IO by level, HTTP traffic
+//	               pool occupancy, block IO by level, HTTP traffic
 //
 // -mem is the global budget shared by every job (a byte size; divided
 // by the 16-byte record footprint). Under backpressure the default

@@ -53,9 +53,9 @@
 //     through the sim and ext backends
 //   - internal/serve — the kernel service: a budget Broker that owns one
 //     machine-wide (M, P) envelope — the global memory budget in
-//     records, the shared rt.Pool worker tokens, the extmem async-IO
-//     queue — and leases per-job (Mᵢ, Pᵢ) slices with FIFO admission,
-//     backpressure, grow/shrink rebalancing at merge-level boundaries
+//     records and the shared rt.Pool worker tokens — and leases
+//     per-job (Mᵢ, Pᵢ) slices with FIFO admission, backpressure,
+//     grow/shrink rebalancing at merge-level boundaries
 //     (extmem.Config.Lease), and cancellation that reclaims spill
 //     files and grants; plus the generic HTTP job engine (POST
 //     /v1/{kernel} runs any registry kernel with params in the query

@@ -13,7 +13,7 @@
 //
 // The sweep runs the one-worker sequential engine; a coda then re-runs
 // the best k on the GOMAXPROCS-wide parallel engine — run formation on
-// P private workers, splitter-partitioned merge, write-behind — and shows the
+// P private workers, splitter-partitioned merge — and shows the
 // wall-clock dropping while the write ledger stays bit-identical.
 //
 // Run: go run ./examples/extsort

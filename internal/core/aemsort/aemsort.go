@@ -56,19 +56,28 @@ func SelectionSortFile(ma *aem.Machine, src, dst *aem.File) {
 	defer bufB.Free()
 
 	// The in-memory candidate set lives in the bufM reservation; the treap
-	// is its (free) access structure.
+	// is its (free) access structure. A pass starts past the watermark
+	// last: records below it, and the dups copies of it that earlier
+	// passes wrote, are skipped, so exact duplicate records that straddle
+	// a pass boundary are neither lost nor written twice. The zero
+	// watermark admits every record.
 	q := inmem.NewTreap(recLess, m)
 	var last seq.Record
-	haveLast := false
+	dups := 0
 	outOff := 0
 	for outOff < n {
 		q.Clear()
+		skip := dups
 		for blk := 0; blk < src.Blocks(); blk++ {
 			cnt := src.ReadBlock(blk, bufB, 0)
 			for i := 0; i < cnt; i++ {
 				r := bufB.Get(i)
-				if haveLast && !recLess(last, r) {
+				if recLess(r, last) {
 					continue // already written in an earlier pass
+				}
+				if r == last && skip > 0 {
+					skip-- // a copy an earlier pass wrote
+					continue
 				}
 				if q.Len() < m {
 					q.Insert(r)
@@ -89,8 +98,17 @@ func SelectionSortFile(ma *aem.Machine, src, dst *aem.File) {
 			return true
 		})
 		dst.WriteRange(outOff, cnt, bufM, 0)
-		last = bufM.Get(cnt - 1)
-		haveLast = true
+		// Advance the watermark: count the batch's trailing copies of its
+		// last record, plus the earlier ones when the batch is all copies
+		// of the old watermark.
+		next, c := bufM.Get(cnt-1), 1
+		for c < cnt && bufM.Get(cnt-1-c) == next {
+			c++
+		}
+		if c == cnt && next == last {
+			c += dups
+		}
+		last, dups = next, c
 		outOff += cnt
 	}
 }
@@ -154,14 +172,27 @@ func mergeSortRec(ma *aem.Machine, in *aem.File, k int, opt Options) *aem.File {
 }
 
 // entry is a queue element of the merge: the record, whether it is the
-// last record of its block, and its source run.
+// last record of its block, its source run and its position there.
 type entry struct {
 	rec  seq.Record
 	last bool
 	sub  int32
+	off  int
 }
 
-func entryLess(a, b entry) bool { return recLess(a.rec, b.rec) }
+// entryLess orders entries by record, then by run and position, so
+// exact duplicate records are distinct entries: the "already output"
+// and round-ceiling tests never mistake an unmerged copy for a merged
+// one. On distinct records it is recLess.
+func entryLess(a, b entry) bool {
+	if a.rec != b.rec {
+		return recLess(a.rec, b.rec)
+	}
+	if a.sub != b.sub {
+		return a.sub < b.sub
+	}
+	return a.off < b.off
+}
 
 // mergeRuns implements one l-way merge of Algorithm 2 (the while loop of
 // lines 5–15) with the round-ceiling correction described in the package
@@ -180,14 +211,14 @@ func mergeRuns(ma *aem.Machine, runs []*aem.File, n int, opt Options) *aem.File 
 	q := inmem.NewTreap(entryLess, m)
 	ptr := make([]int, len(runs)) // I_1..I_l: current block per run
 
-	var lastV seq.Record
+	var lastE entry
 	haveLast := false
-	var ceiling seq.Record
+	var ceiling entry
 	haveCeiling := false
 
-	lowerCeiling := func(r seq.Record) {
-		if !haveCeiling || recLess(r, ceiling) {
-			ceiling, haveCeiling = r, true
+	lowerCeiling := func(e entry) {
+		if !haveCeiling || entryLess(e, ceiling) {
+			ceiling, haveCeiling = e, true
 		}
 	}
 
@@ -197,22 +228,21 @@ func mergeRuns(ma *aem.Machine, runs []*aem.File, n int, opt Options) *aem.File 
 		}
 		cnt := runs[i].ReadBlock(ptr[i], load, 0)
 		for j := 0; j < cnt; j++ {
-			r := load.Get(j)
-			if haveLast && !recLess(lastV, r) {
+			e := entry{rec: load.Get(j), last: j == cnt-1, sub: int32(i), off: ptr[i]*b + j}
+			if haveLast && !entryLess(lastE, e) {
 				continue // already output
 			}
-			if haveCeiling && !recLess(r, ceiling) {
+			if haveCeiling && !entryLess(e, ceiling) {
 				continue // above a record skipped this round; wait for next
 			}
-			e := entry{rec: r, last: j == cnt-1, sub: int32(i)}
 			if q.Len() >= m {
 				mx, _ := q.Max()
 				if entryLess(e, mx) {
 					q.DeleteMax()
-					lowerCeiling(mx.rec)
+					lowerCeiling(mx)
 					q.Insert(e)
 				} else {
-					lowerCeiling(r)
+					lowerCeiling(e)
 				}
 			} else {
 				q.Insert(e)
@@ -238,7 +268,7 @@ func mergeRuns(ma *aem.Machine, runs []*aem.File, n int, opt Options) *aem.File 
 			store.Set(storeN, e.rec)
 			storeN++
 			written++
-			lastV, haveLast = e.rec, true
+			lastE, haveLast = e, true
 			if storeN == b {
 				out.WriteRange(written-storeN, storeN, store, 0)
 				storeN = 0

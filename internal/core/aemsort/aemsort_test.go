@@ -28,13 +28,31 @@ func TestSelectionSortCorrectness(t *testing.T) {
 }
 
 func TestSelectionSortDuplicates(t *testing.T) {
-	ma := newMachine(32, 4, 2)
-	in := seq.FewDistinct(200, 3, 5)
-	src := ma.FileFrom(in)
-	dst := ma.NewFile(200)
-	SelectionSortFile(ma, src, dst)
-	if !seq.IsSorted(dst.Unwrap()) || !seq.IsPermutation(dst.Unwrap(), in) {
-		t.Fatal("selection sort broke on duplicates")
+	// 192 records of 10 exact (Key, Val) pairs take three passes at
+	// M = 64, so copies of one pair straddle the pass boundaries.
+	exact := seq.FewDistinct(192, 10, 9)
+	for i := range exact {
+		exact[i].Val = 7
+	}
+	for _, tc := range []struct {
+		name string
+		m, b int
+		in   []seq.Record
+	}{
+		{"repeated-keys", 32, 4, seq.FewDistinct(200, 3, 5)},
+		{"exact-pairs", 64, 8, exact},
+	} {
+		ma := newMachine(tc.m, tc.b, 2)
+		src := ma.FileFrom(tc.in)
+		dst := ma.NewFile(len(tc.in))
+		base := ma.Stats()
+		SelectionSortFile(ma, src, dst)
+		if !seq.IsSorted(dst.Unwrap()) || !seq.IsPermutation(dst.Unwrap(), tc.in) {
+			t.Fatalf("%s: selection sort broke on duplicates", tc.name)
+		}
+		if w, want := ma.Stats().Sub(base).Writes, uint64((len(tc.in)+tc.b-1)/tc.b); w != want {
+			t.Fatalf("%s: writes = %d, want exactly ⌈n/B⌉ = %d", tc.name, w, want)
+		}
 	}
 }
 

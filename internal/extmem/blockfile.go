@@ -332,9 +332,6 @@ func (w *runWriter) flush() error {
 	return nil
 }
 
-// written returns how many records have been flushed plus buffered.
-func (w *runWriter) written() int { return w.off + len(w.buf) }
-
 // recStream is the record source the loser tree merges: one sorted run
 // (or a sub-range of one), handed over a span at a time. runReader
 // implements it over a BlockFile; the tests feed in-memory spans.

@@ -23,24 +23,19 @@
 //     P = 1 that is one goroutine on the engine's one arena.
 //   - K-way merge (losertree.go, merge.go, parmerge.go): each internal
 //     node of the tree merges its children's runs through a loser-tree
-//     selector with per-run refill buffers and a buffered block
-//     writer. Each level maps its source spill file read-only, so a
-//     refill is a copy out of the mapping, not a pread. On a parallel
-//     pool the node is cut into P disjoint key ranges by exact splitter
-//     cuts over the runs' in-memory block indexes, and each pool worker
-//     merges its range through a private loser tree into a private
-//     output extent; the sub-block fragments at extent boundaries are
-//     stitched by the coordinator so no device block is ever written
-//     twice.
-//   - Write-behind (aio.go): a small pool of IO worker goroutines
-//     under BlockFile issues the parallel merge writers' flushes,
-//     overlapping pwrite with merging. The async writer issues exactly
-//     the spans the synchronous one would, so overlap never changes the
-//     ledger. Every merge writer flushes in stages of at least formChunk
-//     records rounded down to whole blocks (128 KiB at B = 64), so
-//     a node's output costs two 64 KiB pwrites per stage instead of
-//     one syscall per block, while the ledger still charges the
-//     ⌈len/B⌉ blocks the node touches.
+//     selector with per-run refill buffers and a synchronous
+//     block-aligned writer. Each level maps its source spill file
+//     read-only, so a refill is a copy out of the mapping, not a
+//     pread. The node is cut into P disjoint key ranges — one range at
+//     P = 1 — by exact splitter cuts over the runs' in-memory block
+//     indexes, and each pool worker merges its range through a private
+//     loser tree into a private output extent; the sub-block fragments
+//     at extent boundaries are stitched by the coordinator so no device
+//     block is ever written twice. Every merge writer flushes in
+//     stages of at least formChunk records rounded down to whole
+//     blocks (128 KiB at B = 64), so a node's output costs two 64 KiB
+//     pwrites per stage instead of one syscall per block, while the
+//     ledger still charges the ⌈len/B⌉ blocks the node touches.
 //
 // Crucially, the merge tree the engine executes is the exact partition
 // tree AEM-MERGESORT builds for the same (n, M, B, k) — top-down,
@@ -57,7 +52,7 @@
 // run) but both realize the read multiplier that buys the shallower
 // recursion: the engine's merge reads each block B/c + 1 − 1/c times
 // per level, c = ⌊M/(f+1)⌋ its per-run refill, which is ≈ k + 1 at the
-// canonical fan-in (see mergeNodeSeq).
+// canonical fan-in (see mergeNode).
 //
 // The read multiplier k is chosen from the paper's Appendix A rule
 // k/log k < ω/log(M/B), where ω is the measured (or configured) ratio
@@ -174,11 +169,11 @@ type Config struct {
 	// owns a private memory of size M: each formation worker holds an
 	// M-record candidate buffer and its own read chunk (P·(M + chunk)
 	// in all), each of the P merge workers carves a full M/(f+1)-per-run
-	// share of reader buffers plus two write-behind buffers, each its
-	// write share raised to at least one stage (aggregate merge
-	// residency about P·M plus the second write buffer and the stage
-	// slack), and each run keeps a one-record-per-block cut index in
-	// memory for the parent's splitter search. Process RSS also counts
+	// share of reader buffers plus one write buffer, its write share
+	// raised to at least one stage (worker 0 on the engine's arena and
+	// read chunk, so aggregate merge residency is about P·M plus the
+	// stage slack), and each run keeps a one-record-per-block cut index
+	// in memory for the parent's splitter search. Process RSS also counts
 	// the page-cache pages of the spill file a merge level maps for its
 	// refills, up to 16 bytes per record for one level at a time; the
 	// refills still copy into the M carve, which does not change.
@@ -204,12 +199,12 @@ type Config struct {
 	TmpDir string
 	// Procs is the engine's worker count (0 = GOMAXPROCS): the number
 	// of formation workers, the pool width of a lone worker's run
-	// sorts, the splitter-partitioned parallel merge, and the
-	// write-behind layer. Procs == 1 is the degenerate case — one
-	// formation worker and sequential merges on one goroutine and one
-	// M-record arena — whose wall-clock is the baseline the parallel
-	// speedup is measured against. Any Procs produces the identical
-	// output file and the identical block-write ledger.
+	// sorts, and the number of key ranges a merge node splits into.
+	// Procs == 1 is the degenerate case — one formation worker and
+	// one-range merges on one goroutine and one M-record arena — whose
+	// wall-clock is the baseline the parallel speedup is measured
+	// against. Any Procs produces the identical output file and the
+	// identical block-write ledger.
 	Procs int
 	// Pool, when non-nil, supplies the engine's worker pool instead of a
 	// fresh rt.NewPool(Procs): the serve broker lends each job a
@@ -218,12 +213,6 @@ type Config struct {
 	// oversubscribe the machine in aggregate. Procs is ignored when Pool
 	// is set; the engine's width is Pool.Procs().
 	Pool *rt.Pool
-	// IOQ, when non-nil, supplies a shared pool of write-behind workers
-	// (NewIOQueue) instead of a per-engine one. The engine drains its
-	// own in-flight writes before removing its spill files but never
-	// closes a shared queue — the owner (the serve broker) does. Ignored
-	// by the sequential engine, which writes synchronously.
-	IOQ *IOQueue
 	// Lease, when non-nil, lets an external budget broker resize the
 	// running job's memory between merge levels and cancel it — see the
 	// Lease interface. The merge plan (and the write ledger) stays fixed
@@ -236,7 +225,7 @@ type Config struct {
 	// is unchanged, but the root level writes only the emitted records,
 	// and Report.PlanWrites is adjusted to the emitted output size so
 	// the measured-equals-planned identity still holds. The root's
-	// merge runs sequentially when Post is set. Nil leaves the sort
+	// merge runs as one range when Post is set. Nil leaves the sort
 	// path byte-identical.
 	Post Streamer
 	// Span, when non-nil, is the parent trace span the engine hangs its
@@ -273,7 +262,6 @@ type resolved struct {
 	tmpDir               string
 	pool                 *rt.Pool
 	procs                int
-	ioq                  *IOQueue // shared queue; nil = engine owns one
 	lease                Lease
 	inSkip               int
 	post                 Streamer
@@ -323,7 +311,6 @@ func (c Config) resolve() (resolved, error) {
 		r.pool = rt.NewPool(c.Procs)
 	}
 	r.procs = r.pool.Procs()
-	r.ioq = c.IOQ
 	r.lease = c.Lease
 	if c.InSkip < 0 {
 		return r, fmt.Errorf("extmem: InSkip must be >= 0, got %d", c.InSkip)

@@ -243,14 +243,10 @@ func TestCancelMidFormation(t *testing.T) {
 	}
 }
 
-// TestSharedIOQueueAndPoolAcrossEngines runs several engines
-// concurrently on one shared IOQueue and split pools of one parent —
-// the serve broker's exact wiring — and asserts outputs, ledgers, and
-// spill cleanup all hold, with the shared queue still usable after
-// each engine exits.
-func TestSharedIOQueueAndPoolAcrossEngines(t *testing.T) {
-	q := NewIOQueue(4)
-	defer q.Close()
+// TestSharedPoolAcrossEngines runs several engines concurrently on
+// split pools of one parent — the serve broker's exact wiring — and
+// asserts outputs, ledgers, and spill cleanup all hold.
+func TestSharedPoolAcrossEngines(t *testing.T) {
 	parent := rt.NewPool(4)
 	dir := t.TempDir()
 	spill := filepath.Join(dir, "spill")
@@ -270,7 +266,7 @@ func TestSharedIOQueueAndPoolAcrossEngines(t *testing.T) {
 			}
 			rep, err := Sort(Config{
 				Mem: 128, Block: 16, K: 1, TmpDir: spill,
-				Pool: parent.Split(2), IOQ: q,
+				Pool: parent.Split(2),
 			}, inPath, outPath)
 			if err != nil {
 				errs <- err

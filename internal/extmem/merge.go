@@ -11,12 +11,11 @@ import (
 
 // engine executes one plan in two phases: run formation over every
 // leaf, then the merge levels bottom-up. Formation runs min(P, leaves)
-// private workers (runform.go); on a one-worker pool that is the
-// calling goroutine, and the merges are strictly sequential too — the
-// baseline "sequential engine". On a parallel pool each merge node
-// fans out over worker-private key ranges (parmerge.go), and merge
-// writes overlap compute through the write-behind layer (aio.go); the
-// block-write ledger is identical in either mode.
+// private workers (runform.go), and each merge node fans out over up
+// to P worker-private key ranges (parmerge.go); on a one-worker pool
+// both are the calling goroutine on one M-record arena — the baseline
+// "sequential engine". Every write is synchronous on its worker, and
+// the block-write ledger is identical at every P.
 type engine struct {
 	cfg     resolved
 	plan    *Plan
@@ -24,18 +23,17 @@ type engine struct {
 	in      *BlockFile
 	out     *BlockFile
 	spill   [2]*BlockFile // ping-pong by level parity; created lazily
-	formBuf []seq.Record  // M records: formation worker 0's candidates, then every merge's arena
-	readBuf []seq.Record  // formation worker 0's read chunk, then the merge writer's stage
-	ioq     *ioSession    // nil on the sequential engine
+	formBuf []seq.Record  // M records: formation worker 0's candidates, then merge worker 0's arena
+	readBuf []seq.Record  // formation worker 0's read chunk, then merge worker 0's writer stage
 	// levelMem is the memory grant the current phase's buffers carve
 	// from: the admission-time budget, or — when a Lease is wired — the
 	// broker's current grant, re-read at every merge-level boundary. It
 	// never alters the plan, only the buffer carve, so the write ledger
 	// is grant-trajectory-independent.
 	levelMem int
-	// parArena holds one reusable buffer arena per parallel merge
-	// worker (grown lazily, reused across nodes), so every node's
-	// readers and write-behind buffers carve instead of allocating.
+	// parArena holds one reusable buffer arena per merge worker above
+	// 0 (grown lazily, reused across nodes), so every node's readers
+	// and writer stages carve instead of allocating.
 	parArena [][]seq.Record
 	report   *Report
 	// formSpan is the live formation-phase trace span while run
@@ -132,8 +130,9 @@ func Sort(cfg Config, inPath, outPath string) (*Report, error) {
 	}
 	e.readBuf = make([]seq.Record, 0, chunk)
 
-	// Cleanup defers run LIFO: the ioq is drained and joined first, so
-	// no async transfer is in flight when the spill files are removed.
+	// Every merge write is synchronous on a worker that mergeLevel
+	// joins before it returns, so no transfer is in flight when the
+	// spill files are removed.
 	defer func() {
 		for _, sp := range e.spill {
 			if sp != nil {
@@ -141,15 +140,6 @@ func Sort(cfg Config, inPath, outPath string) (*Report, error) {
 			}
 		}
 	}()
-	if r.procs > 1 {
-		q := r.ioq
-		if q == nil {
-			q = NewIOQueue(r.procs)
-			defer q.Close()
-		}
-		e.ioq = &ioSession{q: q}
-		defer e.ioq.drain()
-	}
 	if err := e.run(); err != nil {
 		return nil, err
 	}
@@ -323,138 +313,4 @@ func (e *engine) captureIndex(nd *planNode) bool {
 // newIndex allocates nd's block index (see planNode.index).
 func newIndex(nd *planNode, block int) []seq.Record {
 	return make([]seq.Record, (nd.len()+block-1)/block)
-}
-
-// mergeNode merges the node's children — their outputs live in the
-// parity-(level-1) spill file (or, for leaf children, were formed
-// there) — into the node's own destination. Nodes big enough to carry
-// the coordination cost merge on all pool workers (parmerge.go);
-// everything else runs the sequential single-tree merge below.
-func (e *engine) mergeNode(nd *planNode) error {
-	if p := e.parMergeProcs(nd); p > 1 {
-		return e.mergeNodePar(nd, p)
-	}
-	return e.mergeNodeSeq(nd)
-}
-
-// mergeNodeSeq is the sequential merge: one loser tree over all
-// children, one block-aligned writer. The memory budget M splits
-// evenly across the fan-in's refill buffers plus one write buffer,
-// c = ⌊M/(f+1)⌋ records each. A refill of c records at an arbitrary
-// offset touches 1 + (c−1)/B blocks on average, so the ledger charges
-// B/c + 1 − 1/c reads per device block per level: with the canonical
-// fan-in kM/B, c ≈ B/k and that is ≈ k + 1, since almost every
-// sub-block refill straddles a block boundary (exactly 2 at k = 1 and
-// 5.2 at k = 4 for M = 4096, B = 64). This is the read amplification
-// AEM-MERGESORT trades for its shallower tree.
-func (e *engine) mergeNodeSeq(nd *planNode) error {
-	f := len(nd.kids)
-	// Carve the refill buffers out of the formation arena — formation
-	// and merging never overlap in the phased execution, so the
-	// engine's resident record buffers stay at one M throughout (one
-	// levelMem, when a lease resized the grant). Degenerate configs
-	// whose f+1 shares round below one record fall back to a slightly
-	// larger scratch allocation, the same small slack the simulator
-	// grants. The write buffer is the write share raised to one stage
-	// (mergeWriteRecs); a stage fits e.readBuf, the formation read
-	// chunk, which is idle while merging, so only a write share larger
-	// than a stage is carved from the arena.
-	c := max(e.levelMem/(f+1), 1)
-	wLen := mergeWriteRecs(c, e.cfg.block)
-	carveW := wLen > cap(e.readBuf)
-	need := f * c
-	if carveW {
-		need += wLen
-	}
-	arena := e.formBuf
-	if need > len(arena) {
-		// Degenerate carves — and, routinely, a lease grown past the
-		// admission-time M — need a larger arena; keep it so every
-		// node of the level reuses one allocation.
-		arena = make([]seq.Record, need)
-		e.formBuf = arena
-	}
-	var wBuf []seq.Record
-	if carveW {
-		wBuf = arena[f*c : f*c : f*c+wLen]
-	} else {
-		wBuf = e.readBuf[:0:wLen]
-	}
-	rdrs := make([]recStream, f)
-	for i, kid := range nd.kids {
-		src, err := e.dst(kid)
-		if err != nil {
-			return err
-		}
-		lo := i * c
-		rdrs[i] = newRunReader(src, kid.lo, kid.hi, arena[lo:lo+c:lo+c])
-	}
-	lt, err := newLoserTree(rdrs)
-	if err != nil {
-		return err
-	}
-	dst, err := e.dst(nd)
-	if err != nil {
-		return err
-	}
-	var idx []seq.Record
-	if e.captureIndex(nd) {
-		idx = newIndex(nd, e.cfg.block)
-	}
-	w := newRunWriter(dst, nd.lo, wBuf)
-	// The root of a streamed run folds the merged stream through the
-	// post-pass hook; emitted records flow into the same block-aligned
-	// writer, so the root level costs ⌈emitted/B⌉ block writes.
-	var post Streamer
-	if nd == e.plan.root {
-		post = e.cfg.post
-	}
-	pos := nd.lo
-	left := 0 // records until the next block boundary
-	for {
-		rec, ok, err := lt.pop()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if left == 0 {
-			if err := e.canceled(); err != nil {
-				return err
-			}
-			if idx != nil {
-				idx[(pos-nd.lo)/e.cfg.block] = rec
-			}
-			left = e.cfg.block
-		}
-		left--
-		pos++
-		if post != nil {
-			err = post.Push(rec, w.add)
-		} else {
-			err = w.add(rec)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if post != nil {
-		if err := post.Flush(w.add); err != nil {
-			return err
-		}
-	}
-	if err := w.flush(); err != nil {
-		return err
-	}
-	if pos != nd.hi {
-		return fmt.Errorf("extmem: merge of [%d,%d) consumed %d records, want %d",
-			nd.lo, nd.hi, pos-nd.lo, nd.len())
-	}
-	if post == nil && w.written() != nd.len() {
-		return fmt.Errorf("extmem: merge of [%d,%d) produced %d records, want %d",
-			nd.lo, nd.hi, w.written(), nd.len())
-	}
-	nd.index = idx
-	return nil
 }

@@ -192,9 +192,9 @@ func TestOmegaMeterPersistence(t *testing.T) {
 }
 
 // TestSortFeedsMeter runs real sorts — sequential and parallel (the
-// write-behind workers), both refilling from mapped spill files — with
-// a meter wired and checks the meter warms up while the write ledger
-// still equals the plan.
+// merge workers' synchronous writes), both refilling from mapped spill
+// files — with a meter wired and checks the meter warms up while the
+// write ledger still equals the plan.
 func TestSortFeedsMeter(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		dir := t.TempDir()

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -346,29 +345,23 @@ func TestMappedReadMatchesPread(t *testing.T) {
 	}
 }
 
-// TestAsyncWriterMatchesRunWriter drives write-behind, the synchronous
-// writer and a reference that issues every flush as one WriteAt over
-// the same record stream. Buffer sizes are the ones the merges use
+// TestRunWriterMatchesReference drives the merge writer and a
+// reference that issues every flush as one WriteAt over the same
+// record stream. Buffer sizes are the ones the merges use
 // (mergeWriteRecs): a one-block and a seven-block share, both raised to
 // a stage, and a share larger than a stage. Beside them run raw 1-, 2-
 // and 7-block buffers, the sizes mergeWriteRecs returns once B ≥
-// formChunk, over a 777-record stream that alternates the write-behind
-// double buffer dozens of times; B = formChunk covers that regime
-// through the helper itself. Block sizes include 100, which does not
-// divide formChunk; bases are block-aligned but not stage-aligned;
-// lengths end mid-block. All three must issue the same WriteAt offsets
-// and leave byte-identical files of equal Len(), and both writers must
-// charge Σ⌈flush/B⌉ block writes.
-func TestAsyncWriterMatchesRunWriter(t *testing.T) {
+// formChunk, over a 777-record stream that flushes dozens of times;
+// B = formChunk covers that regime through the helper itself. Block
+// sizes include 100, which does not divide formChunk; bases are
+// block-aligned but not stage-aligned; lengths end mid-block. Both
+// must issue the same WriteAt offsets and leave byte-identical files
+// of equal Len(), and the writer must charge Σ⌈flush/B⌉ block writes.
+func TestRunWriterMatchesReference(t *testing.T) {
 	dir := t.TempDir()
-	q := &ioSession{q: NewIOQueue(2)}
-	defer q.q.Close()
-	var mu sync.Mutex
 	offs := map[string][]int{} // WriteAt offsets by file, in issue order
 	testWriteErr = func(path string, off int) error {
-		mu.Lock()
 		offs[path] = append(offs[path], off)
-		mu.Unlock()
 		return nil
 	}
 	defer func() { testWriteErr = nil }()
@@ -393,8 +386,10 @@ func TestAsyncWriterMatchesRunWriter(t *testing.T) {
 					for off := 0; off < n; off += wLen {
 						flushBlocks += uint64((min(wLen, n-off) + B - 1) / B)
 					}
-					// write runs one writer kind into a fresh file and returns
-					// the file's path, Len() and charged block writes.
+					// write writes recs into a fresh file, through the
+					// writer or as the reference's one WriteAt per flush,
+					// and returns the file's path, Len() and charged block
+					// writes.
 					write := func(kind string) (string, int, uint64) {
 						var stats IOStats
 						path := filepath.Join(dir, fmt.Sprintf("%s-%d-%d-%d-%d.bin", kind, B, wLen, base, n))
@@ -403,67 +398,48 @@ func TestAsyncWriterMatchesRunWriter(t *testing.T) {
 							t.Fatal(err)
 						}
 						defer bf.Close()
-						var w interface {
-							add(seq.Record) error
-							written() int
-						}
-						var finish func() error
-						switch kind {
-						case "ref":
+						if kind == "ref" {
 							for off := 0; off < n; off += wLen {
 								if err := bf.WriteAt(base+off, recs[off:min(off+wLen, n)]); err != nil {
 									t.Fatal(err)
 								}
 							}
 							return path, bf.Len(), stats.Snapshot().Writes
-						case "sync":
-							rw := newRunWriter(bf, base, make([]seq.Record, 0, wLen))
-							w, finish = rw, rw.flush
-						case "async":
-							aw := newAsyncWriter(bf, base, q, wLen)
-							w, finish = aw, aw.close
 						}
+						w := newRunWriter(bf, base, make([]seq.Record, 0, wLen))
 						for _, r := range recs {
 							if err := w.add(r); err != nil {
 								t.Fatal(err)
 							}
 						}
-						if err := finish(); err != nil {
+						if err := w.flush(); err != nil {
 							t.Fatal(err)
-						}
-						if w.written() != n {
-							t.Fatalf("%s: %s writer wrote %d records, want %d", name, kind, w.written(), n)
 						}
 						return path, bf.Len(), stats.Snapshot().Writes
 					}
 					refPath, refLen, refW := write("ref")
+					path, gotLen, w := write("writer")
+					if w != flushBlocks || refW != flushBlocks {
+						t.Fatalf("%s: writer charged %d writes, reference %d, want Σ⌈flush/B⌉ = %d",
+							name, w, refW, flushBlocks)
+					}
+					if gotLen != refLen || gotLen != base+n {
+						t.Fatalf("%s: writer Len() %d, reference %d, want %d", name, gotLen, refLen, base+n)
+					}
 					want, err := os.ReadFile(refPath)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, kind := range []string{"sync", "async"} {
-						path, gotLen, w := write(kind)
-						if w != flushBlocks || refW != flushBlocks {
-							t.Fatalf("%s: %s charged %d writes, reference %d, want Σ⌈flush/B⌉ = %d",
-								name, kind, w, refW, flushBlocks)
-						}
-						if gotLen != refLen || gotLen != base+n {
-							t.Fatalf("%s: %s Len() %d, reference %d, want %d", name, kind, gotLen, refLen, base+n)
-						}
-						got, err := os.ReadFile(path)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !bytes.Equal(got, want) {
-							t.Fatalf("%s: %s file differs from the reference", name, kind)
-						}
-						mu.Lock()
-						gotOffs, wantOffs := offs[path], offs[refPath]
-						mu.Unlock()
-						if !slices.Equal(gotOffs, wantOffs) {
-							t.Fatalf("%s: %s issued %d WriteAts starting %v, reference %d starting %v", name, kind,
-								len(gotOffs), gotOffs[:min(4, len(gotOffs))], len(wantOffs), wantOffs[:min(4, len(wantOffs))])
-						}
+					got, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%s: writer file differs from the reference", name)
+					}
+					if gotOffs, wantOffs := offs[path], offs[refPath]; !slices.Equal(gotOffs, wantOffs) {
+						t.Fatalf("%s: writer issued %d WriteAts starting %v, reference %d starting %v", name,
+							len(gotOffs), gotOffs[:min(4, len(gotOffs))], len(wantOffs), wantOffs[:min(4, len(wantOffs))])
 					}
 				}
 			}
@@ -471,11 +447,10 @@ func TestAsyncWriterMatchesRunWriter(t *testing.T) {
 	}
 }
 
-// BenchmarkMergeWriter writes 16 MiB through the synchronous and the
-// write-behind merge writer at ext-classic-p1's shape — B = 64 and a
-// one-block M/(f+1) share, sized by mergeWriteRecs as the merges size
-// it — beside the ceiling: a raw os.File.WriteAt loop of stage-sized
-// transfers in the same directory. Every iteration overwrites the same
+// BenchmarkMergeWriter writes 16 MiB through the merge writer at
+// ext-classic-p1's shape — B = 64 and a one-block M/(f+1) share, sized
+// by mergeWriteRecs as the merges size it — beside the ceiling: a raw
+// os.File.WriteAt loop of stage-sized transfers in the same directory. Every iteration overwrites the same
 // file, so the numbers compare writer overhead, not block allocation.
 func BenchmarkMergeWriter(b *testing.B) {
 	const block, total = 64, 16 << 20
@@ -501,23 +476,6 @@ func BenchmarkMergeWriter(b *testing.B) {
 				}
 			}
 			if err := w.flush(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("async", func(b *testing.B) {
-		bf := open(b, "async.bin")
-		q := &ioSession{q: NewIOQueue(2)}
-		defer q.q.Close()
-		b.SetBytes(total)
-		for b.Loop() {
-			w := newAsyncWriter(bf, 0, q, wLen)
-			for _, r := range recs {
-				if err := w.add(r); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := w.close(); err != nil {
 				b.Fatal(err)
 			}
 		}

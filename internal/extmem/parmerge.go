@@ -8,33 +8,36 @@ import (
 	"asymsort/internal/seq"
 )
 
-// This file is the multi-core merge: one plan node's k-way merge cut
-// into P disjoint key ranges, one per pool worker. Splitter records
-// are sampled from the children's in-memory block indexes, each run is
-// cut at the exact lower bound of every splitter (binary search over
-// the block index, then inside the one straddling block, read once),
-// and each worker merges its own sub-ranges through a private loser
-// tree over synchronous run readers into a private output extent —
-// workers never share a device block. Because every run cut is exact,
-// worker i's extent is precisely the output ranks [T[i], T[i+1]) and
-// the concatenated extents equal the sequential merge's output
-// byte-for-byte (ties still break by run index inside each worker, and
-// records equal under seq.TotalLess never straddle a splitter).
+// This file is the merge of one plan node on P ≥ 1 workers: the node's
+// k-way merge cut into P disjoint key ranges, each merged by one
+// worker through a private loser tree over synchronous run readers
+// into a private output extent — workers never share a device block.
+// At P = 1 the one range is the whole node and its cuts are trivial.
+// For P > 1, splitter records are sampled from the children's
+// in-memory block indexes, and each run is cut at the exact lower
+// bound of every splitter (binary search over the block index, then
+// inside the one straddling block, read once). Because every run cut
+// is exact, worker i's extent is precisely the output ranks
+// [T[i], T[i+1]) and the concatenated extents equal the one-range
+// merge's output byte-for-byte (ties still break by run index inside
+// each worker, and records equal under seq.TotalLess never straddle a
+// splitter).
 //
-// The write ledger is preserved exactly: workers write only whole
-// aligned blocks inside their extents, while the ≤B-record fragments
-// at each extent boundary are kept in memory and stitched into their
-// shared device block by the coordinator after the join — one WriteAt
-// per block, so the node still costs ⌈len/B⌉ block writes, the same as
-// the sequential runWriter and the simulated AEM ledger. Reads gain
-// only the splitter probes (at most P-1 block reads per run) plus the
-// blocks straddling the per-run cut points; the refill span itself
-// stays at the sequential carve, because every worker owns a full
-// private M — the paper's P-processor parallel machine (§3).
+// The write ledger is preserved exactly: each worker writes the whole
+// aligned blocks of its extent through a synchronous block-aligned
+// writer, while the ≤B-record fragments at an extent boundary inside a
+// block are kept in memory and stitched into their shared device block
+// by the coordinator after the join — one WriteAt per block, so the
+// node costs ⌈len/B⌉ block writes at every P, the same as the
+// simulated AEM ledger. Reads gain only the splitter probes (at most
+// P-1 block reads per run) plus the blocks straddling the per-run cut
+// points; the refill span itself stays at the one-range carve, because
+// every worker owns a full private M — the paper's P-processor
+// parallel machine (§3).
 
 // parMergeProcs returns how many workers a node's merge fans out over:
 // the pool width, clamped so every worker averages at least two output
-// blocks; 1 means the sequential merge.
+// blocks; 1 means one range.
 func (e *engine) parMergeProcs(nd *planNode) int {
 	p := e.cfg.procs
 	if p <= 1 || len(nd.kids) < 2 {
@@ -59,8 +62,8 @@ func (e *engine) parMergeProcs(nd *planNode) int {
 	return p
 }
 
-// parOut is one merge worker's result: the record count it produced
-// plus the boundary fragments it held back for stitching.
+// parOut is one merge worker's result: the boundary fragments it held
+// back for stitching.
 type parOut struct {
 	headPos int
 	head    []seq.Record
@@ -69,8 +72,19 @@ type parOut struct {
 	err     error
 }
 
-// mergeNodePar merges nd's children on P workers.
-func (e *engine) mergeNodePar(nd *planNode, P int) error {
+// mergeNode merges the node's children — their outputs live in the
+// parity-(level-1) spill file (or, for leaf children, were formed
+// there) — into the node's own destination on parMergeProcs(nd)
+// workers. Each worker's memory budget M splits evenly across the
+// fan-in's refill buffers plus one write buffer, c = ⌊M/(f+1)⌋ records
+// each. A refill of c records at an arbitrary offset touches
+// 1 + (c−1)/B blocks on average, so the ledger charges B/c + 1 − 1/c
+// reads per device block per level: with the canonical fan-in kM/B,
+// c ≈ B/k and that is ≈ k + 1, since almost every sub-block refill
+// straddles a block boundary (exactly 2 at k = 1 and 5.2 at k = 4 for
+// M = 4096, B = 64). This is the read amplification AEM-MERGESORT
+// trades for its shallower tree.
+func (e *engine) mergeNode(nd *planNode) error {
 	f := len(nd.kids)
 	B := e.cfg.block
 	srcs := make([]*BlockFile, f)
@@ -86,49 +100,17 @@ func (e *engine) mergeNodePar(nd *planNode, P int) error {
 		return err
 	}
 
-	// Splitters: P-1 quantiles of the children's pooled block-first
-	// records — free of IO, and within one block of the exact record
-	// quantiles per run, which is all the load balance needs.
-	sample := make([]seq.Record, 0, (nd.len()+B-1)/B)
-	for _, kid := range nd.kids {
-		sample = append(sample, kid.index...)
-	}
-	rt.SortRecords(e.cfg.pool, sample)
-	splitters := Splitters(sample, P)
-
-	// Exact cuts: cuts[r][i] is the first position of run r (relative
-	// to the run) whose record is ≥ splitter i-1, so worker i consumes
-	// [cuts[r][i], cuts[r][i+1]) of every run r.
-	cuts := make([][]int, f)
-	probe := make([]seq.Record, B)
-	for r, kid := range nd.kids {
-		cr := make([]int, P+1)
-		cr[P] = kid.len()
-		idx := kid.index
-		cachedBlk := -1
-		var cached []seq.Record
-		for i, t := range splitters {
-			jb := sort.Search(len(idx), func(j int) bool { return !seq.TotalLess(idx[j], t) })
-			if jb == 0 {
-				continue // cr[i+1] = 0: the whole run is ≥ t
-			}
-			// The exact lower bound lives in block jb-1 — the last block
-			// whose first record is < t. One charged block read locates
-			// it; consecutive splitters reuse the cached block.
-			blk := jb - 1
-			if blk != cachedBlk {
-				blo := kid.lo + blk*B
-				bhi := min(blo+B, kid.hi)
-				cached = probe[:bhi-blo]
-				if err := srcs[r].ReadAt(blo, cached); err != nil {
-					return err
-				}
-				cachedBlk = blk
-			}
-			in := sort.Search(len(cached), func(x int) bool { return !seq.TotalLess(cached[x], t) })
-			cr[i+1] = blk*B + in
+	// Worker i consumes [cuts[r][i], cuts[r][i+1]) of every run r,
+	// positions relative to the run.
+	P := e.parMergeProcs(nd)
+	var cuts [][]int
+	if P == 1 {
+		cuts = make([][]int, f)
+		for r, kid := range nd.kids {
+			cuts[r] = []int{0, kid.len()}
 		}
-		cuts[r] = cr
+	} else if cuts, err = e.cutRuns(nd, srcs, P); err != nil {
+		return err
 	}
 
 	// Output extents: worker i writes ranks [T[i], T[i+1]).
@@ -146,41 +128,34 @@ func (e *engine) mergeNodePar(nd *planNode, P int) error {
 			nd.lo, nd.hi, T[P]-nd.lo, nd.len())
 	}
 
-	// Per-worker buffer carve: each worker gets the full sequential
-	// carve M/(f+1) — the paper's parallel machine (§3) grants every
-	// one of the P processors a private memory of size M, so the
-	// engine's aggregate merge residency of ≤ P·M realizes exactly
-	// that machine (P·levelMem when a lease resized the grant).
-	// Keeping the per-run refill span at the sequential size also
-	// keeps the read amplification at the sequential B/c + 1 − 1/c
-	// reads per block (≈ k + 1, see mergeNodeSeq) instead of
-	// multiplying it by P. The write-behind buffers are each raised to
-	// one stage (mergeWriteRecs), slack beyond the share like the
-	// sequential engine's read chunk.
+	// Every worker gets the full carve M/(f+1) — the paper's parallel
+	// machine (§3) grants each of the P processors a private memory of
+	// size M, so the engine's aggregate merge residency of ≤ P·M
+	// realizes exactly that machine (P·levelMem when a lease resized
+	// the grant). Keeping the per-run refill span at the one-range size
+	// also keeps the read amplification at B/c + 1 − 1/c reads per
+	// block instead of multiplying it by P. The write buffer is the
+	// write share raised to one stage (mergeWriteRecs).
 	c := max(e.levelMem/(f+1), 1)
 	wLen := mergeWriteRecs(c, B)
-
 	var idx []seq.Record
 	if e.captureIndex(nd) {
 		idx = newIndex(nd, B)
 	}
-	// Per-worker arenas: f run-reader shares of c records plus the two
-	// write-behind stages — grown once, reused across every node.
-	if e.parArena == nil {
-		e.parArena = make([][]seq.Record, e.cfg.procs)
-	}
-	need := f*c + 2*wLen
-	for wi := 0; wi < P; wi++ {
-		if len(e.parArena[wi]) < need {
-			e.parArena[wi] = make([]seq.Record, need)
-		}
+	// The root of a streamed run folds the merged stream through the
+	// post-pass hook, whose emitted records flow into the same
+	// block-aligned writer, so the root level costs ⌈emitted/B⌉ block
+	// writes. parMergeProcs keeps that node to one range.
+	var post Streamer
+	if nd == e.plan.root {
+		post = e.cfg.post
 	}
 	outs := make([]parOut, P)
 	tasks := make([]func(), P)
-	for wi := 0; wi < P; wi++ {
-		wi := wi
+	for wi := range tasks {
+		arena, stage := e.mergeArena(wi, f*c, wLen)
 		tasks[wi] = func() {
-			outs[wi] = e.mergeRange(nd, srcs, cuts, wi, T, dst, idx, c, wLen, e.parArena[wi])
+			outs[wi] = e.mergeRange(nd, srcs, cuts, T, wi, dst, idx, post, c, arena, stage)
 		}
 	}
 	e.cfg.pool.Run(tasks...)
@@ -192,7 +167,7 @@ func (e *engine) mergeNodePar(nd *planNode, P int) error {
 
 	// Stitch the extent-boundary fragments into their shared blocks:
 	// every block holding a cut in its interior is written here exactly
-	// once, completing the ⌈len/B⌉ write count.
+	// once, completing the ⌈len/B⌉ write count. One range leaves none.
 	type frag struct {
 		pos  int
 		recs []seq.Record
@@ -207,7 +182,7 @@ func (e *engine) mergeNodePar(nd *planNode, P int) error {
 		}
 	}
 	sort.Slice(frags, func(a, b int) bool { return frags[a].pos < frags[b].pos })
-	buf := make([]seq.Record, 0, B)
+	var buf []seq.Record
 	for fi := 0; fi < len(frags); {
 		start := frags[fi].pos
 		if start%B != 0 {
@@ -235,12 +210,99 @@ func (e *engine) mergeNodePar(nd *planNode, P int) error {
 	return nil
 }
 
-// mergeRange is one worker's merge: its sub-range of every run through
-// a private loser tree into its private output extent [T[wi], T[wi+1]).
-// Whole aligned blocks stream through a write-behind writer; the
-// fragments sharing a boundary block with a neighbouring worker are
-// returned for stitching.
-func (e *engine) mergeRange(nd *planNode, srcs []*BlockFile, cuts [][]int, wi int, T []int, dst *BlockFile, idx []seq.Record, c, wLen int, arena []seq.Record) parOut {
+// cutRuns cuts every run of nd for P > 1 workers. The splitters are
+// P-1 quantiles of the children's pooled block-first records — free of
+// IO, and within one block of the exact record quantiles per run,
+// which is all the load balance needs. cuts[r][i] is the first
+// position of run r whose record is ≥ splitter i-1.
+func (e *engine) cutRuns(nd *planNode, srcs []*BlockFile, P int) ([][]int, error) {
+	B := e.cfg.block
+	sample := make([]seq.Record, 0, (nd.len()+B-1)/B)
+	for _, kid := range nd.kids {
+		sample = append(sample, kid.index...)
+	}
+	rt.SortRecords(e.cfg.pool, sample)
+	splitters := Splitters(sample, P)
+
+	cuts := make([][]int, len(nd.kids))
+	probe := make([]seq.Record, B)
+	for r, kid := range nd.kids {
+		cr := make([]int, P+1)
+		cr[P] = kid.len()
+		idx := kid.index
+		cachedBlk := -1
+		var cached []seq.Record
+		for i, t := range splitters {
+			jb := sort.Search(len(idx), func(j int) bool { return !seq.TotalLess(idx[j], t) })
+			if jb == 0 {
+				continue // cr[i+1] = 0: the whole run is ≥ t
+			}
+			// The exact lower bound lives in block jb-1 — the last block
+			// whose first record is < t. One charged block read locates
+			// it; consecutive splitters reuse the cached block.
+			blk := jb - 1
+			if blk != cachedBlk {
+				blo := kid.lo + blk*B
+				bhi := min(blo+B, kid.hi)
+				cached = probe[:bhi-blo]
+				if err := srcs[r].ReadAt(blo, cached); err != nil {
+					return nil, err
+				}
+				cachedBlk = blk
+			}
+			in := sort.Search(len(cached), func(x int) bool { return !seq.TotalLess(cached[x], t) })
+			cr[i+1] = blk*B + in
+		}
+		cuts[r] = cr
+	}
+	return cuts, nil
+}
+
+// mergeArena returns merge worker wi's buffers for one node: an arena
+// of at least readRecs records for the run readers, and an empty
+// writer stage of wLen records. Worker 0 carves the engine's formation
+// arena, idle while merging, and stages in the formation read chunk,
+// so the one-worker engine's resident record buffers stay at one M
+// (one levelMem, when a lease resized the grant) plus the read chunk;
+// only a write share larger than the chunk is carved from the arena
+// too. Workers above 0 each keep an arena of their own. Degenerate
+// configs whose f+1 shares round below one record — and, routinely, a
+// lease grown past the admission-time M — need a larger arena; it is
+// kept, so every node of the level reuses one allocation. Called only
+// from the coordinator goroutine.
+func (e *engine) mergeArena(wi, readRecs, wLen int) (arena, stage []seq.Record) {
+	a := &e.formBuf
+	if wi > 0 {
+		if e.parArena == nil {
+			e.parArena = make([][]seq.Record, e.cfg.procs-1)
+		}
+		a = &e.parArena[wi-1]
+	}
+	inChunk := wi == 0 && wLen <= cap(e.readBuf)
+	need := readRecs
+	if !inChunk {
+		need += wLen
+	}
+	if len(*a) < need {
+		*a = make([]seq.Record, need)
+	}
+	if inChunk {
+		return *a, e.readBuf[:0:wLen]
+	}
+	return *a, (*a)[readRecs:readRecs:need]
+}
+
+// mergeRange is worker wi's merge: its sub-range of every run through
+// a private loser tree into its private output extent
+// [T[wi], T[wi+1]). The records before the extent's first block
+// boundary (the head) and, unless the extent ends the node, those after
+// its last one (the tail) share a device block with a neighbouring
+// extent, so they are returned for stitching. Everything between — at
+// P = 1 the whole node, whose lo is block-aligned — is the body,
+// written through a synchronous block-aligned writer that flushes a
+// final partial block itself. Head, body and tail each have a loop of
+// their own, which keeps the body one tight loop.
+func (e *engine) mergeRange(nd *planNode, srcs []*BlockFile, cuts [][]int, T []int, wi int, dst *BlockFile, idx []seq.Record, post Streamer, c int, arena, stage []seq.Record) parOut {
 	B := e.cfg.block
 	lo, hi := T[wi], T[wi+1]
 	out := parOut{headPos: lo}
@@ -252,49 +314,46 @@ func (e *engine) mergeRange(nd *planNode, srcs []*BlockFile, cuts [][]int, wi in
 		rlo := nd.kids[r].lo + cuts[r][wi]
 		rhi := nd.kids[r].lo + cuts[r][wi+1]
 		if rlo == rhi {
-			continue // dropping empty sub-runs keeps relative run order, so ties break as sequentially
+			continue // dropping empty sub-runs keeps relative run order, so ties break as in one range
 		}
 		rdrs = append(rdrs, newRunReader(src, rlo, rhi, arena[r*c:(r+1)*c:(r+1)*c]))
 	}
 	lt, err := newLoserTree(rdrs)
 	if err != nil {
-		out.err = err
-		return out
+		return parOut{err: err}
 	}
-	headEnd := lo + (B-lo%B)%B // first aligned position: head = [lo, headEnd)
-	if headEnd > hi {
-		headEnd = hi
-	}
-	bodyEnd := hi - hi%B // aligned body = [headEnd, bodyEnd), tail = [bodyEnd, hi)
-	if bodyEnd < headEnd {
-		bodyEnd = headEnd
+	headEnd := min(lo+(B-lo%B)%B, hi) // head = [lo, headEnd)
+	bodyEnd := hi                     // body = [headEnd, bodyEnd), tail = [bodyEnd, hi)
+	if hi < nd.hi {
+		bodyEnd = max(hi-hi%B, headEnd)
 	}
 	out.tailPos = bodyEnd
-	var w *asyncWriter
-	if bodyEnd > headEnd {
-		f := len(srcs)
-		w = newAsyncWriterBufs(dst, headEnd, e.ioq,
-			arena[f*c:f*c+wLen:f*c+wLen], arena[f*c+wLen:f*c+2*wLen:f*c+2*wLen])
-	}
+
 	pos := lo
-	left := (B - (headEnd-nd.lo)%B) % B // body records until the next block boundary
-	for {
+	for ; pos < headEnd; pos++ {
 		rec, ok, err := lt.pop()
 		if err != nil {
-			out.err = err
-			return out
+			return parOut{err: err}
 		}
 		if !ok {
 			break
 		}
-		switch {
-		case pos < headEnd:
-			out.head = append(out.head, rec)
-		case pos < bodyEnd:
+		out.head = append(out.head, rec)
+	}
+	if bodyEnd > headEnd {
+		w := newRunWriter(dst, headEnd, stage)
+		left := 0 // records until the next block boundary
+		for pos < bodyEnd {
+			rec, ok, err := lt.pop()
+			if err != nil {
+				return parOut{err: err}
+			}
+			if !ok {
+				break
+			}
 			if left == 0 {
 				if err := e.canceled(); err != nil {
-					out.err = err
-					return out
+					return parOut{err: err}
 				}
 				if idx != nil {
 					idx[(pos-nd.lo)/B] = rec
@@ -302,20 +361,34 @@ func (e *engine) mergeRange(nd *planNode, srcs []*BlockFile, cuts [][]int, wi in
 				left = B
 			}
 			left--
-			if err := w.add(rec); err != nil {
-				out.err = err
-				return out
+			pos++
+			if post != nil {
+				err = post.Push(rec, w.add)
+			} else {
+				err = w.add(rec)
 			}
-		default:
-			out.tail = append(out.tail, rec)
+			if err != nil {
+				return parOut{err: err}
+			}
 		}
-		pos++
+		if post != nil {
+			if err := post.Flush(w.add); err != nil {
+				return parOut{err: err}
+			}
+		}
+		if err := w.flush(); err != nil {
+			return parOut{err: err}
+		}
 	}
-	if w != nil {
-		if err := w.close(); err != nil {
-			out.err = err
-			return out
+	for ; pos < hi; pos++ {
+		rec, ok, err := lt.pop()
+		if err != nil {
+			return parOut{err: err}
 		}
+		if !ok {
+			break
+		}
+		out.tail = append(out.tail, rec)
 	}
 	if pos != hi {
 		out.err = fmt.Errorf("extmem: merge worker %d of [%d,%d) produced %d records, want %d",

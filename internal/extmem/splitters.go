@@ -6,7 +6,7 @@ import (
 	"asymsort/internal/seq"
 )
 
-// This file exports the range-splitter mechanism that mergeNodePar uses
+// This file exports the range-splitter mechanism that mergeNode uses
 // to cut one merge across P pool workers, so that other layers can cut
 // the same total order across machines. The contract is shared: parts-1
 // splitter records are quantiles of a sorted sample, every cut is the

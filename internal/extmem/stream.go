@@ -19,10 +19,10 @@ import (
 // runs. With Post nil nothing changes: the sort path's plan, ledger,
 // and output bytes are untouched.
 //
-// A streamed root runs sequentially (the hook is a stateful fold over
-// the cross-extent stream, so the splitter-partitioned parallel merge
-// cannot host it); formation and the non-root merge levels keep their
-// full parallel shape.
+// A streamed root merges as one range (the hook is a stateful fold over
+// the cross-extent stream, so splitter-partitioned extents cannot host
+// it); formation and the non-root merge levels keep their full
+// parallel shape.
 
 // Streamer is the streaming post-pass applied to the final sorted
 // stream. Push is called once per record in sorted order; Flush once

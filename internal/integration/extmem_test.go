@@ -27,18 +27,26 @@ func TestExtmemWritesMatchAEMSim(t *testing.T) {
 	cases := []struct {
 		name             string
 		n, mem, block, k int
+		pairs            int // > 0: the input repeats this many exact (Key, Val) pairs
 	}{
-		{"single-run", 100, 256, 16, 1},
-		{"one-merge", 2048, 256, 16, 1},
-		{"ragged-depth-tree", 1040, 128, 16, 1}, // 65 blocks at l=8: children of unequal depth
-		{"deep-classic", 8192, 64, 16, 1},
-		{"k2", 5000, 128, 16, 2},
-		{"k3-ragged", 12345, 256, 16, 3},
-		{"k4-wide", 50000, 512, 64, 4},
-		{"tail-record", 4097, 64, 16, 1},
+		{"single-run", 100, 256, 16, 1, 0},
+		{"one-merge", 2048, 256, 16, 1, 0},
+		{"ragged-depth-tree", 1040, 128, 16, 1, 0}, // 65 blocks at l=8: children of unequal depth
+		{"deep-classic", 8192, 64, 16, 1, 0},
+		{"k2", 5000, 128, 16, 2, 0},
+		{"k2-exact-dups", 5000, 128, 16, 2, 10}, // copies straddle selection-pass boundaries
+		{"k3-ragged", 12345, 256, 16, 3, 0},
+		{"k4-wide", 50000, 512, 64, 4, 0},
+		{"tail-record", 4097, 64, 16, 1, 0},
 	}
 	for _, tc := range cases {
 		in := seq.Uniform(tc.n, uint64(tc.n))
+		if tc.pairs > 0 {
+			in = seq.FewDistinct(tc.n, tc.pairs, uint64(tc.n))
+			for i := range in {
+				in[i].Val = 7
+			}
+		}
 
 		// Simulated side: AEM-MERGESORT on the metered machine,
 		// ledger delta taken after materializing the input (as every

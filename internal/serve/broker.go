@@ -7,20 +7,20 @@
 // streams records in and out.
 //
 // The Broker is the paper's fixed (M, B, ω) envelope made operational:
-// the global memory budget M (in records), the rt.Pool worker tokens,
-// and the extmem async-IO workers all live here, and every job runs
-// under a Lease — a (Mᵢ, Pᵢ) slice of the whole. Admission is FIFO
-// with backpressure: a job waits until the broker can grant it at
-// least its fair share, so a burst of arrivals queues instead of
-// oversubscribing memory. While jobs run the broker rebalances:
-// when arrivals queue behind running jobs it shrinks oversized grants
-// toward the fair share, and when capacity frees with nothing queued
-// it grows running grants back toward what each job asked for. Grants
-// move at the engines' merge-level boundaries — extmem.Config.Lease is
-// the hook — so a resize needs no locking inside a level: shrunk
-// memory only returns to the free pool when the engine acknowledges
-// the new grant, which keeps the envelope conservative (the sum of
-// charged grants never exceeds M, even mid-handoff).
+// the global memory budget M (in records) and the rt.Pool worker
+// tokens live here, and every job runs under a Lease — a (Mᵢ, Pᵢ)
+// slice of the whole. Admission is FIFO with backpressure: a job waits
+// until the broker can grant it at least its fair share, so a burst of
+// arrivals queues instead of oversubscribing memory. While jobs run
+// the broker rebalances: when arrivals queue behind running jobs it
+// shrinks oversized grants toward the fair share, and when capacity
+// frees with nothing queued it grows running grants back toward what
+// each job asked for. Grants move at the engines' merge-level
+// boundaries — extmem.Config.Lease is the hook — so a resize needs no
+// locking inside a level: shrunk memory only returns to the free pool
+// when the engine acknowledges the new grant, which keeps the envelope
+// conservative (the sum of charged grants never exceeds M, even
+// mid-handoff).
 package serve
 
 import (
@@ -31,7 +31,6 @@ import (
 	"sync"
 	"time"
 
-	"asymsort/internal/extmem"
 	"asymsort/internal/obs"
 	"asymsort/internal/rt"
 	"asymsort/internal/wire"
@@ -43,8 +42,7 @@ type BrokerConfig struct {
 	// shared by every concurrent job.
 	Mem int
 	// Procs is the global worker count (0 = GOMAXPROCS): the width of
-	// the shared rt.Pool whose tokens leased jobs draw from, and of the
-	// shared async-IO queue.
+	// the shared rt.Pool whose tokens leased jobs draw from.
 	Procs int
 	// MinLease is the smallest admissible memory grant in records
 	// (default Mem/64, min 1): admission control never hands out slices
@@ -53,8 +51,8 @@ type BrokerConfig struct {
 	MinLease int
 	// Metrics, when non-nil, is the registry the broker publishes its
 	// envelope gauges to: queue depth, live leases, live and cumulative
-	// grant bytes, pool token occupancy, and ioq depth. Nil wires a
-	// private throwaway registry, so the broker code is guard-free.
+	// grant bytes, and pool token occupancy. Nil wires a private
+	// throwaway registry, so the broker code is guard-free.
 	Metrics *obs.Registry
 	// FIFO selects the legacy scheduling policy: pure arrival-order
 	// admission, uniform fair shares, and shrink-everything-to-fair
@@ -94,7 +92,6 @@ type Broker struct {
 	minLease int
 	procs    int
 	pool     *rt.Pool
-	ioq      *extmem.IOQueue
 	fifo     bool
 	ageQ     time.Duration
 	queue    []*waiter // arrival order; adaptive admission picks by class
@@ -126,8 +123,7 @@ type waiter struct {
 	gone     bool        // context canceled; skip on admission
 }
 
-// NewBroker validates the config and builds the envelope. Close
-// releases the IO workers.
+// NewBroker validates the config and builds the envelope.
 func NewBroker(cfg BrokerConfig) (*Broker, error) {
 	if cfg.Mem < 1 {
 		return nil, fmt.Errorf("serve: broker needs a positive memory budget, got %d records", cfg.Mem)
@@ -162,7 +158,6 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) {
 		fifo:     cfg.FIFO,
 		ageQ:     ageQ,
 		pool:     rt.NewPool(procs),
-		ioq:      extmem.NewIOQueue(procs),
 	}
 	b.mQueueDepth = reg.Gauge("asymsortd_queue_depth",
 		"Jobs waiting in the broker's FIFO admission queue.").With()
@@ -172,16 +167,13 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) {
 		"Bytes of the memory envelope currently charged to leases.").With()
 	b.mGrantTotal = reg.Counter("asymsortd_grant_bytes_total",
 		"Cumulative bytes granted to leases (admissions plus grows).").With()
-	pool, ioq := b.pool, b.ioq
+	pool := b.pool
 	reg.GaugeFunc("asymsortd_pool_tokens_in_use",
 		"Spawn tokens of the shared worker pool currently held.",
 		func() float64 { return float64(pool.InUse()) })
 	reg.GaugeFunc("asymsortd_pool_tokens_cap",
 		"Spawn-token capacity of the shared worker pool (procs-1).",
 		func() float64 { return float64(pool.SpawnCap()) })
-	reg.GaugeFunc("asymsortd_ioq_depth",
-		"Async-IO operations queued on the shared IO worker pool.",
-		func() float64 { return float64(ioq.Depth()) })
 	return b, nil
 }
 
@@ -196,13 +188,10 @@ func (b *Broker) publish() {
 	b.mGrantBytes.Set(float64(charged) * wire.RecordBytes)
 }
 
-// Close stops the broker's shared IO workers. Callers must release
-// every lease first.
-func (b *Broker) Close() { b.ioq.Close() }
-
-// IOQ returns the shared async-IO worker queue jobs pass to
-// extmem.Config.IOQ.
-func (b *Broker) IOQ() *extmem.IOQueue { return b.ioq }
+// Close is a no-op: the broker holds no goroutines or files of its
+// own. It stays so that callers can keep pairing NewBroker with a
+// deferred Close.
+func (b *Broker) Close() {}
 
 // Acquire blocks until the broker grants a lease of at least
 // min(want, share, MinLease-floored) records, in the default

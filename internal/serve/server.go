@@ -56,6 +56,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -688,9 +689,12 @@ func admissionParams(r *http.Request, now time.Time) (prio int, deadline time.Ti
 	if v := get("deadline", "X-Asymsortd-Deadline"); v != "" {
 		d, derr := time.ParseDuration(v)
 		if derr != nil {
-			ms, merr := strconv.Atoi(v)
+			ms, merr := strconv.ParseInt(v, 10, 64)
 			if merr != nil || ms < 0 {
 				return 0, time.Time{}, 0, fmt.Errorf("bad deadline=%q (want a duration like 750ms or integer milliseconds)", v)
+			}
+			if ms > math.MaxInt64/int64(time.Millisecond) {
+				return 0, time.Time{}, 0, fmt.Errorf("bad deadline=%q (too large)", v)
 			}
 			d = time.Duration(ms) * time.Millisecond
 		}
@@ -852,7 +856,7 @@ func (s *Server) runJob(ctx context.Context, j *JobStats, w http.ResponseWriter,
 	case "ext":
 		res, err := k.Ext(extmem.Config{
 			Mem: grant, Block: s.cfg.Block, K: s.cfg.K, Omega: omega,
-			TmpDir: dir, Pool: lease.Pool(), IOQ: s.cfg.Broker.IOQ(), Lease: lease,
+			TmpDir: dir, Pool: lease.Pool(), Lease: lease,
 			Span: runSp, InSkip: skip, Meter: s.meter,
 		}, staged, outBin, p)
 		if err != nil {
