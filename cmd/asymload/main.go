@@ -60,9 +60,11 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"asymsort/internal/cluster"
 	"asymsort/internal/exp"
 	"asymsort/internal/obs"
 	"asymsort/internal/seq"
+	"asymsort/internal/serve"
 	"asymsort/internal/wire"
 	"asymsort/internal/xrand"
 )
@@ -788,23 +790,10 @@ func writeTable(w io.Writer, header []string, rows [][]string) {
 	tw.Flush()
 }
 
-// statsPayload mirrors the /stats JSON shape (see internal/serve).
+// statsPayload is the part of a daemon's /stats that asymload checks.
 type statsPayload struct {
-	Kernels map[string]struct {
-		Done       int    `json:"done"`
-		Writes     uint64 `json:"writes"`
-		PlanWrites uint64 `json:"plan_writes"`
-	} `json:"kernels"`
-	Jobs []struct {
-		ID         int    `json:"id"`
-		Kernel     string `json:"kernel"`
-		State      string `json:"state"`
-		Model      string `json:"model"`
-		Writes     uint64 `json:"writes"`
-		PlanWrites uint64 `json:"plan_writes"`
-		Priority   int    `json:"priority"`
-		DeadlineMS int64  `json:"deadline_ms"`
-	} `json:"jobs"`
+	Kernels map[string]serve.KernelLedger `json:"kernels"`
+	Jobs    []serve.JobStats              `json:"jobs"`
 }
 
 // checkLedgers fetches /stats and compares every completed ext job's
@@ -845,24 +834,10 @@ func decodeJSON(r io.Reader, v any) error {
 	return json.NewDecoder(r).Decode(v)
 }
 
-// clusterStats mirrors the coordinator's /stats JSON shape (see
-// internal/cluster).
+// clusterStats is a coordinator's /stats.
 type clusterStats struct {
-	Workers []struct {
-		URL     string `json:"url"`
-		Healthy bool   `json:"healthy"`
-		Shards  int    `json:"shards"`
-		Retries int    `json:"retries"`
-	} `json:"workers"`
-	Jobs []struct {
-		ID      int    `json:"id"`
-		State   string `json:"state"`
-		N       int    `json:"n"`
-		Shards  int    `json:"shards"`
-		Retries int    `json:"retries"`
-		Hedges  int    `json:"hedges"`
-		Err     string `json:"err"`
-	} `json:"jobs"`
+	Workers []cluster.WorkerStats `json:"workers"`
+	Jobs    []cluster.JobStats    `json:"jobs"`
 }
 
 // checkClusterStats fetches the coordinator's /stats and verifies the

@@ -115,9 +115,8 @@ func main() {
 	}
 }
 
-// runCoordinator serves the cluster front-end: same listener and
-// shutdown scaffolding, but the handler scatters /sort jobs across the
-// worker fleet instead of running them here.
+// runCoordinator serves the cluster front-end: the handler scatters
+// /sort jobs across the worker fleet instead of running them here.
 func runCoordinator(addr, workersFlag string, shards, retries int, hedge time.Duration, tmpdir, traceDir, debugAddr string) error {
 	var urls []string
 	for _, u := range strings.Split(workersFlag, ",") {
@@ -128,11 +127,6 @@ func runCoordinator(addr, workersFlag string, shards, retries int, hedge time.Du
 	if len(urls) == 0 {
 		return fmt.Errorf("coordinator mode needs -workers url1,url2,...")
 	}
-	if traceDir != "" {
-		if err := os.MkdirAll(traceDir, 0o777); err != nil {
-			return fmt.Errorf("bad -trace-dir: %v", err)
-		}
-	}
 	coord, err := cluster.New(cluster.Config{
 		Workers: urls, Shards: shards, Retries: retries, HedgeAfter: hedge,
 		TmpDir: tmpdir, TraceDir: traceDir, Metrics: obs.NewRegistry(),
@@ -140,44 +134,12 @@ func runCoordinator(addr, workersFlag string, shards, retries int, hedge time.Du
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("asymsortd: coordinating on %s\n", ln.Addr())
-	fmt.Printf("  workers  : %s\n", strings.Join(urls, " · "))
-	fmt.Printf("  dispatch : shards=%d retries=%d hedge=%v\n", max(shards, len(urls)), retries, hedge)
-	fmt.Printf("  endpoints: POST /sort · GET /stats · GET /healthz · GET /metrics\n")
-	if traceDir != "" {
-		fmt.Printf("  tracing  : per-job JSONL + Chrome traces in %s\n", traceDir)
-	}
-	if debugAddr != "" {
-		dln, err := net.Listen("tcp", debugAddr)
-		if err != nil {
-			ln.Close()
-			return fmt.Errorf("bad -debug-addr: %v", err)
-		}
-		fmt.Printf("  pprof    : http://%s/debug/pprof/\n", dln.Addr())
-		go http.Serve(dln, nil)
-		defer dln.Close()
-	}
-	httpSrv := &http.Server{Handler: coord.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		return err
-	case s := <-sig:
-		fmt.Printf("asymsortd: %v — draining cluster jobs and shutting down\n", s)
-		sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(sctx); err != nil {
-			return fmt.Errorf("shutdown with jobs still in flight: %w", err)
-		}
-		return nil
-	}
+	return serveUntilSignal(addr, debugAddr, traceDir, coord.Handler(), func(bound net.Addr) {
+		fmt.Printf("asymsortd: coordinating on %s\n", bound)
+		fmt.Printf("  workers  : %s\n", strings.Join(urls, " · "))
+		fmt.Printf("  dispatch : shards=%d retries=%d hedge=%v\n", max(shards, len(urls)), retries, hedge)
+		fmt.Printf("  endpoints: POST /sort · GET /stats · GET /healthz · GET /metrics\n")
+	}, nil)
 }
 
 func run(addr, memFlag string, block int, omega float64, k, procs int, tmpdir, traceDir, debugAddr, admission string) error {
@@ -195,12 +157,6 @@ func run(addr, memFlag string, block int, omega float64, k, procs int, tmpdir, t
 		return fmt.Errorf("bad -admission %q (want adaptive or fifo)", admission)
 	}
 
-	if traceDir != "" {
-		if err := os.MkdirAll(traceDir, 0o777); err != nil {
-			return fmt.Errorf("bad -trace-dir: %v", err)
-		}
-	}
-
 	// One registry for the whole process: the broker's envelope gauges
 	// and the job engine's job/IO/HTTP metrics share the /metrics scrape.
 	reg := obs.NewRegistry()
@@ -210,47 +166,66 @@ func run(addr, memFlag string, block int, omega float64, k, procs int, tmpdir, t
 	if err != nil {
 		return err
 	}
+	defer broker.Close()
 	srv, err := serve.NewServer(serve.ServerConfig{
 		Broker: broker, Block: block, Omega: omega, K: k, TmpDir: tmpdir,
 		Metrics: reg, TraceDir: traceDir,
 	})
 	if err != nil {
-		broker.Close()
-		return err
-	}
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		broker.Close()
 		return err
 	}
 	stats := broker.Stats()
-	fmt.Printf("asymsortd: listening on %s\n", ln.Addr())
-	fmt.Printf("  envelope : M=%d records (%s), B=%d records, ω prior=%g (live-measured), procs=%d, min lease %d records\n",
-		stats.TotalMem, memFlag, block, omega, stats.Procs, stats.MinLease)
-	fmt.Printf("  admission: %s\n", admission)
-	fmt.Printf("  kernels  : %s\n", strings.Join(kernel.Names(), " · "))
-	fmt.Printf("  endpoints: POST /v1/{kernel} · POST /sort · GET /stats · GET /healthz · GET /metrics\n")
+	// The drain hook, SetDraining, flips /healthz to "draining" while
+	// jobs finish.
+	err = serveUntilSignal(addr, debugAddr, traceDir, srv.Handler(), func(bound net.Addr) {
+		fmt.Printf("asymsortd: listening on %s\n", bound)
+		fmt.Printf("  envelope : M=%d records (%s), B=%d records, ω prior=%g (live-measured), procs=%d, min lease %d records\n",
+			stats.TotalMem, memFlag, block, omega, stats.Procs, stats.MinLease)
+		fmt.Printf("  admission: %s\n", admission)
+		fmt.Printf("  kernels  : %s\n", strings.Join(kernel.Names(), " · "))
+		fmt.Printf("  endpoints: POST /v1/{kernel} · POST /sort · GET /stats · GET /healthz · GET /metrics\n")
+	}, srv.SetDraining)
+	if err != nil {
+		return err
+	}
+	// Only a clean drain persists the ω estimator, so the next start
+	// begins warm from costs no still-running job can change.
+	srv.Close()
+	return nil
+}
+
+// serveUntilSignal makes the trace dir, listens on addr, prints the
+// banner with the bound address, and serves h until SIGINT or SIGTERM.
+// It then runs onDrain (when non-nil) and waits up to 30 s for
+// in-flight jobs; nil means they all finished. With debugAddr set,
+// net/http/pprof rides on its own listener (DefaultServeMux carries its
+// registrations), so the profiling surface is only reachable where
+// -debug-addr points, typically loopback.
+func serveUntilSignal(addr, debugAddr, traceDir string, h http.Handler, banner func(net.Addr), onDrain func()) error {
+	if traceDir != "" {
+		if err := os.MkdirAll(traceDir, 0o777); err != nil {
+			return fmt.Errorf("bad -trace-dir: %v", err)
+		}
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	banner(ln.Addr())
 	if traceDir != "" {
 		fmt.Printf("  tracing  : per-job JSONL + Chrome traces in %s\n", traceDir)
 	}
-
-	// pprof rides on its own listener (DefaultServeMux carries the
-	// net/http/pprof registrations), so the profiling surface is only
-	// reachable where -debug-addr points — typically loopback.
 	if debugAddr != "" {
 		dln, err := net.Listen("tcp", debugAddr)
 		if err != nil {
 			ln.Close()
-			broker.Close()
 			return fmt.Errorf("bad -debug-addr: %v", err)
 		}
 		fmt.Printf("  pprof    : http://%s/debug/pprof/\n", dln.Addr())
 		go http.Serve(dln, nil)
 		defer dln.Close()
 	}
-
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: h}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	sig := make(chan os.Signal, 1)
@@ -259,19 +234,15 @@ func run(addr, memFlag string, block int, omega float64, k, procs int, tmpdir, t
 	case err := <-errc:
 		return err
 	case s := <-sig:
-		// Graceful drain: Shutdown waits for in-flight jobs, and only a
-		// clean drain may close the broker — its shared IO queue must
-		// never be closed under a still-running engine. On timeout the
-		// process exits with the queue open; the OS reclaims it.
 		fmt.Printf("asymsortd: %v — draining jobs and shutting down\n", s)
-		srv.SetDraining() // /healthz reports draining while jobs finish
+		if onDrain != nil {
+			onDrain()
+		}
 		sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		if err := httpSrv.Shutdown(sctx); err != nil {
 			return fmt.Errorf("shutdown with jobs still in flight: %w", err)
 		}
-		srv.Close() // persist the ω estimator so the next start begins warm
-		broker.Close()
 		return nil
 	}
 }

@@ -54,7 +54,9 @@
 //   - internal/serve — the kernel service: a budget Broker that owns one
 //     machine-wide (M, P) envelope — the global memory budget in
 //     records and the shared rt.Pool worker tokens — and leases
-//     per-job (Mᵢ, Pᵢ) slices with FIFO admission, backpressure,
+//     per-job (Mᵢ, Pᵢ) slices with adaptive admission (aged priority,
+//     deadlines and ask-proportional shares by default; -admission
+//     fifo is its arrival-order baseline), backpressure,
 //     grow/shrink rebalancing at merge-level boundaries
 //     (extmem.Config.Lease), and cancellation that reclaims spill
 //     files and grants; plus the generic HTTP job engine (POST

@@ -5,7 +5,8 @@
 // The shape is one BSP superstep — scatter, sort, gather:
 //
 //	client ── POST /sort ──▶ coordinator
-//	                           │ stage body (serve.Codec, fixes n)
+//	                           │ check query (serve.ParseJobQuery)
+//	                           │ stage body (serve.StageRequest, fixes n)
 //	                           │ sample keys → S-1 splitters
 //	                           │ range-partition into S shard files
 //	                           │
@@ -26,6 +27,13 @@
 // the same total order, and the concatenation of sorted shards IS the
 // sorted whole — byte-identical to `asymsort -model ext` on the same
 // input, which the cluster tests and the CI smoke pin.
+//
+// The coordinator serves /sort through internal/serve's request path:
+// it validates the query with serve's grammar and relays the accepted
+// values verbatim to every shard POST (JobQuery.Forward), stages the
+// body with serve's staging step, and answers errors with serve's
+// helpers. So it rejects exactly what a worker would reject, with the
+// same 400, before any worker traffic.
 //
 // Shards travel as contiguous wire frames (Content-Type
 // application/x-asymsort-records), so each worker stages its shard
@@ -54,13 +62,9 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"net/url"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
@@ -68,7 +72,6 @@ import (
 
 	"asymsort/internal/obs"
 	"asymsort/internal/serve"
-	"asymsort/internal/wire"
 )
 
 // Config parameterizes a coordinator.
@@ -255,20 +258,15 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /sort", c.handleSort)
 	mux.HandleFunc("GET /stats", c.handleStats)
 	mux.HandleFunc("GET /healthz", c.handleHealthz)
-	mux.HandleFunc("GET /metrics", c.handleMetrics)
-	mux.HandleFunc("/sort", methodNotAllowed("POST"))
-	mux.HandleFunc("/stats", methodNotAllowed("GET"))
-	mux.HandleFunc("/healthz", methodNotAllowed("GET"))
-	mux.HandleFunc("/metrics", methodNotAllowed("GET"))
+	mux.Handle("GET /metrics", c.reg)
+	mux.HandleFunc("/sort", serve.MethodNotAllowed("POST"))
+	mux.HandleFunc("/stats", serve.MethodNotAllowed("GET"))
+	mux.HandleFunc("/healthz", serve.MethodNotAllowed("GET"))
+	mux.HandleFunc("/metrics", serve.MethodNotAllowed("GET"))
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		jsonError(w, http.StatusNotFound, "no such endpoint %s", r.URL.Path)
+		serve.JSONError(w, http.StatusNotFound, "no such endpoint %s", r.URL.Path)
 	})
 	return mux
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	c.reg.WriteProm(w)
 }
 
 // statsSnapshot is the coordinator's /stats payload.
@@ -378,15 +376,6 @@ func (c *Coordinator) setJob(j *JobStats, f func(*JobStats)) {
 	c.mu.Unlock()
 }
 
-// httpError carries a status for errors raised before the first body
-// byte.
-type httpError struct {
-	code int
-	msg  string
-}
-
-func (e *httpError) Error() string { return e.msg }
-
 func (c *Coordinator) handleSort(w http.ResponseWriter, r *http.Request) {
 	j := c.newJob()
 	var tr *obs.Trace
@@ -410,7 +399,7 @@ func (c *Coordinator) handleSort(w http.ResponseWriter, r *http.Request) {
 	outcome := j.State
 	c.mu.Unlock()
 	c.obsm.jobs.With(outcome).Inc()
-	c.exportTrace(j.ID, tr)
+	serve.ExportTrace(c.cfg.TraceDir, j.ID, tr)
 }
 
 // runJob executes one cluster sort end to end: stage → probe → split →
@@ -418,44 +407,28 @@ func (c *Coordinator) handleSort(w http.ResponseWriter, r *http.Request) {
 // proper HTTP statuses; after that, aborting the chunked body is the
 // only honest signal left, exactly as in the solo engine.
 func (c *Coordinator) runJob(ctx context.Context, j *JobStats, w http.ResponseWriter, r *http.Request, root *obs.Span) error {
-	fail := func(code int, format string, args ...any) error {
-		e := &httpError{code: code, msg: fmt.Sprintf(format, args...)}
-		http.Error(w, e.msg, e.code)
-		return e
-	}
-	query, err := forwardQuery(r)
+	q, err := serve.ParseJobQuery(r)
 	if err != nil {
-		return fail(http.StatusBadRequest, "job %d: %v", j.ID, err)
+		return serve.Fail(w, http.StatusBadRequest, "job %d: %v", j.ID, err)
 	}
-
 	dir, err := os.MkdirTemp(c.cfg.TmpDir, fmt.Sprintf("asymcoord-job%d-", j.ID))
 	if err != nil {
-		return fail(http.StatusInternalServerError, "job %d: %v", j.ID, err)
+		return serve.Fail(w, http.StatusInternalServerError, "job %d: %v", j.ID, err)
 	}
 	defer os.RemoveAll(dir)
 
-	inCodec, outCodec := serve.Negotiate(r)
-	c.setJob(j, func(j *JobStats) { j.Wire = outCodec.Name() })
-
 	// Stage the client body locally, fixing n.
-	stageSp := root.Child("stage")
 	stageStart := time.Now()
-	staged := filepath.Join(dir, "in.bin")
-	n, skip, err := inCodec.Stage(r.Body, staged)
-	stageSp.Set(obs.Attr{Key: "recs", Val: int64(n)})
-	stageSp.End()
+	in, err := serve.StageRequest(w, r, j.ID, dir, root)
 	c.obsm.phase.With("stage").Observe(time.Since(stageStart).Seconds())
-	c.setJob(j, func(j *JobStats) { j.N = n; j.StageMS = time.Since(stageStart).Milliseconds() })
+	c.setJob(j, func(j *JobStats) {
+		j.Wire, j.N, j.StageMS = in.Out.Name(), in.N, time.Since(stageStart).Milliseconds()
+		if err != nil && ctx.Err() != nil {
+			j.State = "canceled"
+		}
+	})
 	if err != nil {
-		if ctx.Err() != nil {
-			c.setJob(j, func(j *JobStats) { j.State = "canceled" })
-			return fmt.Errorf("job %d: %w", j.ID, err)
-		}
-		code := http.StatusBadRequest
-		if !errors.Is(err, wire.ErrFormat) && inCodec.Binary {
-			code = http.StatusInternalServerError
-		}
-		return fail(code, "job %d: %v", j.ID, err)
+		return err
 	}
 
 	// Admit only against a live fleet.
@@ -464,14 +437,14 @@ func (c *Coordinator) runJob(ctx context.Context, j *JobStats, w http.ResponseWr
 	probeSp.Set(obs.Attr{Key: "healthy", Val: int64(len(healthy))})
 	probeSp.End()
 	if len(healthy) == 0 {
-		return fail(http.StatusServiceUnavailable, "job %d: no healthy workers", j.ID)
+		return serve.Fail(w, http.StatusServiceUnavailable, "job %d: no healthy workers", j.ID)
 	}
 	c.setJob(j, func(j *JobStats) { j.State = "running" })
 
 	// Split: sample, cut splitters, write shard files.
 	splitSp := root.Child("split")
 	splitStart := time.Now()
-	shards, err := c.partition(staged, n, skip, dir, splitSp)
+	shards, err := c.partition(in.Path, in.N, in.Skip, dir, splitSp)
 	splitSp.End()
 	c.obsm.phase.With("split").Observe(time.Since(splitStart).Seconds())
 	c.setJob(j, func(j *JobStats) {
@@ -479,23 +452,22 @@ func (c *Coordinator) runJob(ctx context.Context, j *JobStats, w http.ResponseWr
 		j.Shards = len(shards)
 	})
 	if err != nil {
-		return fail(http.StatusInternalServerError, "job %d: %v", j.ID, err)
+		return serve.Fail(w, http.StatusInternalServerError, "job %d: %v", j.ID, err)
 	}
 
 	// Scatter: dispatch shards across the fleet until every one has a
 	// sorted result file (or the retry budget is spent).
 	scatterSp := root.Child("scatter")
 	scatterStart := time.Now()
-	d := newDispatcher(c, shards, dir, query, scatterSp)
+	d := newDispatcher(c, shards, dir, q.Forward(), scatterSp)
 	err = d.run(ctx, healthy)
 	scatterSp.End()
 	c.obsm.phase.With("scatter").Observe(time.Since(scatterStart).Seconds())
 	var writes, planWrites uint64
+	var paths []string
 	ledger := true
-	for _, sh := range shards {
-		if sh.n == 0 {
-			continue
-		}
+	for _, sh := range d.shards { // the non-empty ones
+		paths = append(paths, sh.outPath)
 		writes += sh.writes
 		planWrites += sh.planWrites
 		if sh.writes == 0 {
@@ -515,13 +487,13 @@ func (c *Coordinator) runJob(ctx context.Context, j *JobStats, w http.ResponseWr
 			c.setJob(j, func(j *JobStats) { j.State = "canceled" })
 			return fmt.Errorf("job %d: %w", j.ID, err)
 		}
-		return fail(http.StatusBadGateway, "job %d: %v", j.ID, err)
+		return serve.Fail(w, http.StatusBadGateway, "job %d: %v", j.ID, err)
 	}
 
 	// Gather: concatenate the sorted shard files in shard order — the
 	// splitter contract makes that the globally sorted output.
-	w.Header().Set("Content-Type", outCodec.ContentType())
-	w.Header().Set("X-Asymsortd-Wire", outCodec.Name())
+	w.Header().Set("Content-Type", in.Out.ContentType())
+	w.Header().Set("X-Asymsortd-Wire", in.Out.Name())
 	w.Header().Set("X-Asymsortd-Job", strconv.Itoa(j.ID))
 	w.Header().Set("X-Asymsortd-Model", "cluster")
 	w.Header().Set("X-Asymsortd-Shards", strconv.Itoa(len(shards)))
@@ -533,14 +505,8 @@ func (c *Coordinator) runJob(ctx context.Context, j *JobStats, w http.ResponseWr
 	c.setJob(j, func(j *JobStats) { j.State = "streaming" })
 	streamStart := time.Now()
 	streamSp := root.Child("gather")
-	streamSp.Set(obs.Attr{Key: "recs", Val: int64(n)})
-	var paths []string
-	for _, sh := range shards {
-		if sh.n > 0 {
-			paths = append(paths, sh.outPath)
-		}
-	}
-	err = outCodec.StreamFiles(w, paths, n)
+	streamSp.Set(obs.Attr{Key: "recs", Val: int64(in.N)})
+	err = in.Out.StreamFiles(w, paths, in.N)
 	streamSp.End()
 	c.obsm.phase.With("gather").Observe(time.Since(streamStart).Seconds())
 	c.setJob(j, func(j *JobStats) { j.StreamMS = time.Since(streamStart).Milliseconds() })
@@ -548,94 +514,4 @@ func (c *Coordinator) runJob(ctx context.Context, j *JobStats, w http.ResponseWr
 		return fmt.Errorf("job %d: streaming output: %w", j.ID, err)
 	}
 	return nil
-}
-
-// forwardQuery validates the client's model/mem hints and admission
-// class (priority/deadline, query or X-Asymsortd-* header) and rebuilds
-// the query string forwarded verbatim to every shard POST — so a
-// latency-class cluster job is a latency-class job on every worker's
-// broker too. Deadlines forward as the client's relative target: each
-// worker resolves it against the shard's own arrival, which is the
-// clock the shard actually races.
-func forwardQuery(r *http.Request) (string, error) {
-	q := r.URL.Query()
-	fwd := url.Values{}
-	if model := q.Get("model"); model != "" {
-		switch model {
-		case "auto", "ext", "native":
-		default:
-			return "", fmt.Errorf("unknown model %q", model)
-		}
-		fwd.Set("model", model)
-	}
-	if mem := q.Get("mem"); mem != "" {
-		v, err := strconv.Atoi(mem)
-		if err != nil || v < 1 {
-			return "", fmt.Errorf("bad mem=%q", mem)
-		}
-		fwd.Set("mem", mem)
-	}
-	pick := func(query, header string) string {
-		if v := q.Get(query); v != "" {
-			return v
-		}
-		return r.Header.Get(header)
-	}
-	if v := pick("priority", "X-Asymsortd-Priority"); v != "" {
-		if _, err := strconv.Atoi(v); err != nil {
-			return "", fmt.Errorf("bad priority=%q", v)
-		}
-		fwd.Set("priority", v)
-	}
-	if v := pick("deadline", "X-Asymsortd-Deadline"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			ms, merr := strconv.Atoi(v)
-			if merr != nil {
-				return "", fmt.Errorf("bad deadline=%q (want a duration like 750ms or integer milliseconds)", v)
-			}
-			d = time.Duration(ms) * time.Millisecond
-		}
-		if d < 0 {
-			return "", fmt.Errorf("bad deadline=%q (negative)", v)
-		}
-		fwd.Set("deadline", v)
-	}
-	if len(fwd) == 0 {
-		return "", nil
-	}
-	return "?" + fwd.Encode(), nil
-}
-
-// exportTrace writes the finished job's trace to TraceDir in both
-// formats, as the solo engine does.
-func (c *Coordinator) exportTrace(id int, tr *obs.Trace) {
-	if tr == nil || c.cfg.TraceDir == "" {
-		return
-	}
-	writeFile := func(name string, emit func(io.Writer) error) {
-		f, err := os.Create(filepath.Join(c.cfg.TraceDir, name))
-		if err != nil {
-			return
-		}
-		emit(f)
-		f.Close()
-	}
-	writeFile(fmt.Sprintf("job-%d.trace.jsonl", id), tr.WriteJSONL)
-	writeFile(fmt.Sprintf("job-%d.chrome.json", id), tr.WriteChrome)
-}
-
-// jsonError writes a JSON error body with the given status.
-func jsonError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// methodNotAllowed rejects with a JSON 405 naming the allowed method.
-func methodNotAllowed(allow string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Allow", allow)
-		jsonError(w, http.StatusMethodNotAllowed, "%s not allowed on %s (use %s)", r.Method, r.URL.Path, allow)
-	}
 }

@@ -558,9 +558,11 @@ func TestClusterHedging(t *testing.T) {
 func TestClusterForwardsAdmissionClass(t *testing.T) {
 	real := newWorker(t, 1<<16)
 	var gotQuery atomic.Value
+	var shardPosts atomic.Int32
 	rec := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/sort" {
 			gotQuery.Store(r.URL.RawQuery)
+			shardPosts.Add(1)
 		}
 		proxyTo(t, real.URL, w, r)
 	}))
@@ -591,6 +593,8 @@ func TestClusterForwardsAdmissionClass(t *testing.T) {
 		t.Fatalf("shard POST query %q lacks the forwarded admission class", q)
 	}
 
+	posted := shardPosts.Load()
+
 	resp2, body2 := post(t, coord.URL+"/sort?priority=abc", "", "", []byte("2\n1\n"))
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad priority: status %d: %.300s (want 400)", resp2.StatusCode, body2)
@@ -598,6 +602,81 @@ func TestClusterForwardsAdmissionClass(t *testing.T) {
 	resp3, body3 := post(t, coord.URL+"/sort?deadline=-5s", "", "", []byte("2\n1\n"))
 	if resp3.StatusCode != http.StatusBadRequest {
 		t.Fatalf("negative deadline: status %d: %.300s (want 400)", resp3.StatusCode, body3)
+	}
+	// A millisecond deadline that overflows time.Duration is a worker's
+	// 400, so it must be the coordinator's too, in the query or the
+	// header.
+	for _, c := range []struct{ query, header string }{
+		{"?deadline=18446744073710", ""},
+		{"", "18446744073710"},
+		{"?deadline=9223372036855", ""},
+	} {
+		req, err := http.NewRequest("POST", coord.URL+"/sort"+c.query, strings.NewReader("2\n1\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.header != "" {
+			req.Header.Set("X-Asymsortd-Deadline", c.header)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "too large") {
+			t.Fatalf("deadline %q%q: status %d: %.300s (want 400, too large)", c.query, c.header, resp.StatusCode, body)
+		}
+	}
+	if n := shardPosts.Load() - posted; n != 0 {
+		t.Fatalf("%d shard POSTs reached the worker for rejected jobs, want none", n)
+	}
+}
+
+// TestClusterRoutingErrors: the coordinator answers an unknown path
+// with a JSON 404 and a wrong method on a known path with a JSON 405
+// naming the allowed method, the contract TestServeRoutingErrors pins
+// for a worker.
+func TestClusterRoutingErrors(t *testing.T) {
+	_, coord := newCoordinator(t, Config{Workers: []string{newWorker(t, 1<<14).URL}})
+	for _, tc := range []struct {
+		method, path, allow string
+		code                int
+	}{
+		{"GET", "/nope", "", http.StatusNotFound},
+		{"POST", "/v1/sort", "", http.StatusNotFound}, // kernels are a worker's routes
+		{"GET", "/sort", "POST", http.StatusMethodNotAllowed},
+		{"POST", "/stats", "GET", http.StatusMethodNotAllowed},
+		{"PUT", "/healthz", "GET", http.StatusMethodNotAllowed},
+		{"DELETE", "/metrics", "GET", http.StatusMethodNotAllowed},
+	} {
+		t.Run(tc.method+tc.path, func(t *testing.T) {
+			req, err := http.NewRequest(tc.method, coord.URL+tc.path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.code {
+				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.code, body)
+			}
+			if a := resp.Header.Get("Allow"); a != tc.allow {
+				t.Errorf("Allow %q, want %q", a, tc.allow)
+			}
+			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+				t.Errorf("error content type %q, want application/json", ct)
+			}
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+				t.Fatalf("error body %q is not {\"error\": ...}: %v", body, err)
+			}
+		})
 	}
 }
 

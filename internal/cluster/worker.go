@@ -108,7 +108,11 @@ func (w *worker) sortShard(ctx context.Context, sh *shard, attempt int, query, d
 	if err != nil {
 		return res, err
 	}
-	req, err := http.NewRequestWithContext(ctx, "POST", w.url+"/sort"+query, io.MultiReader(strings.NewReader(string(hdr)), f))
+	u := w.url + "/sort"
+	if query != "" {
+		u += "?" + query // the client's validated hints, serve.JobQuery.Forward
+	}
+	req, err := http.NewRequestWithContext(ctx, "POST", u, io.MultiReader(strings.NewReader(string(hdr)), f))
 	if err != nil {
 		return res, err
 	}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -236,6 +237,13 @@ func labelString(names, vals []string, extra string) string {
 	}
 	b.WriteByte('}')
 	return b.String()
+}
+
+// ServeHTTP answers a scrape with WriteProm's exposition, so a mux
+// mounts the registry directly: mux.Handle("GET /metrics", reg).
+func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	r.WriteProm(w)
 }
 
 // WriteProm renders the registry in Prometheus text exposition format

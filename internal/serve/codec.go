@@ -12,9 +12,9 @@ package serve
 // kernels whose payloads carry results) out.
 //
 // The codec is exported because the cluster coordinator speaks the
-// same dialects: it stages client bodies with Stage, ships shards to
-// workers as contiguous frames, and gathers sorted shard files back to
-// the client with StreamFiles.
+// same dialects: it stages client bodies with StageRequest, ships
+// shards to workers as contiguous frames, and gathers sorted shard
+// files back to the client with StreamFiles.
 
 import (
 	"bufio"
@@ -24,10 +24,12 @@ import (
 	"mime"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
 	"asymsort/internal/extmem"
+	"asymsort/internal/obs"
 	"asymsort/internal/seq"
 	"asymsort/internal/wire"
 )
@@ -102,6 +104,43 @@ func (c Codec) Stage(r io.Reader, dst string) (n, skip int, err error) {
 	}
 	n, err = stageKeys(r, dst)
 	return n, 0, err
+}
+
+// Staged is a job request's body spooled into its job dir: the binary
+// record file at Path holds Skip non-payload record slots, then N
+// payload records (see Codec.Stage).
+type Staged struct {
+	In, Out Codec // the negotiated request and response dialects
+	Path    string
+	N, Skip int
+}
+
+// StageRequest negotiates the request's dialects and stages its body
+// into dir under a "stage" span of parent. A failure is answered before
+// it returns: 400 for a malformed body or any text-dialect failure, and
+// 500 for a well-formed binary frame the device could not take. A
+// client hang-up is not answered (nobody is listening) and comes back
+// wrapping the request context's error. The dialects and the count
+// staged so far are returned on failure too.
+func StageRequest(w http.ResponseWriter, r *http.Request, id int, dir string, parent *obs.Span) (Staged, error) {
+	st := Staged{Path: filepath.Join(dir, "in.bin")}
+	st.In, st.Out = Negotiate(r)
+	sp := parent.Child("stage")
+	var err error
+	st.N, st.Skip, err = st.In.Stage(r.Body, st.Path)
+	sp.Set(obs.Attr{Key: "recs", Val: int64(st.N)})
+	sp.End()
+	switch {
+	case err == nil:
+		return st, nil
+	case r.Context().Err() != nil:
+		// The body read error is just the disconnect surfacing.
+		return st, fmt.Errorf("job %d: %w: %w", id, r.Context().Err(), err)
+	case st.In.Binary && !errors.Is(err, wire.ErrFormat):
+		// The frame was well-formed; the failure is ours (device, disk).
+		return st, Fail(w, http.StatusInternalServerError, "job %d: %v", id, err)
+	}
+	return st, Fail(w, http.StatusBadRequest, "job %d: %v", id, err)
 }
 
 // Stream sends the result record file at path (n records, no leading

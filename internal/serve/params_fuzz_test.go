@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -9,18 +10,18 @@ import (
 )
 
 // param is one request parameter: its query name, the header that
-// stands in for it, and its value ("" = absent).
+// stands in for it ("" = none), and its value ("" = absent).
 type param struct{ query, header, v string }
 
 // paramRequest builds a request carrying every parameter in the query
-// or, with inHeader, in its header.
+// or, with inHeader, in its header where it has one.
 func paramRequest(inHeader bool, ps ...param) *http.Request {
 	r := &http.Request{URL: &url.URL{Path: "/v1/sort"}, Header: http.Header{}}
 	q := url.Values{}
 	for _, p := range ps {
 		switch {
 		case p.v == "":
-		case inHeader:
+		case inHeader && p.header != "":
 			r.Header.Set(p.header, p.v)
 		default:
 			q.Set(p.query, p.v)
@@ -30,42 +31,67 @@ func paramRequest(inHeader bool, ps ...param) *http.Request {
 	return r
 }
 
-// FuzzAdmissionParams checks the admission class parsed from arbitrary
-// priority and deadline values. An accepted bare integer v of
-// milliseconds must give deadlineMS == v and a deadline exactly v ms
-// after arrival; an accepted Go duration must not be negative. The
-// seed 18446744073710 ms overflowed time.Duration when multiplied out
-// and used to come back as a 448 µs deadline.
-func FuzzAdmissionParams(f *testing.F) {
+// FuzzJobQuery checks the job query parsed from arbitrary model, mem,
+// priority and deadline values. An accepted model is one of the three
+// names, and an accepted mem or priority equals its decimal parse. An
+// accepted bare integer deadline v of milliseconds must give a
+// Deadline of exactly v ms; an accepted Go duration must not be
+// negative, and no deadline must give none. The seed
+// 18446744073710 ms overflowed time.Duration when multiplied out and
+// used to come back as a 448 µs deadline. Finally, the query a
+// coordinator relays (Forward) must parse back to the same JobQuery,
+// so a worker accepts exactly what its coordinator accepted.
+func FuzzJobQuery(f *testing.F) {
 	for _, d := range []string{"", "0", "750", "750ms", "2s", "-1", "-1s", "1e3",
 		"9223372036854", "9223372036855", "18446744073710", "99999999999999999999"} {
-		f.Add("", d, false)
-		f.Add("3", d, true)
+		f.Add("", "", "", d, false)
+		f.Add("", "", "3", d, true)
 	}
-	f.Add("-9", "1h", false)
-	f.Add("x", "", true)
-	now := time.Unix(1_700_000_000, 0)
-	f.Fuzz(func(t *testing.T, prio, deadline string, inHeader bool) {
+	f.Add("", "", "-9", "1h", false)
+	f.Add("", "", "x", "", true)
+	for _, m := range []string{"auto", "ext", "native", "quantum", "EXT"} {
+		f.Add(m, "", "", "", false)
+	}
+	for _, m := range []string{"1", "65536", "0", "-4", "+7", "1e3", "9223372036854775808"} {
+		f.Add("ext", m, "2", "750ms", true)
+	}
+	f.Fuzz(func(t *testing.T, model, mem, prio, deadline string, inHeader bool) {
 		r := paramRequest(inHeader,
+			param{"model", "", model},
+			param{"mem", "", mem},
 			param{"priority", "X-Asymsortd-Priority", prio},
 			param{"deadline", "X-Asymsortd-Deadline", deadline})
-		gotPrio, at, ms, err := admissionParams(r, now)
+		q, err := ParseJobQuery(r)
 		if err != nil {
 			return
 		}
-		if want, _ := strconv.Atoi(prio); prio != "" && gotPrio != want {
-			t.Fatalf("priority=%q gave %d, want %d", prio, gotPrio, want)
+		fwd := paramRequest(false)
+		fwd.URL.RawQuery = q.Forward()
+		if q2, err := ParseJobQuery(fwd); err != nil || q2 != q {
+			t.Fatalf("forwarded query %q parsed to %+v (%v), want %+v", q.Forward(), q2, err, q)
 		}
+		if want := cmp.Or(model, "auto"); q.Model != want || want != "auto" && want != "ext" && want != "native" {
+			t.Fatalf("model=%q accepted as %q", model, q.Model)
+		}
+		if want, _ := strconv.Atoi(mem); q.Mem != want || mem != "" && want < 1 {
+			t.Fatalf("mem=%q gave %d", mem, q.Mem)
+		}
+		if want, _ := strconv.Atoi(prio); prio != "" && q.Priority != want {
+			t.Fatalf("priority=%q gave %d, want %d", prio, q.Priority, want)
+		}
+		d, ms := q.Deadline, q.Deadline.Milliseconds()
 		if deadline == "" {
-			if !at.IsZero() || ms != 0 {
-				t.Fatalf("no deadline gave %v (%d ms)", at, ms)
+			if q.hasDeadline || d != 0 {
+				t.Fatalf("no deadline gave %v", d)
 			}
 			return
 		}
-		d := at.Sub(now)
+		if !q.hasDeadline {
+			t.Fatalf("deadline=%q accepted as none", deadline)
+		}
 		if _, perr := time.ParseDuration(deadline); perr == nil {
-			if d < 0 || ms < 0 || ms != d.Milliseconds() {
-				t.Fatalf("deadline=%q gave %v after arrival (%d ms)", deadline, d, ms)
+			if d < 0 {
+				t.Fatalf("deadline=%q gave %v", deadline, d)
 			}
 			return
 		}
@@ -74,7 +100,7 @@ func FuzzAdmissionParams(f *testing.F) {
 			t.Fatalf("deadline=%q accepted, but it is neither a duration nor an integer", deadline)
 		}
 		if ms != v || d%time.Millisecond != 0 || int64(d/time.Millisecond) != v {
-			t.Fatalf("deadline=%q gave %v after arrival (%d ms), want %d ms", deadline, d, ms, v)
+			t.Fatalf("deadline=%q gave %v (%d ms), want %d ms", deadline, d, ms, v)
 		}
 	})
 }

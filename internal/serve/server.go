@@ -35,29 +35,34 @@ package serve
 // Unknown kernels and paths get a JSON 404; known paths with the wrong
 // method get a JSON 405 with an Allow header.
 //
-// A job's life: the body is staged through the wire codec (codec.go)
-// to a binary record file, which fixes n, and kernel params are
-// validated against n before any admission. The job then Acquires a
-// lease (queueing under backpressure), and the model is picked from n
-// versus the granted budget — native in-RAM when 2n records fit the
-// grant, the external-memory composition otherwise, with Mem = the
-// grant, the broker's split pool, its shared IO queue, and the lease
-// itself wired into extmem.Config so the broker can rebalance or
-// cancel the job while it runs. Ext jobs carry the kernel's write-plan
-// identity out in headers: X-Asymsortd-Writes == X-Asymsortd-Plan-Writes
-// for every kernel, not just sort. Client disconnects cancel the
-// lease; the engine aborts at the next block boundary and removes its
-// spill files, and the other jobs' byte-identical outputs are
-// unaffected (the fault-injection tests pin this).
+// A job's life is runJob's four steps. Its query is validated first
+// (ParseJobQuery, request.go), so a bad hint is a 400 before any body
+// byte is staged. stage spools the body through the wire codec
+// (codec.go) to a binary record file, which fixes n, and validates the
+// kernel params against n. admit Acquires a lease (queueing under
+// backpressure) and picks the model from n versus the granted budget:
+// native in-RAM when 2n records fit the grant, the external-memory
+// composition otherwise. run executes it, with Mem = the grant, the
+// broker's split pool, and the lease itself wired into extmem.Config
+// so the broker can rebalance or cancel the job while it runs. stream
+// sends the result. Ext jobs carry the kernel's write-plan identity
+// out in headers: X-Asymsortd-Writes == X-Asymsortd-Plan-Writes for
+// every kernel, not just sort. Client disconnects cancel the lease;
+// the engine aborts at the next block boundary and removes its spill
+// files, and the other jobs' byte-identical outputs are unaffected
+// (the fault-injection tests pin this).
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"sort"
@@ -125,7 +130,7 @@ type Server struct {
 	meter    *extmem.OmegaMeter
 	mu       sync.Mutex
 	jobs     map[int]*JobStats
-	agg      map[string]*KernelLedger
+	agg      map[string]KernelLedger
 	order    []int // job ids in creation order, for oldest-first eviction
 	nextID   int
 }
@@ -276,7 +281,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg: cfg, start: time.Now(), build: obs.ReadBuildInfo(),
 		reg: reg, obsm: newServerMetrics(reg),
 		meter: extmem.NewOmegaMeter(cfg.TmpDir),
-		jobs:  make(map[int]*JobStats), agg: make(map[string]*KernelLedger),
+		jobs:  make(map[int]*JobStats), agg: make(map[string]KernelLedger),
 	}
 	reg.GaugeFunc("asymsortd_uptime_seconds",
 		"Seconds since the job engine started.",
@@ -332,22 +337,17 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.Handle("GET /metrics", s.reg)
 	// Known paths, wrong method → 405 with Allow; everything else → 404.
-	mux.HandleFunc("/sort", methodNotAllowed("POST"))
-	mux.HandleFunc("/v1/{kernel}", methodNotAllowed("POST"))
-	mux.HandleFunc("/stats", methodNotAllowed("GET"))
-	mux.HandleFunc("/healthz", methodNotAllowed("GET"))
-	mux.HandleFunc("/metrics", methodNotAllowed("GET"))
+	mux.HandleFunc("/sort", MethodNotAllowed("POST"))
+	mux.HandleFunc("/v1/{kernel}", MethodNotAllowed("POST"))
+	mux.HandleFunc("/stats", MethodNotAllowed("GET"))
+	mux.HandleFunc("/healthz", MethodNotAllowed("GET"))
+	mux.HandleFunc("/metrics", MethodNotAllowed("GET"))
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		jsonError(w, http.StatusNotFound, "no such endpoint %s", r.URL.Path)
+		JSONError(w, http.StatusNotFound, "no such endpoint %s", r.URL.Path)
 	})
 	return s.instrument(mux)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.reg.WriteProm(w)
 }
 
 // routeLabel collapses request paths to a bounded route set, so the
@@ -424,19 +424,162 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 	})
 }
 
-// jsonError writes a JSON error body with the given status.
-func jsonError(w http.ResponseWriter, code int, format string, args ...any) {
+// --- the request path's shared decisions ---
+//
+// The cluster coordinator serves /sort through the functions below and
+// StageRequest (codec.go), so a coordinator accepts, rejects and
+// answers exactly what a worker would.
+
+// JobQuery is a job request's validated execution hints and admission
+// class.
+type JobQuery struct {
+	Model    string        // auto (the default), ext or native
+	Mem      int           // budget hint in records; 0 derives it from n
+	Priority int           // higher admits sooner; the broker clamps it
+	Deadline time.Duration // relative latency target, resolved at arrival
+
+	hasDeadline bool   // set by any deadline, deadline=0 included
+	fwd         string // the accepted values, encoded for Forward
+}
+
+// ParseJobQuery validates the job query: model=auto|ext|native,
+// mem=<records>, priority=<int> and deadline=, a Go duration ("750ms",
+// "2s") or integer milliseconds. Priority and deadline may instead
+// arrive as X-Asymsortd-Priority and X-Asymsortd-Deadline headers; the
+// query wins when both are present.
+func ParseJobQuery(r *http.Request) (JobQuery, error) {
+	q := JobQuery{Model: "auto"}
+	query, fwd := r.URL.Query(), url.Values{}
+	get := func(name, header string) string {
+		v := query.Get(name)
+		if v == "" && header != "" {
+			v = r.Header.Get(header)
+		}
+		if v != "" {
+			fwd.Set(name, v)
+		}
+		return v
+	}
+	switch v := get("model", ""); v {
+	case "", "auto":
+	case "ext", "native":
+		q.Model = v
+	default:
+		return q, fmt.Errorf("unknown model %q", v)
+	}
+	if v := get("mem", ""); v != "" {
+		mem, err := strconv.Atoi(v)
+		if err != nil || mem < 1 {
+			return q, fmt.Errorf("bad mem=%q", v)
+		}
+		q.Mem = mem
+	}
+	if v := get("priority", "X-Asymsortd-Priority"); v != "" {
+		prio, err := strconv.Atoi(v)
+		if err != nil {
+			return q, fmt.Errorf("bad priority=%q", v)
+		}
+		q.Priority = prio
+	}
+	if v := get("deadline", "X-Asymsortd-Deadline"); v != "" {
+		d, err := time.ParseDuration(v)
+		if err != nil {
+			ms, merr := strconv.ParseInt(v, 10, 64)
+			if merr != nil || ms < 0 {
+				return q, fmt.Errorf("bad deadline=%q (want a duration like 750ms or integer milliseconds)", v)
+			}
+			if ms > math.MaxInt64/int64(time.Millisecond) {
+				return q, fmt.Errorf("bad deadline=%q (too large)", v)
+			}
+			d = time.Duration(ms) * time.Millisecond
+		}
+		if d < 0 {
+			return q, fmt.Errorf("bad deadline=%q (negative)", v)
+		}
+		q.Deadline, q.hasDeadline = d, true
+	}
+	q.fwd = fwd.Encode()
+	return q, nil
+}
+
+// Forward returns the accepted values verbatim as a query string ("" if
+// there are none). A coordinator relays it to every shard, so a
+// latency-class cluster job is a latency-class job on every worker's
+// broker too; each worker resolves the deadline against the shard's own
+// arrival, the clock the shard actually races.
+func (q JobQuery) Forward() string { return q.fwd }
+
+// kernelParams extracts the kernel parameters from the query (or the
+// matching X-Asymsortd-* header when the query is silent).
+func kernelParams(r *http.Request) (kernel.Params, error) {
+	var p kernel.Params
+	q := r.URL.Query()
+	for _, f := range []struct {
+		query, header string
+		dst           *int
+	}{
+		{"buckets", "X-Asymsortd-Buckets", &p.Buckets},
+		{"k", "X-Asymsortd-K", &p.K},
+		{"left", "X-Asymsortd-Left", &p.LeftN},
+	} {
+		v := q.Get(f.query)
+		if v == "" {
+			v = r.Header.Get(f.header)
+		}
+		if v == "" {
+			continue
+		}
+		i, err := strconv.Atoi(v)
+		if err != nil || i < 0 {
+			return p, fmt.Errorf("bad %s=%q", f.query, v)
+		}
+		*f.dst = i
+	}
+	return p, nil
+}
+
+// Fail answers a job request with a plain-text error status and returns
+// the message as the job's error. It only works before the first body
+// byte; after that, aborting the chunked body is the only signal left.
+func Fail(w http.ResponseWriter, code int, format string, args ...any) error {
+	err := fmt.Errorf(format, args...)
+	http.Error(w, err.Error(), code)
+	return err
+}
+
+// JSONError writes a JSON {"error": ...} body with the given status.
+func JSONError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// methodNotAllowed rejects with a JSON 405 naming the allowed method.
-func methodNotAllowed(allow string) http.HandlerFunc {
+// MethodNotAllowed rejects with a JSON 405 naming the allowed method.
+func MethodNotAllowed(allow string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Allow", allow)
-		jsonError(w, http.StatusMethodNotAllowed, "%s not allowed on %s (use %s)", r.Method, r.URL.Path, allow)
+		JSONError(w, http.StatusMethodNotAllowed, "%s not allowed on %s (use %s)", r.Method, r.URL.Path, allow)
 	}
+}
+
+// ExportTrace writes a finished job's trace into dir as
+// job-<id>.trace.jsonl and job-<id>.chrome.json. A nil trace or an
+// empty dir writes nothing. Export failures never fail the job; a
+// missing file is the diagnostic.
+func ExportTrace(dir string, id int, tr *obs.Trace) {
+	if tr == nil || dir == "" {
+		return
+	}
+	writeFile := func(name string, emit func(io.Writer) error) {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			return
+		}
+		emit(f)
+		f.Close()
+	}
+	writeFile(fmt.Sprintf("job-%d.trace.jsonl", id), tr.WriteJSONL)
+	writeFile(fmt.Sprintf("job-%d.chrome.json", id), tr.WriteChrome)
 }
 
 // tuningStats is the /stats view of the online ω estimator: the raw
@@ -477,10 +620,7 @@ func (s *Server) tuningSnapshot() tuningStats {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	snap := statsSnapshot{Broker: s.cfg.Broker.Stats(), Tuning: s.tuningSnapshot(), Kernels: make(map[string]KernelLedger, len(s.agg))}
-	for name, a := range s.agg {
-		snap.Kernels[name] = *a
-	}
+	snap := statsSnapshot{Broker: s.cfg.Broker.Stats(), Tuning: s.tuningSnapshot(), Kernels: maps.Clone(s.agg)}
 	now := time.Now()
 	for _, j := range s.jobs {
 		cp := *j
@@ -562,7 +702,7 @@ func (s *Server) setJob(j *JobStats, f func(*JobStats)) {
 func (s *Server) handleKernel(w http.ResponseWriter, r *http.Request, name string, alias bool) {
 	k, ok := kernel.Get(name)
 	if !ok {
-		jsonError(w, http.StatusNotFound, "unknown kernel %q (kernels: %s)", name, strings.Join(kernel.Names(), ", "))
+		JSONError(w, http.StatusNotFound, "unknown kernel %q (kernels: %s)", name, strings.Join(kernel.Names(), ", "))
 		return
 	}
 	j := s.newJob(k.Name)
@@ -570,10 +710,10 @@ func (s *Server) handleKernel(w http.ResponseWriter, r *http.Request, name strin
 	if s.cfg.TraceDir != "" {
 		tr = obs.NewTrace(fmt.Sprintf("job-%d", j.ID))
 	}
-	root := tr.Root("job")
+	sj := &servedJob{Server: s, j: j, w: w, r: r, k: k, alias: alias, root: tr.Root("job")}
 	start := time.Now()
-	err := s.runJob(r.Context(), j, w, r, k, alias, root)
-	root.End()
+	err := sj.runJob()
+	sj.root.End()
 	s.mu.Lock()
 	j.TotalMS = time.Since(start).Milliseconds()
 	if err != nil {
@@ -585,10 +725,6 @@ func (s *Server) handleKernel(w http.ResponseWriter, r *http.Request, name strin
 		j.State = "done"
 	}
 	a := s.agg[j.Kernel]
-	if a == nil {
-		a = &KernelLedger{}
-		s.agg[j.Kernel] = a
-	}
 	a.Jobs++
 	switch j.State {
 	case "done":
@@ -601,226 +737,142 @@ func (s *Server) handleKernel(w http.ResponseWriter, r *http.Request, name strin
 	a.Reads += j.Reads
 	a.Writes += j.Writes
 	a.PlanWrites += j.PlanWrites
+	s.agg[j.Kernel] = a
 	kernelName, model, outcome := j.Kernel, j.Model, j.State
 	s.mu.Unlock()
 	if model == "" {
 		model = "none"
 	}
 	s.obsm.jobs.With(kernelName, model, outcome).Inc()
-	s.exportTrace(j.ID, tr)
+	ExportTrace(s.cfg.TraceDir, j.ID, tr)
 }
 
-// exportTrace writes the finished job's trace to TraceDir in both
-// formats. Export failures are reported on the trace files themselves
-// (a missing file is the diagnostic); they never fail the job.
-func (s *Server) exportTrace(id int, tr *obs.Trace) {
-	if tr == nil || s.cfg.TraceDir == "" {
-		return
-	}
-	writeFile := func(name string, emit func(io.Writer) error) {
-		f, err := os.Create(filepath.Join(s.cfg.TraceDir, name))
-		if err != nil {
-			return
-		}
-		emit(f)
-		f.Close()
-	}
-	writeFile(fmt.Sprintf("job-%d.trace.jsonl", id), tr.WriteJSONL)
-	writeFile(fmt.Sprintf("job-%d.chrome.json", id), tr.WriteChrome)
+// servedJob is one kernel request on its way through runJob's steps.
+// Each step owns its span, its phase fields of the job record and its
+// failure status, and hands its results on through the record: only
+// the job's own goroutine writes it, so the steps read it unlocked.
+type servedJob struct {
+	*Server
+	j     *JobStats
+	w     http.ResponseWriter
+	r     *http.Request
+	k     *kernel.Kernel
+	alias bool
+	root  *obs.Span
+
+	q   JobQuery
+	p   kernel.Params
+	dir string // the job's scratch dir: staging, output and spill files
+	in  Staged
+	out string // the result record file
 }
 
-// httpError is an error with a status code; errors before the first
-// body byte surface as proper HTTP statuses.
-type httpError struct {
-	code int
-	msg  string
-}
+// set mutates the job record under the server's lock.
+func (sj *servedJob) set(f func(*JobStats)) { sj.setJob(sj.j, f) }
 
-func (e *httpError) Error() string { return e.msg }
-
-// kernelParams extracts the kernel parameters from the query (or the
-// matching X-Asymsortd-* header when the query is silent).
-func kernelParams(r *http.Request) (kernel.Params, error) {
-	var p kernel.Params
-	q := r.URL.Query()
-	for _, f := range []struct {
-		query, header string
-		dst           *int
-	}{
-		{"buckets", "X-Asymsortd-Buckets", &p.Buckets},
-		{"k", "X-Asymsortd-K", &p.K},
-		{"left", "X-Asymsortd-Left", &p.LeftN},
-	} {
-		v := q.Get(f.query)
-		if v == "" {
-			v = r.Header.Get(f.header)
-		}
-		if v == "" {
-			continue
-		}
-		i, err := strconv.Atoi(v)
-		if err != nil || i < 0 {
-			return p, fmt.Errorf("bad %s=%q", f.query, v)
-		}
-		*f.dst = i
+// runJob executes one kernel job end to end: stage, admit, run,
+// stream. Any error return before output streaming starts has been
+// answered with an HTTP error status; once the first result byte is
+// out, errors abort the chunked body so the client's own order/count
+// verification fails.
+func (sj *servedJob) runJob() error {
+	var err error
+	if sj.q, err = ParseJobQuery(sj.r); err == nil {
+		sj.p, err = kernelParams(sj.r)
 	}
-	return p, nil
-}
-
-// admissionParams extracts the job's admission class from the query
-// (priority=, deadline=) or the matching X-Asymsortd-Priority /
-// X-Asymsortd-Deadline header when the query is silent. Priority is an
-// integer (higher = sooner; the broker clamps it); deadline is a
-// relative latency target — a Go duration ("750ms", "2s") or a bare
-// integer of milliseconds — resolved against arrival time.
-func admissionParams(r *http.Request, now time.Time) (prio int, deadline time.Time, deadlineMS int64, err error) {
-	get := func(query, header string) string {
-		if v := r.URL.Query().Get(query); v != "" {
-			return v
-		}
-		return r.Header.Get(header)
-	}
-	if v := get("priority", "X-Asymsortd-Priority"); v != "" {
-		prio, err = strconv.Atoi(v)
-		if err != nil {
-			return 0, time.Time{}, 0, fmt.Errorf("bad priority=%q", v)
-		}
-	}
-	if v := get("deadline", "X-Asymsortd-Deadline"); v != "" {
-		d, derr := time.ParseDuration(v)
-		if derr != nil {
-			ms, merr := strconv.ParseInt(v, 10, 64)
-			if merr != nil || ms < 0 {
-				return 0, time.Time{}, 0, fmt.Errorf("bad deadline=%q (want a duration like 750ms or integer milliseconds)", v)
-			}
-			if ms > math.MaxInt64/int64(time.Millisecond) {
-				return 0, time.Time{}, 0, fmt.Errorf("bad deadline=%q (too large)", v)
-			}
-			d = time.Duration(ms) * time.Millisecond
-		}
-		if d < 0 {
-			return 0, time.Time{}, 0, fmt.Errorf("bad deadline=%q (negative)", v)
-		}
-		deadline = now.Add(d)
-		deadlineMS = d.Milliseconds()
-	}
-	return prio, deadline, deadlineMS, nil
-}
-
-// runJob executes one kernel job end to end. Any error return before
-// output streaming starts is translated to an HTTP error status; once
-// the first result byte is out, errors abort the chunked body so the
-// client's own order/count verification fails.
-func (s *Server) runJob(ctx context.Context, j *JobStats, w http.ResponseWriter, r *http.Request, k *kernel.Kernel, alias bool, root *obs.Span) error {
-	fail := func(code int, format string, args ...any) error {
-		e := &httpError{code: code, msg: fmt.Sprintf(format, args...)}
-		http.Error(w, e.msg, e.code)
-		return e
-	}
-
-	p, err := kernelParams(r)
 	if err != nil {
-		return fail(http.StatusBadRequest, "job %d: %v", j.ID, err)
+		return Fail(sj.w, http.StatusBadRequest, "job %d: %v", sj.j.ID, err)
 	}
-	prio, deadline, deadlineMS, err := admissionParams(r, time.Now())
+	opts := AcquireOpts{Priority: sj.q.Priority}
+	if sj.q.hasDeadline {
+		opts.Deadline = time.Now().Add(sj.q.Deadline) // resolved at arrival
+	}
+	sj.set(func(j *JobStats) { j.Priority = sj.q.Priority; j.DeadlineMS = sj.q.Deadline.Milliseconds() })
+	if sj.dir, err = os.MkdirTemp(sj.cfg.TmpDir, fmt.Sprintf("asymsortd-job%d-", sj.j.ID)); err != nil {
+		return Fail(sj.w, http.StatusInternalServerError, "job %d: %v", sj.j.ID, err)
+	}
+	defer os.RemoveAll(sj.dir)
+	if err := sj.stage(); err != nil {
+		return err
+	}
+	lease, err := sj.admit(opts)
 	if err != nil {
-		return fail(http.StatusBadRequest, "job %d: %v", j.ID, err)
+		return err
 	}
-	if prio != 0 || deadlineMS != 0 {
-		s.setJob(j, func(j *JobStats) { j.Priority = prio; j.DeadlineMS = deadlineMS })
+	defer lease.Release()
+	// A client disconnect revokes the lease; the engine aborts at the
+	// next block boundary.
+	stopWatch := context.AfterFunc(sj.r.Context(), lease.Cancel)
+	defer stopWatch()
+	if err := sj.run(lease); err != nil {
+		return err
 	}
+	return sj.stream()
+}
 
-	// Per-job scratch dir: staging files, the binary output, and the
-	// ext composition's spill files all live (and die) here.
-	dir, err := os.MkdirTemp(s.cfg.TmpDir, fmt.Sprintf("asymsortd-job%d-", j.ID))
+// stage spools the request body into the job dir, fixing n, and checks
+// the kernel's parameters against n before any admission. A contiguous
+// binary frame is staged header-in-place: the engine reads the payload
+// where it landed, behind InSkip, with no second copy.
+func (sj *servedJob) stage() error {
+	start := time.Now()
+	in, err := StageRequest(sj.w, sj.r, sj.j.ID, sj.dir, sj.root)
+	sj.set(func(j *JobStats) {
+		j.StageMS = time.Since(start).Milliseconds()
+		if err != nil && sj.r.Context().Err() != nil {
+			j.State = "canceled"
+		}
+	})
 	if err != nil {
-		return fail(http.StatusInternalServerError, "job %d: %v", j.ID, err)
+		return err
 	}
-	defer os.RemoveAll(dir)
-
-	inCodec, outCodec := Negotiate(r)
+	if err := sj.k.Check(in.N, sj.p); err != nil {
+		return Fail(sj.w, http.StatusBadRequest, "job %d: %v", sj.j.ID, err)
+	}
 	// Non-sort kernels' payloads carry results (group sums, counts,
 	// join sums), so their text dialect renders "key value" lines; the
 	// sort kernel keeps the historical bare-key lines.
-	outCodec.WithVals = k.Name != "sort"
+	in.Out.WithVals = sj.k.Name != "sort"
+	sj.in = in
+	sj.set(func(j *JobStats) { j.N = in.N; j.State = "queued"; j.phaseStart = time.Now() })
+	return nil
+}
 
-	// Stage the request body, fixing n. A contiguous binary frame is
-	// staged header-in-place (skip = 1): the engine reads the payload
-	// where it landed, behind InSkip, with no second copy.
-	stageSp := root.Child("stage")
-	stageStart := time.Now()
-	staged := filepath.Join(dir, "in.bin")
-	n, skip, err := inCodec.Stage(r.Body, staged)
-	stageSp.Set(obs.Attr{Key: "recs", Val: int64(n)})
-	stageSp.End()
-	s.setJob(j, func(j *JobStats) { j.StageMS = time.Since(stageStart).Milliseconds() })
-	if err != nil {
-		if ctx.Err() != nil {
-			// The client hung up mid-upload; the body read error is
-			// just the disconnect surfacing.
-			s.setJob(j, func(j *JobStats) { j.State = "canceled" })
-			return fmt.Errorf("job %d: %w", j.ID, err)
-		}
-		code := http.StatusBadRequest
-		if !errors.Is(err, wire.ErrFormat) && inCodec.Binary {
-			// Frame was well-formed; the failure is ours (device, disk).
-			code = http.StatusInternalServerError
-		}
-		return fail(code, "job %d: %v", j.ID, err)
-	}
-	if err := k.Check(n, p); err != nil {
-		return fail(http.StatusBadRequest, "job %d: %v", j.ID, err)
-	}
-	s.setJob(j, func(j *JobStats) { j.N = n; j.State = "queued"; j.phaseStart = time.Now() })
-
-	// Admission: ask for enough to run in RAM (2n: slice plus working
-	// copy/scratch), floored so tiny jobs still get a workable ext
-	// budget, clamped by the broker to the envelope. A mem=<records>
-	// query overrides the hint.
-	want := 2 * n
-	if q := r.URL.Query().Get("mem"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 1 {
-			return fail(http.StatusBadRequest, "job %d: bad mem=%q", j.ID, q)
-		}
-		want = v
-	}
-	if floor := 16 * s.cfg.Block; want < floor {
-		want = floor
-	}
+// admit leases the job's budget and picks its model. It asks for
+// enough to run in RAM (2n: slice plus working copy/scratch) unless
+// mem= overrides the hint, floored so tiny jobs still get a workable
+// ext budget; the broker clamps the ask to the envelope and may queue
+// it under backpressure. model=auto runs native when 2n records fit the
+// grant and ext otherwise.
+func (sj *servedJob) admit(opts AcquireOpts) (*Lease, error) {
+	n := sj.in.N
+	want := max(cmp.Or(sj.q.Mem, 2*n), 16*sj.cfg.Block)
 	queued := time.Now()
-	queueSp := root.Child("queue")
-	lease, err := s.cfg.Broker.AcquireWith(ctx, want, AcquireOpts{Priority: prio, Deadline: deadline})
+	queueSp := sj.root.Child("queue")
+	lease, err := sj.cfg.Broker.AcquireWith(sj.r.Context(), want, opts)
 	queueSp.End()
-	s.obsm.queueWait.With().Observe(time.Since(queued).Seconds())
+	sj.obsm.queueWait.With().Observe(time.Since(queued).Seconds())
 	if err != nil {
-		s.setJob(j, func(j *JobStats) { j.State = "canceled" })
-		return fail(http.StatusServiceUnavailable, "job %d: admission: %v", j.ID, err)
+		sj.set(func(j *JobStats) { j.State = "canceled" })
+		return nil, Fail(sj.w, http.StatusServiceUnavailable, "job %d: admission: %v", sj.j.ID, err)
 	}
-	defer lease.Release()
 	// Broker lease decisions (grow/shrink at level boundaries, the final
 	// reclaim) land on the job's trace timeline as instant events.
-	if root != nil {
+	if sj.root != nil {
 		lease.SetOnEvent(func(kind string, recs int) {
-			root.Event(kind, obs.Attr{Key: "recs", Val: int64(recs)})
+			sj.root.Event(kind, obs.Attr{Key: "recs", Val: int64(recs)})
 		})
 	}
-	// A client disconnect revokes the lease; the engine aborts at the
-	// next block boundary.
-	stopWatch := context.AfterFunc(ctx, lease.Cancel)
-	defer stopWatch()
-
 	grant := lease.Mem()
-	root.Event("lease-grant", obs.Attr{Key: "recs", Val: int64(grant)})
-	model := r.URL.Query().Get("model")
-	if model == "" || model == "auto" {
+	sj.root.Event("lease-grant", obs.Attr{Key: "recs", Val: int64(grant)})
+	model := sj.q.Model
+	if model == "auto" {
+		model = "ext"
 		if 2*n <= grant {
 			model = "native"
-		} else {
-			model = "ext"
 		}
 	}
-	s.setJob(j, func(j *JobStats) {
+	sj.set(func(j *JobStats) {
 		j.QueueMS = time.Since(queued).Milliseconds()
 		j.State = "running"
 		j.phaseStart = time.Now()
@@ -828,54 +880,57 @@ func (s *Server) runJob(ctx context.Context, j *JobStats, w http.ResponseWriter,
 		j.MemGrant = grant
 		j.Procs = lease.Procs()
 	})
+	return lease, nil
+}
 
+// run executes the kernel on the staged input into the result file:
+// native in RAM on the leased pool, or the external-memory composition
+// with Mem = the grant and the lease wired into extmem.Config, so the
+// broker can rebalance or cancel the job while it runs.
+func (sj *servedJob) run(lease *Lease) error {
 	// Effective ω for this job: the live measurement blended with the
 	// configured prior (fully measured when the prior is 0). ChooseK
 	// inside the ext engine sees exactly this value, so the per-job fan-in
 	// tracks the device the daemon is actually running on.
-	omega := s.meter.Effective(s.cfg.Omega)
-	s.setJob(j, func(j *JobStats) { j.Omega = omega })
-
-	runStart := time.Now()
-	runSp := root.Child("run")
-	runSp.Set(obs.Attr{Key: "n", Val: int64(n)}, obs.Attr{Key: "grant", Val: int64(grant)})
-	defer runSp.End() // covers the error paths; success ends it below
-	outBin := filepath.Join(dir, "out.bin")
+	omega := sj.meter.Effective(sj.cfg.Omega)
+	sj.set(func(j *JobStats) { j.Omega = omega })
+	start := time.Now()
+	n, grant, id := sj.in.N, sj.j.MemGrant, sj.j.ID
+	sp := sj.root.Child("run")
+	sp.Set(obs.Attr{Key: "n", Val: int64(n)}, obs.Attr{Key: "grant", Val: int64(grant)})
+	defer sp.End()
+	sj.out = filepath.Join(sj.dir, "out.bin")
 	outN := n
-	var ledgerWrites, ledgerPlanWrites uint64
-	switch model {
-	case "native":
+	if sj.j.Model == "native" {
 		if 2*n > grant {
-			return fail(http.StatusInsufficientStorage,
-				"job %d: native needs %d records resident, grant is %d", j.ID, 2*n, grant)
+			return Fail(sj.w, http.StatusInsufficientStorage,
+				"job %d: native needs %d records resident, grant is %d", id, 2*n, grant)
 		}
-		outN, err = runNative(lease, k, p, staged, skip, outBin, omega)
-		if err != nil {
-			return fail(http.StatusInternalServerError, "job %d: %v", j.ID, err)
+		var err error
+		if outN, err = runNative(lease, sj.k, sj.p, sj.in.Path, sj.in.Skip, sj.out, omega); err != nil {
+			return Fail(sj.w, http.StatusInternalServerError, "job %d: %v", id, err)
 		}
-	case "ext":
-		res, err := k.Ext(extmem.Config{
-			Mem: grant, Block: s.cfg.Block, K: s.cfg.K, Omega: omega,
-			TmpDir: dir, Pool: lease.Pool(), Lease: lease,
-			Span: runSp, InSkip: skip, Meter: s.meter,
-		}, staged, outBin, p)
-		if err != nil {
-			if ctx.Err() != nil {
-				s.setJob(j, func(j *JobStats) { j.State = "canceled" })
-				return fmt.Errorf("job %d: %w", j.ID, err) // client is gone; no body to write
-			}
-			if errors.Is(err, kernel.ErrBudget) {
-				return fail(http.StatusInsufficientStorage, "job %d: %v", j.ID, err)
-			}
-			return fail(http.StatusInternalServerError, "job %d: %v", j.ID, err)
+	} else {
+		res, err := sj.k.Ext(extmem.Config{
+			Mem: grant, Block: sj.cfg.Block, K: sj.cfg.K, Omega: omega,
+			TmpDir: sj.dir, Pool: lease.Pool(), Lease: lease,
+			Span: sp, InSkip: sj.in.Skip, Meter: sj.meter,
+		}, sj.in.Path, sj.out, sj.p)
+		switch {
+		case err != nil && sj.r.Context().Err() != nil:
+			sj.set(func(j *JobStats) { j.State = "canceled" })
+			return fmt.Errorf("job %d: %w", id, err) // client is gone; no body to write
+		case errors.Is(err, kernel.ErrBudget):
+			return Fail(sj.w, http.StatusInsufficientStorage, "job %d: %v", id, err)
+		case err != nil:
+			return Fail(sj.w, http.StatusInternalServerError, "job %d: %v", id, err)
 		}
 		outN = res.OutN
-		ledgerWrites, ledgerPlanWrites = res.Total.Writes, res.PlanWrites
-		s.recordBlockIO(res)
+		sj.recordBlockIO(res)
 		// Persist the freshly-observed costs so a restarted daemon starts
 		// warm. Best-effort: a full tmpdir must not fail the job.
-		_ = s.meter.Save()
-		s.setJob(j, func(j *JobStats) {
+		_ = sj.meter.Save()
+		sj.set(func(j *JobStats) {
 			j.Reads = res.Total.Reads
 			j.Writes = res.Total.Writes
 			j.PlanWrites = res.PlanWrites
@@ -884,41 +939,42 @@ func (s *Server) runJob(ctx context.Context, j *JobStats, w http.ResponseWriter,
 				j.K = res.Sorts[0].K
 			}
 		})
-	default:
-		return fail(http.StatusBadRequest, "job %d: unknown model %q", j.ID, model)
 	}
-	runSp.End()
-	s.setJob(j, func(j *JobStats) {
-		j.SortMS = time.Since(runStart).Milliseconds()
+	sj.set(func(j *JobStats) {
+		j.SortMS = time.Since(start).Milliseconds()
 		j.OutN = outN
 	})
+	return nil
+}
 
-	// Stream the result records out. Every response header is set here,
-	// before the first body byte, in both wire modes — nothing below
-	// touches w.Header() once streaming may have flushed. The ext ledger
-	// headers let clients compare measured vs planned writes without a
-	// /stats round-trip. The /sort alias omits the kernel/out headers so
-	// its responses stay byte-identical to the pre-registry daemon.
-	w.Header().Set("Content-Type", outCodec.ContentType())
-	w.Header().Set("X-Asymsortd-Wire", outCodec.Name())
-	w.Header().Set("X-Asymsortd-Job", strconv.Itoa(j.ID))
-	if !alias {
-		w.Header().Set("X-Asymsortd-Kernel", k.Name)
-		w.Header().Set("X-Asymsortd-Out", strconv.Itoa(outN))
+// stream sends the result records out. Every response header is set
+// here, before the first body byte, in both wire modes — nothing below
+// touches w.Header() once streaming may have flushed. The ext ledger
+// headers let clients compare measured vs planned writes without a
+// /stats round-trip. The /sort alias omits the kernel/out headers so
+// its responses stay byte-identical to the pre-registry daemon.
+func (sj *servedJob) stream() error {
+	j, h := sj.j, sj.w.Header()
+	h.Set("Content-Type", sj.in.Out.ContentType())
+	h.Set("X-Asymsortd-Wire", sj.in.Out.Name())
+	h.Set("X-Asymsortd-Job", strconv.Itoa(j.ID))
+	if !sj.alias {
+		h.Set("X-Asymsortd-Kernel", sj.k.Name)
+		h.Set("X-Asymsortd-Out", strconv.Itoa(j.OutN))
 	}
-	w.Header().Set("X-Asymsortd-Model", model)
-	w.Header().Set("X-Asymsortd-Mem", strconv.Itoa(grant))
-	if model == "ext" {
-		w.Header().Set("X-Asymsortd-Writes", strconv.FormatUint(ledgerWrites, 10))
-		w.Header().Set("X-Asymsortd-Plan-Writes", strconv.FormatUint(ledgerPlanWrites, 10))
+	h.Set("X-Asymsortd-Model", j.Model)
+	h.Set("X-Asymsortd-Mem", strconv.Itoa(j.MemGrant))
+	if j.Model == "ext" {
+		h.Set("X-Asymsortd-Writes", strconv.FormatUint(j.Writes, 10))
+		h.Set("X-Asymsortd-Plan-Writes", strconv.FormatUint(j.PlanWrites, 10))
 	}
-	s.setJob(j, func(j *JobStats) { j.State = "streaming"; j.phaseStart = time.Now() })
-	streamStart := time.Now()
-	streamSp := root.Child("stream")
-	streamSp.Set(obs.Attr{Key: "recs", Val: int64(outN)})
-	err = outCodec.Stream(w, outBin, outN)
-	streamSp.End()
-	s.setJob(j, func(j *JobStats) { j.StreamMS = time.Since(streamStart).Milliseconds() })
+	sj.set(func(j *JobStats) { j.State = "streaming"; j.phaseStart = time.Now() })
+	start := time.Now()
+	sp := sj.root.Child("stream")
+	sp.Set(obs.Attr{Key: "recs", Val: int64(j.OutN)})
+	err := sj.in.Out.Stream(sj.w, sj.out, j.OutN)
+	sp.End()
+	sj.set(func(j *JobStats) { j.StreamMS = time.Since(start).Milliseconds() })
 	if err != nil {
 		return fmt.Errorf("job %d: streaming output: %w", j.ID, err)
 	}

@@ -229,13 +229,28 @@ func TestServeKillMidMergeReclaimsLease(t *testing.T) {
 	// lease, id 0) is revoked at its second Mem acknowledgement — the
 	// first merge-level boundary, after all its runs are formed and
 	// spilled but before the merge completes — via the client context,
-	// exactly the disconnect path production takes.
+	// exactly the disconnect path production takes. The hook holds the
+	// victim's engine at that boundary: first until the test has seen
+	// both bystanders past staging, then, after the hang-up, until the
+	// server has revoked the lease (disconnect → context.AfterFunc →
+	// Lease.Cancel). On one P the victim would otherwise finish its
+	// merge before the disconnect reaches the server.
 	vctx, vcancel := context.WithCancel(context.Background())
 	defer vcancel()
+	bystandersIn := make(chan struct{})
 	s.b.mu.Lock()
 	s.b.testOnAck = func(l *Lease, ack int) {
-		if l.ID() == 0 && ack == 2 {
-			vcancel()
+		if l.ID() != 0 || ack != 2 {
+			return
+		}
+		select {
+		case <-bystandersIn:
+		case <-time.After(10 * time.Second):
+		}
+		vcancel()
+		select {
+		case <-l.Canceled():
+		case <-time.After(10 * time.Second):
 		}
 	}
 	s.b.mu.Unlock()
@@ -288,6 +303,18 @@ func TestServeKillMidMergeReclaimsLease(t *testing.T) {
 			}
 		}(i)
 	}
+	deadline = time.Now().Add(10 * time.Second)
+	for {
+		snap := s.stats(t)
+		if len(snap.Jobs) == 3 && snap.Jobs[1].State != "staging" && snap.Jobs[2].State != "staging" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("bystanders never got past staging")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	close(bystandersIn)
 
 	if err := <-victimErr; err == nil || !strings.Contains(err.Error(), "context canceled") {
 		t.Fatalf("victim client saw %v, want a canceled request", err)
@@ -387,6 +414,11 @@ func TestServeBadRequests(t *testing.T) {
 	}
 	if code, _, _ := s.postSort(t, context.Background(), "?model=quantum", "1\n2\n"); code != http.StatusBadRequest {
 		t.Fatalf("unknown model: status %d, want 400", code)
+	}
+	// The query is checked before the body is staged, so the rejected
+	// job (the third) never learned its n.
+	if j := s.stats(t).Jobs[2]; !strings.Contains(j.Err, "quantum") || j.N != 0 {
+		t.Fatalf("unknown-model job: %+v, want its error and n = 0", j)
 	}
 	// Forced native beyond the envelope must refuse, not OOM.
 	big := keysText(genKeys(20000, 7))
