@@ -16,7 +16,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -244,22 +243,26 @@ func stageBinaryRecords(inPath, dst string, sum *checksum) (zeroCopy bool, err e
 }
 
 // recordSummer folds every record that passes through it into the
-// checksum. wire.Reader.Spool always writes whole chunks of whole
-// records, so writes arrive record-aligned.
+// checksum, decoding through a small record buffer. wire.Reader.Spool
+// always writes whole chunks of whole records, so writes arrive
+// record-aligned.
 type recordSummer struct {
-	w   io.Writer
-	sum *checksum
+	w    io.Writer
+	sum  *checksum
+	recs [256]seq.Record
 }
 
 func (rs *recordSummer) Write(p []byte) (int, error) {
 	if len(p)%extmem.RecordBytes != 0 {
 		return 0, fmt.Errorf("unaligned record payload write (%d bytes)", len(p))
 	}
-	for b := p; len(b) > 0; b = b[extmem.RecordBytes:] {
-		rs.sum.add(seq.Record{
-			Key: binary.LittleEndian.Uint64(b),
-			Val: binary.LittleEndian.Uint64(b[8:]),
-		})
+	for b := p; len(b) > 0; {
+		recs := rs.recs[:min(len(rs.recs), len(b)/extmem.RecordBytes)]
+		seq.Decode(recs, b)
+		for _, r := range recs {
+			rs.sum.add(r)
+		}
+		b = b[len(recs)*extmem.RecordBytes:]
 	}
 	return rs.w.Write(p)
 }

@@ -31,9 +31,13 @@
 //     each read, select, sort and write their own leaves on a private
 //     M-record buffer, each merge is cut by exact
 //     splitter bounds into P worker-private key ranges merged through
-//     private loser trees refilling from mapped spill files, and an
-//     IO worker layer writes behind — output and write ledger identical
-//     at every P, asserted by internal/integration at P ∈ {1, 4}
+//     private loser trees refilling from mapped spill files, and each
+//     worker writes its range synchronously in 128 KiB stages — output
+//     and write ledger identical at every P, asserted by
+//     internal/integration at P ∈ {1, 4}. Records move as bytes:
+//     internal/seq's codec views a record slice as its on-disk bytes on
+//     little-endian hosts, so every block transfer is one copy or one
+//     syscall
 //   - internal/icache, internal/co — Asymmetric Ideal-Cache + the
 //     low-depth cache-oblivious execution substrate
 //   - internal/core/... — the paper's algorithms: §3 RAM/PRAM sorts,

@@ -18,7 +18,6 @@ import (
 	"asymsort/internal/extmem"
 	"asymsort/internal/obs"
 	"asymsort/internal/seq"
-	"asymsort/internal/wire"
 )
 
 // shard is one key range of one job: its input file plus the dispatch
@@ -93,13 +92,11 @@ func (c *Coordinator) partition(staged string, n, skip int, dir string, sp *obs.
 	}
 
 	one := make([]seq.Record, 1)
-	raw := make([]byte, wire.RecordBytes)
 	err = extmem.ScanRecords(bf, lo, hi, func(rec seq.Record) error {
 		i := extmem.ShardOf(splitters, rec)
 		one[0] = rec
-		wire.EncodeRecords(raw, one)
 		shards[i].n++
-		_, werr := writers[i].Write(raw)
+		_, werr := writers[i].Write(seq.Encoded(one))
 		return werr
 	})
 	if err != nil {

@@ -1,20 +1,18 @@
 package extmem
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"asymsort/internal/seq"
 )
 
 // RecordBytes is the on-disk footprint of one record: key then payload,
-// little-endian uint64s. It matches the 16-byte in-memory footprint
-// that makes the simulators' block-size parameter B meaningful.
+// little-endian uint64s, as seq's codec encodes it. It matches the
+// 16-byte in-memory footprint that makes the simulators' block-size
+// parameter B meaningful.
 const RecordBytes = 16
 
 // BlockFile is a file of fixed-width binary records addressed at record
@@ -29,16 +27,17 @@ const RecordBytes = 16
 // a c-record refill, ≈ k + 1 at the canonical fan-in, because almost
 // every sub-block refill straddles a block boundary.
 //
-// While a merge level holds the file mapped (mapRead), ReadAt decodes
-// spans inside the mapping straight out of memory instead of issuing a
-// pread, and charges them the same blocks.
+// Every transfer moves bytes, not fields: seq's codec hands the record
+// slice's own memory to one pread or one pwrite per call, and while a
+// merge level holds the file mapped (mapRead), ReadAt copies spans
+// inside the mapping straight into dst instead of issuing a pread, and
+// charges them the same blocks.
 //
 // A BlockFile is safe for concurrent use: transfers go through
-// pread/pwrite or the mapping on disjoint extents, encode/decode
-// scratch comes from a shared pool, the length watermark is atomic,
-// and the IOStats ledger is atomic. The parallel merge stage relies on
-// this to let every worker stream its own key range of the same spill
-// file. Only mapRead and unmap must not race with transfers.
+// pread/pwrite or the mapping on disjoint extents, the length watermark
+// is atomic, and the IOStats ledger is atomic. The parallel merge stage
+// relies on this to let every worker stream its own key range of the
+// same spill file. Only mapRead and unmap must not race with transfers.
 type BlockFile struct {
 	f     *os.File
 	path  string
@@ -52,16 +51,6 @@ type BlockFile struct {
 // touches the device — the fault-injection point for error-path tests.
 // It must be set before an engine starts and cleared after it returns.
 var testWriteErr func(path string, off int) error
-
-// scratchPool holds encode/decode buffers of the maximum per-piece
-// transfer size; chunking (ioChunk) bounds every piece to this size, so
-// one fixed-capacity pool serves all concurrent transfers.
-var scratchPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, ioChunk*RecordBytes)
-		return &b
-	},
-}
 
 // CreateBlockFile creates (truncating) a record file charging to stats;
 // stats may be nil for uncharged staging files.
@@ -128,24 +117,6 @@ func (bf *BlockFile) blockSpan(off, n int) uint64 {
 	return uint64(last - first + 1)
 }
 
-// decodeRecs fills recs from their little-endian on-disk form; raw must
-// hold exactly len(recs)*RecordBytes bytes.
-func decodeRecs(recs []seq.Record, raw []byte) {
-	for i := range recs {
-		recs[i].Key = binary.LittleEndian.Uint64(raw[i*RecordBytes:])
-		recs[i].Val = binary.LittleEndian.Uint64(raw[i*RecordBytes+8:])
-	}
-}
-
-// encodeRecs renders recs into their little-endian on-disk form; raw
-// must hold exactly len(recs)*RecordBytes bytes.
-func encodeRecs(raw []byte, recs []seq.Record) {
-	for i, r := range recs {
-		binary.LittleEndian.PutUint64(raw[i*RecordBytes:], r.Key)
-		binary.LittleEndian.PutUint64(raw[i*RecordBytes+8:], r.Val)
-	}
-}
-
 // extend raises the length watermark to at least end records.
 func (bf *BlockFile) extend(end int) {
 	for {
@@ -156,18 +127,11 @@ func (bf *BlockFile) extend(end int) {
 	}
 }
 
-// ioChunk bounds the per-syscall encode/decode scratch of one logical
-// transfer, in records: large transfers (a whole M-record run) move in
-// 64KB pieces so the scratch buffer stays negligible next to the
-// memory budget instead of shadowing it. Charging is per logical
-// transfer, not per piece, so chunking never changes the ledger.
-const ioChunk = 1 << 12
-
 // ReadAt fills dst with records [off, off+len(dst)), charging one block
 // read per touched block, from the mapping when it covers the span and
-// through pread otherwise. Short reads and faults on the mapping — a
-// file truncated behind the engine's back, a device read error — are
-// hard errors, never partially decoded data.
+// through one pread otherwise. Short reads and faults on the mapping —
+// a file truncated behind the engine's back, a device read error — are
+// hard errors, never partially read data.
 func (bf *BlockFile) ReadAt(off int, dst []seq.Record) error {
 	if len(dst) == 0 {
 		return nil
@@ -175,32 +139,21 @@ func (bf *BlockFile) ReadAt(off int, dst []seq.Record) error {
 	if off < 0 || int64(off+len(dst)) > bf.n.Load() {
 		return fmt.Errorf("extmem: read [%d,%d) beyond %s length %d", off, off+len(dst), bf.path, bf.Len())
 	}
-	start := time.Now()
-	if off+len(dst) <= len(bf.mm)/RecordBytes {
+	mapped := off+len(dst) <= len(bf.mm)/RecordBytes
+	start := bf.stats.clock(mapped)
+	if mapped {
 		if err := bf.copyMapped(off, dst); err != nil {
 			return err
 		}
-	} else {
-		sp := scratchPool.Get().(*[]byte)
-		defer scratchPool.Put(sp)
-		for lo := 0; lo < len(dst); lo += ioChunk {
-			sub := dst[lo:min(lo+ioChunk, len(dst))]
-			raw := (*sp)[:len(sub)*RecordBytes]
-			n, err := bf.f.ReadAt(raw, int64(off+lo)*RecordBytes)
-			if n != len(raw) {
-				return fmt.Errorf("extmem: short read of %s at record %d (%d of %d bytes): %v",
-					bf.path, off+lo, n, len(raw), err)
-			}
-			decodeRecs(sub, raw)
-		}
+	} else if n, err := seq.ReadAt(bf.f, dst, int64(off)*RecordBytes); n != len(dst)*RecordBytes {
+		return fmt.Errorf("extmem: short read of %s at record %d (%d of %d bytes): %v",
+			bf.path, off, n, len(dst)*RecordBytes, err)
 	}
-	if bf.stats != nil {
-		bf.stats.chargeRead(bf.blockSpan(off, len(dst)), time.Since(start))
-	}
+	bf.stats.chargeRead(bf.blockSpan(off, len(dst)), start, mapped)
 	return nil
 }
 
-// copyMapped decodes records [off, off+len(dst)) out of the mapping. A
+// copyMapped copies records [off, off+len(dst)) out of the mapping. A
 // mapping reports a page it cannot read (truncated away, or a device
 // error) as a fault; the fault becomes an error naming the file and the
 // record offset, as a short pread does, instead of killing the process.
@@ -214,14 +167,14 @@ func (bf *BlockFile) copyMapped(off int, dst []seq.Record) (err error) {
 			err = fmt.Errorf("extmem: fault reading mapped %s at record %d (truncated or unreadable)", bf.path, off)
 		}
 	}()
-	decodeRecs(dst, bf.mm[off*RecordBytes:(off+len(dst))*RecordBytes])
+	seq.Decode(dst, bf.mm[off*RecordBytes:(off+len(dst))*RecordBytes])
 	return nil
 }
 
-// WriteAt stores src at records [off, off+len(src)), charging one block
-// write per touched block and extending the file as needed (writes past
-// the current extent leave a hole, which spill files use to lay each
-// merge-tree node's output at its input offset).
+// WriteAt stores src at records [off, off+len(src)) with one pwrite,
+// charging one block write per touched block and extending the file as
+// needed (writes past the current extent leave a hole, which spill
+// files use to lay each merge-tree node's output at its input offset).
 func (bf *BlockFile) WriteAt(off int, src []seq.Record) error {
 	if len(src) == 0 {
 		return nil
@@ -234,21 +187,12 @@ func (bf *BlockFile) WriteAt(off int, src []seq.Record) error {
 			return err
 		}
 	}
-	sp := scratchPool.Get().(*[]byte)
-	defer scratchPool.Put(sp)
-	start := time.Now()
-	for lo := 0; lo < len(src); lo += ioChunk {
-		sub := src[lo:min(lo+ioChunk, len(src))]
-		raw := (*sp)[:len(sub)*RecordBytes]
-		encodeRecs(raw, sub)
-		if _, err := bf.f.WriteAt(raw, int64(off+lo)*RecordBytes); err != nil {
-			return fmt.Errorf("extmem: write %s: %w", bf.path, err)
-		}
+	start := bf.stats.clock(false)
+	if _, err := bf.f.WriteAt(seq.Encoded(src), int64(off)*RecordBytes); err != nil {
+		return fmt.Errorf("extmem: write %s: %w", bf.path, err)
 	}
 	bf.extend(off + len(src))
-	if bf.stats != nil {
-		bf.stats.chargeWrite(bf.blockSpan(off, len(src)), time.Since(start))
-	}
+	bf.stats.chargeWrite(bf.blockSpan(off, len(src)), start)
 	return nil
 }
 
@@ -267,15 +211,7 @@ func (bf *BlockFile) Remove() error {
 // WriteRecordsFile writes recs to path as an uncharged record file —
 // a convenience for staging inputs in tests, benchmarks, and examples.
 func WriteRecordsFile(path string, recs []seq.Record) error {
-	bf, err := CreateBlockFile(path, 1, nil)
-	if err != nil {
-		return err
-	}
-	if err := bf.WriteAt(0, recs); err != nil {
-		bf.Close()
-		return err
-	}
-	return bf.Close()
+	return os.WriteFile(path, seq.Encoded(recs), 0o666)
 }
 
 // ReadRecordsFile reads a whole record file back, uncharged.

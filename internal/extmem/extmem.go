@@ -33,9 +33,9 @@
 //     at extent boundaries are stitched by the coordinator so no device
 //     block is ever written twice. Every merge writer flushes in
 //     stages of at least formChunk records rounded down to whole
-//     blocks (128 KiB at B = 64), so a node's output costs two 64 KiB
-//     pwrites per stage instead of one syscall per block, while the
-//     ledger still charges the ⌈len/B⌉ blocks the node touches.
+//     blocks (128 KiB at B = 64), so a node's output costs one pwrite
+//     per stage instead of one syscall per block, while the ledger
+//     still charges the ⌈len/B⌉ blocks the node touches.
 //
 // Crucially, the merge tree the engine executes is the exact partition
 // tree AEM-MERGESORT builds for the same (n, M, B, k) — top-down,
@@ -64,6 +64,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"os"
 	"sync/atomic"
 	"time"
@@ -122,27 +123,79 @@ type ProgressReporter interface {
 type IOStats struct {
 	reads  atomic.Uint64
 	writes atomic.Uint64
-	// meter, when non-nil, receives every charged span's wall cost —
+	// untimed counts mapped-refill blocks charged without a clock
+	// reading and not yet credited to the meter.
+	untimed atomic.Uint64
+	// meter, when non-nil, receives the charged blocks' wall cost —
 	// the OmegaMeter feed. It is set once before the engine starts and
 	// never mutated afterwards, so unsynchronized reads are safe.
 	meter *OmegaMeter
 }
 
-// chargeRead charges blocks to the read ledger and, when metered,
-// folds the span's wall cost into the ω estimate.
-func (s *IOStats) chargeRead(blocks uint64, d time.Duration) {
+// refillSample sets how often a mapped refill is timed: with a meter
+// wired, each reads the clock with probability 1/refillSample, so the
+// clocks and the meter update do not outweigh a short copy. The draw is
+// random, never by offset: a stride that lines up with the kernel's
+// fault-around window times only the refills that fault.
+const refillSample = 64
+
+// clock starts timing a transfer for the meter. It returns the zero
+// Time, without reading the clock, for every transfer when no meter is
+// wired and for mapped refills outside the sample; preads and writes
+// are timed on every call. math/rand/v2's top-level generator keeps
+// per-thread state, so concurrent merge workers share nothing.
+func (s *IOStats) clock(mapped bool) time.Time {
+	if s == nil || s.meter == nil || mapped && rand.IntN(refillSample) != 0 {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// chargeRead charges blocks to the read ledger. With a meter wired, an
+// untimed refill leaves its blocks pending, and a timed mapped refill
+// observes its own blocks plus the pending ones at its measured
+// per-block cost, so the meter still sees every block.
+func (s *IOStats) chargeRead(blocks uint64, start time.Time, mapped bool) {
+	if s == nil {
+		return
+	}
 	s.reads.Add(blocks)
-	if s.meter != nil {
-		s.meter.ObserveRead(blocks, d)
+	if s.meter == nil {
+		return
+	}
+	if start.IsZero() {
+		s.untimed.Add(blocks)
+		return
+	}
+	d, all := time.Since(start), blocks
+	if mapped {
+		all += s.untimed.Swap(0)
+	}
+	s.meter.ObserveRead(all, d*time.Duration(all)/time.Duration(blocks))
+}
+
+// settle credits the blocks still pending to the meter at its current
+// per-block read estimate, which counts them without moving the
+// estimate. A merge level settles when its refills end.
+func (s *IOStats) settle() {
+	if s.meter == nil {
+		return
+	}
+	if ns := s.meter.Snapshot().ReadNSPerBlock; ns > 0 {
+		p := s.untimed.Swap(0)
+		s.meter.ObserveRead(p, time.Duration(ns*float64(p)))
 	}
 }
 
 // chargeWrite charges blocks to the write ledger and, when metered,
-// folds the span's wall cost into the ω estimate.
-func (s *IOStats) chargeWrite(blocks uint64, d time.Duration) {
+// folds the span timed from start into the ω estimate.
+func (s *IOStats) chargeWrite(blocks uint64, start time.Time) {
+	if s == nil {
+		return
+	}
 	s.writes.Add(blocks)
 	if s.meter != nil {
-		s.meter.ObserveWrite(blocks, d)
+		s.meter.ObserveWrite(blocks, time.Since(start))
 	}
 }
 
@@ -160,11 +213,12 @@ type Config struct {
 	// set, and each merge carves it into the per-run refill buffers
 	// plus the write share, so resident record storage stays at M
 	// throughout. Outside the budget ride only what the simulator's
-	// slackBlocks also grants — O(fan-in) metadata, a streaming read
-	// chunk of formChunk records, the bounded encode/decode scratch
-	// pool. The read chunk is idle while merging, so it doubles as the
-	// merge writer's stage: a write share below one stage is raised to
-	// it and the footprint does not grow. A parallel engine (Procs > 1)
+	// slackBlocks also grants — O(fan-in) metadata and a streaming read
+	// chunk of formChunk records; transfers move the records' own
+	// bytes, with no encode or decode buffer. The read chunk is idle
+	// while merging, so it doubles as the merge writer's stage: a
+	// write share below one stage is raised to it and the footprint
+	// does not grow. A parallel engine (Procs > 1)
 	// runs the paper's P-processor machine (§3), where every processor
 	// owns a private memory of size M: each formation worker holds an
 	// M-record candidate buffer and its own read chunk (P·(M + chunk)
@@ -237,11 +291,11 @@ type Config struct {
 	// nothing; obs spans are nil-safe, so the engine never branches on it.
 	Span *obs.Span
 	// Meter, when non-nil, is the online ω estimator the engine feeds:
-	// every span the IOStats ledger charges also reports its wall cost
-	// to the meter (see OmegaMeter). Purely observational — nothing in
-	// the plan or the ledger depends on it. The serve daemon shares one
-	// meter across all its engines so the estimate reflects the whole
-	// device, not one job.
+	// every block the IOStats ledger charges is also credited to the
+	// meter at a timed wall cost (see OmegaMeter). Purely
+	// observational — nothing in the plan or the ledger depends on
+	// it. The serve daemon shares one meter across all its engines so
+	// the estimate reflects the whole device, not one job.
 	Meter *OmegaMeter
 	// InSkip is how many leading records of the input file to ignore —
 	// the zero-copy handoff for inputs that carry a whole-record wire

@@ -221,11 +221,13 @@ func (e *engine) endFormSpan(base cost.Snapshot) {
 // charged through addLevel exactly as before. Every node of the level
 // reads its children from the parity-(lvl-1) spill file, so the level
 // maps that file read-only and its refills copy out of the mapping; it
-// unmaps once its last node has joined every reader.
+// unmaps once its last node has joined every reader, and credits the
+// meter with the blocks of its last untimed refills.
 func (e *engine) mergeLevel(lvl int, nodes []*planNode) (err error) {
 	if src := e.spill[(lvl-1)%2]; src != nil {
 		src.mapRead()
 		defer func() {
+			e.stats.settle()
 			if uerr := src.unmap(); err == nil {
 				err = uerr
 			}

@@ -234,3 +234,87 @@ func TestSortFeedsMeter(t *testing.T) {
 		}
 	}
 }
+
+// TestIOStatsCreditsUntimedRefills feeds an IOStats untimed and timed
+// mapped refills in mixed order, plus preads. A timed refill must
+// credit the blocks left pending before it at its own per-block cost,
+// a pread only its own blocks, so the meter's read blocks plus the
+// blocks still pending always equal the ledger's reads; settling then
+// credits the rest.
+func TestIOStatsCreditsUntimedRefills(t *testing.T) {
+	s := &IOStats{meter: NewOmegaMeter("")}
+	const perBlock = time.Second
+	charges := []struct {
+		blocks        uint64
+		timed, mapped bool
+		meter         uint64 // the meter's read blocks after the charge
+	}{
+		{2, false, true, 0},
+		{1, false, true, 0},
+		{3, true, true, 6}, // credits the 3 pending blocks
+		{2, true, false, 8},
+		{1, false, true, 8},
+		{2, false, true, 8},
+		{2, true, false, 10}, // a pread leaves the 3 pending blocks alone
+		{1, true, true, 14},
+		{4, false, true, 14}, // still pending at the end
+	}
+	var ledger uint64
+	for i, c := range charges {
+		var start time.Time
+		if c.timed {
+			start = time.Now().Add(-time.Duration(c.blocks) * perBlock)
+		}
+		s.chargeRead(c.blocks, start, c.mapped)
+		ledger += c.blocks
+		snap := s.meter.Snapshot()
+		if snap.ReadBlocks != c.meter || s.reads.Load() != ledger ||
+			snap.ReadBlocks+s.untimed.Load() != ledger {
+			t.Fatalf("charge %d: meter %d + pending %d read blocks, ledger %d (want meter %d, ledger %d)",
+				i, snap.ReadBlocks, s.untimed.Load(), s.reads.Load(), c.meter, ledger)
+		}
+	}
+	// Every timed span cost one second per block (plus the moments
+	// between taking start and charging), so crediting the pending
+	// blocks at any other per-block cost — say their span's wall spread
+	// over all the blocks, half a second each at charge 2 — would pull
+	// the EWMA away.
+	ns := s.meter.Snapshot().ReadNSPerBlock
+	if ns < float64(perBlock) || ns > 1.1*float64(perBlock) {
+		t.Fatalf("meter reads %.0f ns/block, want the timed spans' %d", ns, perBlock)
+	}
+	// Settling credits the blocks still pending without moving the
+	// estimate.
+	s.settle()
+	snap := s.meter.Snapshot()
+	if snap.ReadBlocks != ledger || s.untimed.Load() != 0 || math.Abs(snap.ReadNSPerBlock-ns) > 1 {
+		t.Fatalf("settled meter: %d read blocks at %.0f ns/block, %d pending; want %d at %.0f, 0 pending",
+			snap.ReadBlocks, snap.ReadNSPerBlock, s.untimed.Load(), ledger, ns)
+	}
+}
+
+// TestIOStatsClockSampling checks who reads the clock: nobody without
+// a meter, every pread and write with one, and mapped refills at
+// random about once in refillSample.
+func TestIOStatsClockSampling(t *testing.T) {
+	for _, s := range []*IOStats{nil, {}} {
+		if !s.clock(false).IsZero() || !s.clock(true).IsZero() {
+			t.Fatalf("IOStats %v without a meter read the clock", s)
+		}
+	}
+	s := &IOStats{meter: NewOmegaMeter("")}
+	const draws = 1000 * refillSample
+	timed := 0
+	for range draws {
+		if s.clock(false).IsZero() {
+			t.Fatal("a metered pread or write went untimed")
+		}
+		if !s.clock(true).IsZero() {
+			timed++
+		}
+	}
+	// Binomial(64 000, 1/64): mean 1 000, standard deviation about 31.
+	if timed < 800 || timed > 1200 {
+		t.Fatalf("%d of %d mapped refills timed, want about %d", timed, draws, draws/refillSample)
+	}
+}

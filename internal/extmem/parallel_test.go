@@ -487,7 +487,7 @@ func BenchmarkMergeWriter(b *testing.B) {
 		}
 		defer f.Close()
 		stage := make([]byte, wLen*RecordBytes)
-		encodeRecs(stage, recs[:wLen])
+		seq.Encode(stage, recs[:wLen])
 		b.SetBytes(total)
 		for b.Loop() {
 			for off := 0; off < total; off += len(stage) {
@@ -503,9 +503,11 @@ func BenchmarkMergeWriter(b *testing.B) {
 // refills at B = 64 with the per-run shares c = M/(f+1) of
 // ext-writeeff-p2 (15 records) and ext-classic-p1 (63), once copying
 // out of a mapping of the file and once through pread, beside the
-// ceiling: a plain copy of the same bytes in c-record pieces. The file
-// stays in the page cache, so the rows compare refill paths, not the
-// device.
+// ceiling: a plain copy of the same bytes in c-record pieces. The
+// mapped-metered rows feed an ω meter, as every served and benchmark
+// sort does, so they include the sampled clock reads and the meter
+// updates. The file stays in the page cache, so the rows compare refill
+// paths, not the device.
 func BenchmarkMergeRefill(b *testing.B) {
 	const block, total = 64, 16 << 20
 	n := total / RecordBytes
@@ -514,14 +516,18 @@ func BenchmarkMergeRefill(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, c := range []int{15, 63} {
-		for _, mode := range []string{"mapped", "pread"} {
+		for _, mode := range []string{"mapped", "mapped-metered", "pread"} {
 			b.Run(fmt.Sprintf("c=%d/%s", c, mode), func(b *testing.B) {
-				bf, err := OpenBlockFile(path, block, &IOStats{})
+				stats := &IOStats{}
+				if mode == "mapped-metered" {
+					stats.meter = NewOmegaMeter("")
+				}
+				bf, err := OpenBlockFile(path, block, stats)
 				if err != nil {
 					b.Fatal(err)
 				}
 				defer bf.Close()
-				if mode == "mapped" {
+				if mode != "pread" {
 					bf.mapRead()
 				}
 				buf := make([]seq.Record, c)

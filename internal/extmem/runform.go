@@ -37,8 +37,8 @@ const formChunk = 1 << 13
 
 // stageRecs is the smallest flush of the engine's output writers:
 // formChunk rounded down to whole blocks, at least one block. A
-// 128 KiB stage reaches the device as two ioChunk-sized pwrites where
-// a one-block flush would cost one syscall per block.
+// 128 KiB stage reaches the device as one pwrite where a one-block
+// flush would cost one syscall per block.
 func stageRecs(block int) int {
 	return max(formChunk-formChunk%block, block)
 }

@@ -12,12 +12,13 @@ import (
 
 // TestBlockFileConcurrentStress is the -race stress test of the
 // concurrency contract BlockFile documents: many goroutines
-// pread/pwrite disjoint extents of one file — through the shared
-// scratch pool, the atomic length watermark, and one shared IOStats
-// ledger — while more goroutines poll Len. Extents and spans are
-// deliberately block-misaligned so scratch buffers of every size churn
-// through the pool. Afterwards the file contents and the charged
-// ledger must both equal the exact sums of what each worker did.
+// pread/pwrite disjoint extents of one file — straight from and into
+// their own record buffers, through the atomic length watermark and
+// one shared IOStats ledger — while more goroutines poll Len. Extents
+// and spans are deliberately block-misaligned, so transfers of many
+// sizes start and end mid-block. Afterwards the file contents and the
+// charged ledger must both equal the exact sums of what each worker
+// did.
 func TestBlockFileConcurrentStress(t *testing.T) {
 	const (
 		B       = 16
@@ -129,10 +130,11 @@ func TestBlockFileConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestScratchPoolChurnAcrossFiles churns the shared encode/decode
-// scratch pool from many goroutines across many files at once —
-// transfers both below and above the ioChunk piece size — so -race
-// sees concurrent Get/Put with full-buffer reuse.
+// TestScratchPoolChurnAcrossFiles writes and reads back a whole file
+// from each of six goroutines at once, every file a different size
+// above 4 096 records, each in one pwrite and one pread straight from
+// and into the goroutine's records, so -race sees concurrent transfers
+// across files.
 func TestScratchPoolChurnAcrossFiles(t *testing.T) {
 	dir := t.TempDir()
 	var wg sync.WaitGroup
@@ -140,7 +142,7 @@ func TestScratchPoolChurnAcrossFiles(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			n := ioChunk + 33 + g*charsPerG // straddles the chunking path
+			n := 4096 + 33 + g*charsPerG
 			recs := seq.Uniform(n, uint64(g+1))
 			path := filepath.Join(dir, fmt.Sprintf("churn%d.bin", g))
 			if err := WriteRecordsFile(path, recs); err != nil {
@@ -154,7 +156,7 @@ func TestScratchPoolChurnAcrossFiles(t *testing.T) {
 			}
 			for i := range recs {
 				if got[i] != recs[i] {
-					t.Errorf("goroutine %d: record %d corrupted through scratch pool", g, i)
+					t.Errorf("goroutine %d: record %d corrupted in a concurrent round trip", g, i)
 					return
 				}
 			}

@@ -1,6 +1,6 @@
-// Package seq defines the record type sorted throughout this repository and
-// the workload generators used by tests, examples, and the experiment
-// harness.
+// Package seq defines the record type sorted throughout this repository,
+// its byte codec (codec.go), and the workload generators used by tests,
+// examples, and the experiment harness.
 //
 // The paper sorts "n records each containing a key" with unique keys
 // (Section 2, Sorting). Record carries a 64-bit key plus a 64-bit payload;

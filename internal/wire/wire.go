@@ -150,21 +150,13 @@ func ParseHeader(raw []byte) (Header, error) {
 	return h, nil
 }
 
-// EncodeRecords encodes recs into raw (len(recs)*RecordBytes bytes).
-func EncodeRecords(raw []byte, recs []seq.Record) {
-	for i, r := range recs {
-		binary.LittleEndian.PutUint64(raw[i*RecordBytes:], r.Key)
-		binary.LittleEndian.PutUint64(raw[i*RecordBytes+8:], r.Val)
-	}
-}
+// EncodeRecords encodes recs into raw (len(recs)*RecordBytes bytes)
+// with seq's record codec.
+func EncodeRecords(raw []byte, recs []seq.Record) { seq.Encode(raw, recs) }
 
-// DecodeRecords decodes len(recs) records out of raw.
-func DecodeRecords(recs []seq.Record, raw []byte) {
-	for i := range recs {
-		recs[i].Key = binary.LittleEndian.Uint64(raw[i*RecordBytes:])
-		recs[i].Val = binary.LittleEndian.Uint64(raw[i*RecordBytes+8:])
-	}
-}
+// DecodeRecords decodes len(recs) records out of raw with seq's record
+// codec.
+func DecodeRecords(recs []seq.Record, raw []byte) { seq.Decode(recs, raw) }
 
 // Writer emits one frame. Zero-value is not usable; construct with
 // NewWriter. Writers buffer internally only one chunk prefix — callers
@@ -173,7 +165,7 @@ type Writer struct {
 	w       io.Writer
 	count   int64 // announced count, CountUnknown when streaming
 	written int64
-	scratch []byte
+	prefix  [4]byte
 	closed  bool
 }
 
@@ -190,38 +182,22 @@ func NewWriter(w io.Writer, count int64) (*Writer, error) {
 	return &Writer{w: w, count: count}, nil
 }
 
-// WriteRecords appends recs to the frame as one or more chunks.
-func (fw *Writer) WriteRecords(recs []seq.Record) error {
-	for len(recs) > 0 {
-		n := min(len(recs), MaxChunkRecs)
-		need := 4 + n*RecordBytes
-		if cap(fw.scratch) < need {
-			fw.scratch = make([]byte, need)
-		}
-		raw := fw.scratch[:need]
-		binary.LittleEndian.PutUint32(raw, uint32(n))
-		EncodeRecords(raw[4:], recs[:n])
-		if _, err := fw.w.Write(raw); err != nil {
-			return err
-		}
-		fw.written += int64(n)
-		recs = recs[n:]
-	}
-	return nil
-}
+// WriteRecords appends recs to the frame as one or more chunks: seq's
+// codec hands WriteRaw the records' encoded bytes.
+func (fw *Writer) WriteRecords(recs []seq.Record) error { return fw.WriteRaw(seq.Encoded(recs)) }
 
 // WriteRaw appends pre-encoded record bytes (a whole number of
 // records — e.g. bytes read straight out of a sorted record file) to
-// the frame as chunks, without decoding them.
+// the frame as chunks, without decoding them: each chunk is a prefix
+// write and one write of its records.
 func (fw *Writer) WriteRaw(raw []byte) error {
 	if len(raw)%RecordBytes != 0 {
 		return fmt.Errorf("wire: raw payload of %d bytes is not whole records", len(raw))
 	}
-	var prefix [4]byte
 	for len(raw) > 0 {
 		n := min(len(raw)/RecordBytes, MaxChunkRecs)
-		binary.LittleEndian.PutUint32(prefix[:], uint32(n))
-		if _, err := fw.w.Write(prefix[:]); err != nil {
+		binary.LittleEndian.PutUint32(fw.prefix[:], uint32(n))
+		if _, err := fw.w.Write(fw.prefix[:]); err != nil {
 			return err
 		}
 		if _, err := fw.w.Write(raw[:n*RecordBytes]); err != nil {
@@ -270,9 +246,8 @@ type Reader struct {
 	read int64 // records consumed so far
 	// remaining payload records in the current chunk (or, contiguous,
 	// in the whole frame); -1 before the next chunk prefix is read
-	chunk   int64
-	done    bool
-	scratch []byte
+	chunk int64
+	done  bool
 }
 
 // NewReader reads the header off r and returns a Reader positioned at
@@ -328,44 +303,44 @@ func (fr *Reader) nextChunk() (bool, error) {
 	return true, nil
 }
 
-// ReadRecords decodes up to len(buf) records, returning the count and
-// io.EOF once the frame is exhausted (a clean end is (0, io.EOF)).
+// next reads the payload's next whole records into p, at most to the
+// end of the current chunk, and returns the bytes read: (0, io.EOF) at
+// a valid end of the frame, and an error wrapping ErrFormat for a
+// malformed one.
+func (fr *Reader) next(p []byte) (int, error) {
+	ok, err := fr.nextChunk()
+	if err != nil {
+		return 0, err
+	}
+	if !ok {
+		return 0, io.EOF
+	}
+	n := min(int64(len(p)/RecordBytes), fr.chunk)
+	if _, err := io.ReadFull(fr.r, p[:n*RecordBytes]); err != nil {
+		return 0, formatErr("truncated mid-chunk after %d records: %v", fr.read, err)
+	}
+	fr.read += n
+	fr.chunk -= n
+	if fr.hdr.Contiguous && fr.chunk == 0 {
+		fr.done = true
+	}
+	return int(n * RecordBytes), nil
+}
+
+// payload is a Reader seen as an io.Reader of its payload bytes.
+type payload Reader
+
+func (p *payload) Read(b []byte) (int, error) { return (*Reader)(p).next(b) }
+
+// ReadRecords reads up to len(buf) records straight into buf through
+// seq's codec, returning the count and io.EOF once the frame is
+// exhausted (a clean end is (0, io.EOF)).
 func (fr *Reader) ReadRecords(buf []seq.Record) (int, error) {
-	if len(buf) == 0 {
-		return 0, nil
+	n, err := seq.ReadFull((*payload)(fr), buf)
+	if err == io.ErrUnexpectedEOF {
+		err = nil // the frame ended after some records
 	}
-	filled := 0
-	for filled < len(buf) {
-		ok, err := fr.nextChunk()
-		if err != nil {
-			return filled, err
-		}
-		if !ok {
-			if filled == 0 {
-				return 0, io.EOF
-			}
-			return filled, nil
-		}
-		n := int64(len(buf) - filled)
-		if n > fr.chunk {
-			n = fr.chunk
-		}
-		if need := int(n) * RecordBytes; cap(fr.scratch) < need {
-			fr.scratch = make([]byte, need)
-		}
-		raw := fr.scratch[:n*RecordBytes]
-		if _, err := io.ReadFull(fr.r, raw); err != nil {
-			return filled, formatErr("truncated mid-chunk after %d records: %v", fr.read, err)
-		}
-		DecodeRecords(buf[filled:filled+int(n)], raw)
-		filled += int(n)
-		fr.read += n
-		fr.chunk -= n
-		if fr.hdr.Contiguous && fr.chunk == 0 {
-			fr.done = true
-		}
-	}
-	return filled, nil
+	return n / RecordBytes, err
 }
 
 // Spool copies the frame's payload to w as raw record bytes — no
@@ -375,28 +350,15 @@ func (fr *Reader) ReadRecords(buf []seq.Record) (int, error) {
 func (fr *Reader) Spool(w io.Writer) (int64, error) {
 	buf := make([]byte, MaxChunkRecs*RecordBytes)
 	for {
-		ok, err := fr.nextChunk()
-		if err != nil {
-			return fr.read, err
-		}
-		if !ok {
+		n, err := fr.next(buf)
+		if err == io.EOF {
 			return fr.read, nil
 		}
-		n := fr.chunk
-		if max := int64(len(buf) / RecordBytes); n > max {
-			n = max
+		if err == nil {
+			_, err = w.Write(buf[:n])
 		}
-		raw := buf[:n*RecordBytes]
-		if _, err := io.ReadFull(fr.r, raw); err != nil {
-			return fr.read, formatErr("truncated mid-chunk after %d records: %v", fr.read, err)
-		}
-		if _, err := w.Write(raw); err != nil {
+		if err != nil {
 			return fr.read, err
-		}
-		fr.read += n
-		fr.chunk -= n
-		if fr.hdr.Contiguous && fr.chunk == 0 {
-			fr.done = true
 		}
 	}
 }
