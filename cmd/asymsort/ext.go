@@ -409,7 +409,7 @@ func verifySortedBinary(binPath, outPath string, binaryOut bool) (checksum, erro
 	buf := make([]seq.Record, extChunk)
 	var prev uint64
 	have := false
-	var line, raw []byte
+	var line []byte
 	for off := 0; off < bf.Len(); off += len(buf) {
 		if rem := bf.Len() - off; rem < len(buf) {
 			buf = buf[:rem]
@@ -432,12 +432,7 @@ func verifySortedBinary(binPath, outPath string, binaryOut bool) (checksum, erro
 			}
 		}
 		if tw != nil && binaryOut {
-			if need := len(buf) * wire.RecordBytes; cap(raw) < need {
-				raw = make([]byte, need)
-			}
-			rb := raw[:len(buf)*wire.RecordBytes]
-			wire.EncodeRecords(rb, buf)
-			if _, err := tw.Write(rb); err != nil {
+			if _, err := tw.Write(seq.Encoded(buf)); err != nil {
 				return sum, err
 			}
 		}

@@ -123,8 +123,7 @@ type ProgressReporter interface {
 type IOStats struct {
 	reads  atomic.Uint64
 	writes atomic.Uint64
-	// untimed counts mapped-refill blocks charged without a clock
-	// reading and not yet credited to the meter.
+	// untimed counts mapped-refill blocks not yet credited to meter.
 	untimed atomic.Uint64
 	// meter, when non-nil, receives the charged blocks' wall cost —
 	// the OmegaMeter feed. It is set once before the engine starts and
@@ -132,18 +131,16 @@ type IOStats struct {
 	meter *OmegaMeter
 }
 
-// refillSample sets how often a mapped refill is timed: with a meter
-// wired, each reads the clock with probability 1/refillSample, so the
-// clocks and the meter update do not outweigh a short copy. The draw is
-// random, never by offset: a stride that lines up with the kernel's
-// fault-around window times only the refills that fault.
+// refillSample: with a meter wired, a mapped refill reads the clock
+// with probability 1/refillSample. The draw is random, never by offset:
+// a stride that lines up with the kernel's fault-around window times
+// only the refills that fault.
 const refillSample = 64
 
-// clock starts timing a transfer for the meter. It returns the zero
-// Time, without reading the clock, for every transfer when no meter is
-// wired and for mapped refills outside the sample; preads and writes
-// are timed on every call. math/rand/v2's top-level generator keeps
-// per-thread state, so concurrent merge workers share nothing.
+// clock starts timing a transfer for the meter: the zero Time, with no
+// clock read, when no meter is wired or a mapped refill is not drawn.
+// Preads and writes are timed on every call. math/rand/v2's top-level
+// generator keeps per-thread state, so merge workers share nothing.
 func (s *IOStats) clock(mapped bool) time.Time {
 	if s == nil || s.meter == nil || mapped && rand.IntN(refillSample) != 0 {
 		return time.Time{}
@@ -151,10 +148,9 @@ func (s *IOStats) clock(mapped bool) time.Time {
 	return time.Now()
 }
 
-// chargeRead charges blocks to the read ledger. With a meter wired, an
+// chargeRead charges blocks to the read ledger. For the meter, an
 // untimed refill leaves its blocks pending, and a timed mapped refill
-// observes its own blocks plus the pending ones at its measured
-// per-block cost, so the meter still sees every block.
+// observes its own and the pending blocks at its per-block cost.
 func (s *IOStats) chargeRead(blocks uint64, start time.Time, mapped bool) {
 	if s == nil {
 		return
@@ -174,13 +170,10 @@ func (s *IOStats) chargeRead(blocks uint64, start time.Time, mapped bool) {
 	s.meter.ObserveRead(all, d*time.Duration(all)/time.Duration(blocks))
 }
 
-// settle credits the blocks still pending to the meter at its current
-// per-block read estimate, which counts them without moving the
-// estimate. A merge level settles when its refills end.
+// settle credits the blocks still pending at the meter's current
+// per-block estimate (none without a meter), counting them without
+// moving it. A merge level settles when its refills end.
 func (s *IOStats) settle() {
-	if s.meter == nil {
-		return
-	}
 	if ns := s.meter.Snapshot().ReadNSPerBlock; ns > 0 {
 		p := s.untimed.Swap(0)
 		s.meter.ObserveRead(p, time.Duration(ns*float64(p)))
@@ -214,11 +207,10 @@ type Config struct {
 	// plus the write share, so resident record storage stays at M
 	// throughout. Outside the budget ride only what the simulator's
 	// slackBlocks also grants — O(fan-in) metadata and a streaming read
-	// chunk of formChunk records; transfers move the records' own
-	// bytes, with no encode or decode buffer. The read chunk is idle
-	// while merging, so it doubles as the merge writer's stage: a
-	// write share below one stage is raised to it and the footprint
-	// does not grow. A parallel engine (Procs > 1)
+	// chunk of formChunk records; transfers need no codec buffer. The
+	// read chunk is idle while merging, so it doubles as the merge
+	// writer's stage: a write share below one stage is raised to it and
+	// the footprint does not grow. A parallel engine (Procs > 1)
 	// runs the paper's P-processor machine (§3), where every processor
 	// owns a private memory of size M: each formation worker holds an
 	// M-record candidate buffer and its own read chunk (P·(M + chunk)

@@ -15,16 +15,13 @@ import (
 // ledger (BlockFile.ReadAt/WriteAt) at the sizes the engine issues —
 // a merge refill of an M/(f+1) share, a merge writer's stage of
 // formChunk records — so ω is the device's cost ratio at the engine's
-// own transfer sizes. Every pread and write is one timed observation.
-// Mapped refills, memory copies too short to time one by one, are
-// timed one in refillSample, chosen at random, and a timed refill is
-// observed over its own blocks plus those of the untimed refills
-// before it, at its own per-block cost (see IOStats.chargeRead); a
-// merge level credits the rest at the current estimate as it ends. The
-// ratio of the two EWMAs is the measured ω — the
-// block-write/block-read cost ratio the Appendix A rule consumes — so
-// a daemon can pick k per job from the device it is actually running
-// on instead of a static flag.
+// own transfer sizes. Preads and writes are timed on every call, mapped
+// refills one in refillSample at random, and the untimed refills'
+// blocks are credited too (see IOStats.chargeRead and settle). The
+// ratio of the two EWMAs is the measured ω — the block-write/block-read
+// cost ratio the Appendix A rule consumes — so a daemon can pick k per
+// job from the device it is actually running on instead of a static
+// flag.
 //
 // One meter corresponds to one device, keyed by the spill directory
 // it measures: all of a serve daemon's engines share the daemon's

@@ -486,8 +486,7 @@ func BenchmarkMergeWriter(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer f.Close()
-		stage := make([]byte, wLen*RecordBytes)
-		seq.Encode(stage, recs[:wLen])
+		stage := seq.Encoded(recs[:wLen])
 		b.SetBytes(total)
 		for b.Loop() {
 			for off := 0; off < total; off += len(stage) {

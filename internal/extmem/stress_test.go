@@ -130,11 +130,13 @@ func TestBlockFileConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestScratchPoolChurnAcrossFiles writes and reads back a whole file
-// from each of six goroutines at once, every file a different size
-// above 4 096 records, each in one pwrite and one pread straight from
-// and into the goroutine's records, so -race sees concurrent transfers
-// across files.
+// TestScratchPoolChurnAcrossFiles round-trips a whole file from each
+// of six goroutines at once, every file a different size above 4 096
+// records: WriteRecordsFile writes it (os.WriteFile of the records'
+// encoded bytes) and ReadRecordsFile reads it back through
+// BlockFile.ReadAt, one pread straight into the goroutine's records, so
+// -race sees concurrent reads across files. Concurrent BlockFile.WriteAt
+// is TestBlockFileConcurrentStress's.
 func TestScratchPoolChurnAcrossFiles(t *testing.T) {
 	dir := t.TempDir()
 	var wg sync.WaitGroup

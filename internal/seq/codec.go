@@ -3,22 +3,30 @@ package seq
 import (
 	"encoding/binary"
 	"io"
+	"unsafe"
 )
 
 // A record's encoded form, in record files on disk and in record frames
-// on the wire, is recordBytes bytes: Key, then Val, each a little-endian
-// uint64. Every record transfer in the repository goes through this
-// codec. On little-endian GOARCHes a Record's memory is already its
-// encoded form, so view (codec_le.go) hands out the record slice's own
-// bytes and a transfer is one copy or one syscall. Elsewhere view
-// (codec_be.go) declines, and the codec converts field by field through
-// a scratch buffer. Callers need no build tags and no byte-order
-// branches.
+// on the wire, is Key then Val, each a little-endian uint64. On a
+// little-endian host that is the Record's own memory, so this codec
+// moves a record slice's bytes with one copy or one syscall; elsewhere
+// it converts field by field through a scratch buffer.
 
 // recordBytes is the encoded size of one Record.
 const recordBytes = 16
 
-// Encoded returns recs' encoded form. On little-endian GOARCHes that is
+// littleEndian reports whether a Record's memory is its encoded form.
+// TestRecordLayout clears it to run the field-by-field path.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// view returns recs' memory as bytes, without copying, and whether
+// those bytes are recs' encoded form. This is the repository's only
+// unsafe code; TestRecordLayout pins the layout it relies on.
+func view(recs []Record) ([]byte, bool) {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(recs))), recordBytes*len(recs)), littleEndian
+}
+
+// Encoded returns recs' encoded form. On a little-endian host that is
 // recs' own memory, so the caller must not modify it and must not use
 // it past a change to recs; elsewhere it is a fresh buffer.
 func Encoded(recs []Record) []byte {
@@ -29,10 +37,6 @@ func Encoded(recs []Record) []byte {
 	encodeFields(raw, recs)
 	return raw
 }
-
-// Encode writes recs' encoded form into dst, which must hold
-// 16·len(recs) bytes.
-func Encode(dst []byte, recs []Record) { copy(dst[:recordBytes*len(recs)], Encoded(recs)) }
 
 // Decode fills recs from the encoded records at the head of src, which
 // must hold 16·len(recs) bytes.

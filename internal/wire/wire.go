@@ -152,7 +152,9 @@ func ParseHeader(raw []byte) (Header, error) {
 
 // EncodeRecords encodes recs into raw (len(recs)*RecordBytes bytes)
 // with seq's record codec.
-func EncodeRecords(raw []byte, recs []seq.Record) { seq.Encode(raw, recs) }
+func EncodeRecords(raw []byte, recs []seq.Record) {
+	copy(raw[:len(recs)*RecordBytes], seq.Encoded(recs))
+}
 
 // DecodeRecords decodes len(recs) records out of raw with seq's record
 // codec.
@@ -276,44 +278,35 @@ func NewReader(r io.Reader) (*Reader, error) {
 // Header returns the decoded frame header.
 func (fr *Reader) Header() Header { return fr.hdr }
 
-// nextChunk advances past chunk prefixes until payload is available or
-// the frame ends; it reports whether payload remains.
-func (fr *Reader) nextChunk() (bool, error) {
+// payload is a Reader seen as an io.Reader of its payload bytes. Each
+// Read steps past chunk prefixes until payload is available and fills
+// whole records of p, at most to the end of the current chunk. It
+// returns (0, io.EOF) at a valid end of the frame and an error wrapping
+// ErrFormat for a malformed one.
+type payload Reader
+
+func (pr *payload) Read(p []byte) (int, error) {
+	fr := (*Reader)(pr)
 	for fr.chunk <= 0 {
 		if fr.done {
-			return false, nil
+			return 0, io.EOF
 		}
 		var prefix [4]byte
 		if _, err := io.ReadFull(fr.r, prefix[:]); err != nil {
-			return false, formatErr("truncated at chunk prefix after %d records: %v", fr.read, err)
+			return 0, formatErr("truncated at chunk prefix after %d records: %v", fr.read, err)
 		}
 		n := binary.LittleEndian.Uint32(prefix[:])
 		if n == 0 {
 			fr.done = true
 			if fr.hdr.Count >= 0 && fr.read != fr.hdr.Count {
-				return false, formatErr("frame announced %d records but carried %d", fr.hdr.Count, fr.read)
+				return 0, formatErr("frame announced %d records but carried %d", fr.hdr.Count, fr.read)
 			}
-			return false, nil
+			return 0, io.EOF
 		}
 		if n > MaxChunkRecs {
-			return false, formatErr("chunk of %d records exceeds the %d cap", n, MaxChunkRecs)
+			return 0, formatErr("chunk of %d records exceeds the %d cap", n, MaxChunkRecs)
 		}
 		fr.chunk = int64(n)
-	}
-	return true, nil
-}
-
-// next reads the payload's next whole records into p, at most to the
-// end of the current chunk, and returns the bytes read: (0, io.EOF) at
-// a valid end of the frame, and an error wrapping ErrFormat for a
-// malformed one.
-func (fr *Reader) next(p []byte) (int, error) {
-	ok, err := fr.nextChunk()
-	if err != nil {
-		return 0, err
-	}
-	if !ok {
-		return 0, io.EOF
 	}
 	n := min(int64(len(p)/RecordBytes), fr.chunk)
 	if _, err := io.ReadFull(fr.r, p[:n*RecordBytes]); err != nil {
@@ -326,11 +319,6 @@ func (fr *Reader) next(p []byte) (int, error) {
 	}
 	return int(n * RecordBytes), nil
 }
-
-// payload is a Reader seen as an io.Reader of its payload bytes.
-type payload Reader
-
-func (p *payload) Read(b []byte) (int, error) { return (*Reader)(p).next(b) }
 
 // ReadRecords reads up to len(buf) records straight into buf through
 // seq's codec, returning the count and io.EOF once the frame is
@@ -346,19 +334,10 @@ func (fr *Reader) ReadRecords(buf []seq.Record) (int, error) {
 // Spool copies the frame's payload to w as raw record bytes — no
 // decode, the zero-copy staging path — validating the framing as it
 // goes, and returns the record count. The copy buffer is bounded by
-// the chunk cap.
+// the chunk cap, and w sees one write per chunk or buffer.
 func (fr *Reader) Spool(w io.Writer) (int64, error) {
-	buf := make([]byte, MaxChunkRecs*RecordBytes)
-	for {
-		n, err := fr.next(buf)
-		if err == io.EOF {
-			return fr.read, nil
-		}
-		if err == nil {
-			_, err = w.Write(buf[:n])
-		}
-		if err != nil {
-			return fr.read, err
-		}
-	}
+	// The struct hides any io.ReaderFrom of w, which would bypass the
+	// buffer.
+	_, err := io.CopyBuffer(struct{ io.Writer }{w}, (*payload)(fr), make([]byte, MaxChunkRecs*RecordBytes))
+	return fr.read, err
 }
