@@ -115,7 +115,7 @@ func runKernelJob(addr, model string, jobMem int, save string, sp jobSpec) jobRe
 	want := k.Ref(recs, p)
 
 	if save != "" {
-		if err := dumpKeys(filepath.Join(save, fmt.Sprintf("job-%d-in.txt", sp.id)), recs); err != nil {
+		if err := dump(filepath.Join(save, fmt.Sprintf("job-%d-in.txt", sp.id)), recs, false); err != nil {
 			res.err = err
 			return res
 		}
@@ -137,11 +137,8 @@ func runKernelJob(addr, model string, jobMem int, save string, sp jobSpec) jobRe
 			return res
 		}
 	} else {
-		var line []byte
 		for _, rec := range recs {
-			line = strconv.AppendUint(line[:0], rec.Key, 10)
-			line = append(line, '\n')
-			body.Write(line)
+			body.Write(wire.AppendLine(body.AvailableBuffer(), rec, false))
 		}
 	}
 
@@ -168,12 +165,14 @@ func runKernelJob(addr, model string, jobMem int, save string, sp jobSpec) jobRe
 	res.model = resp.Header.Get("X-Asymsortd-Model")
 	res.memRecs, _ = strconv.Atoi(resp.Header.Get("X-Asymsortd-Mem"))
 
-	got, ttfb, err := readKernelResponse(resp, sp.binary, start)
-	if err != nil {
-		res.err = err
+	var got []seq.Record
+	res.ttfb, res.err = readResponse(resp, sp.binary, true, start, func(recs []seq.Record) error {
+		got = append(got, recs...)
+		return nil
+	})
+	if res.err != nil {
 		return res
 	}
-	res.ttfb = ttfb
 	res.wall = time.Since(start)
 
 	if outN, err := strconv.Atoi(resp.Header.Get("X-Asymsortd-Out")); err == nil && outN != len(got) {
@@ -192,7 +191,7 @@ func runKernelJob(addr, model string, jobMem int, save string, sp jobSpec) jobRe
 		}
 	}
 	if save != "" {
-		if err := dumpRecords(filepath.Join(save, fmt.Sprintf("job-%d-out.txt", sp.id)), got); err != nil {
+		if err := dump(filepath.Join(save, fmt.Sprintf("job-%d-out.txt", sp.id)), got, true); err != nil {
 			res.err = err
 			return res
 		}
@@ -200,61 +199,10 @@ func runKernelJob(addr, model string, jobMem int, save string, sp jobSpec) jobRe
 	return res
 }
 
-// readKernelResponse decodes a /v1/{kernel} response body — "key value"
-// lines or wire record frames — returning the records and the
-// time-to-first-record.
-func readKernelResponse(resp *http.Response, binary bool, start time.Time) ([]seq.Record, time.Duration, error) {
-	var out []seq.Record
-	var ttfb time.Duration
-	if binary {
-		if got := resp.Header.Get("X-Asymsortd-Wire"); got != "binary" {
-			return nil, 0, fmt.Errorf("asked for a binary response, server answered wire %q", got)
-		}
-		fr, err := wire.NewReader(bufio.NewReaderSize(resp.Body, 1<<20))
-		if err != nil {
-			return nil, 0, err
-		}
-		ttfb = time.Since(start)
-		buf := make([]seq.Record, 1<<13)
-		for {
-			m, rerr := fr.ReadRecords(buf)
-			out = append(out, buf[:m]...)
-			if rerr == io.EOF {
-				return out, ttfb, nil
-			}
-			if rerr != nil {
-				return nil, 0, rerr
-			}
-		}
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	first := true
-	for sc.Scan() {
-		if first {
-			ttfb = time.Since(start)
-			first = false
-		}
-		ks, vs, ok := strings.Cut(sc.Text(), " ")
-		if !ok {
-			return nil, 0, fmt.Errorf("response line %d: want \"key value\", got %q", len(out)+1, sc.Text())
-		}
-		key, err := strconv.ParseUint(ks, 10, 64)
-		if err != nil {
-			return nil, 0, fmt.Errorf("response line %d: %v", len(out)+1, err)
-		}
-		val, err := strconv.ParseUint(vs, 10, 64)
-		if err != nil {
-			return nil, 0, fmt.Errorf("response line %d: %v", len(out)+1, err)
-		}
-		out = append(out, seq.Record{Key: key, Val: val})
-	}
-	return out, ttfb, sc.Err()
-}
-
-// dumpKeys writes the input keys one per line — the same text shape
-// the sort path dumps, so mixed-kernel runs stay diffable.
-func dumpKeys(path string, recs []seq.Record) error {
+// dump writes recs to path as text lines: bare keys — the same shape
+// the sort path dumps, so mixed-kernel runs stay diffable — or "key
+// value" lines when withVals is set, for a kernel's output.
+func dump(path string, recs []seq.Record, withVals bool) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -263,28 +211,11 @@ func dumpKeys(path string, recs []seq.Record) error {
 	bw := bufio.NewWriterSize(f, 1<<20)
 	var line []byte
 	for _, rec := range recs {
-		line = strconv.AppendUint(line[:0], rec.Key, 10)
-		line = append(line, '\n')
-		bw.Write(line)
+		line = wire.AppendLine(line[:0], rec, withVals)
+		bw.Write(line) // a write error sticks and Flush returns it
 	}
-	return bw.Flush()
-}
-
-// dumpRecords writes "key value" lines for a kernel's output dump.
-func dumpRecords(path string, recs []seq.Record) error {
-	f, err := os.Create(path)
-	if err != nil {
+	if err := bw.Flush(); err != nil {
 		return err
 	}
-	defer f.Close()
-	bw := bufio.NewWriterSize(f, 1<<20)
-	var line []byte
-	for _, rec := range recs {
-		line = strconv.AppendUint(line[:0], rec.Key, 10)
-		line = append(line, ' ')
-		line = strconv.AppendUint(line, rec.Val, 10)
-		line = append(line, '\n')
-		bw.Write(line)
-	}
-	return bw.Flush()
+	return f.Close()
 }

@@ -420,63 +420,7 @@ func runJob(addr, model string, jobMem int, save string, sp jobSpec) jobResult {
 			}
 			inSumCh <- inSum
 		}()
-		bw := bufio.NewWriterSize(pw, 1<<20)
-		r := xrand.New(sp.seed)
-		var line []byte
-		if sp.binary {
-			// Frame dialect: the same keys, packed as records with the
-			// index as payload — exactly the pairing the server's text
-			// stager assigns, so the two dialects sort identical record
-			// multisets. The -save dump stays text either way: dumps from
-			// a text run and a binary run of the same seed diff clean.
-			fw, err := wire.NewWriter(bw, int64(sp.n))
-			if err != nil {
-				pw.CloseWithError(err)
-				return
-			}
-			batch := make([]seq.Record, 0, 1<<13)
-			for i := 0; i < sp.n; i++ {
-				key := genKey(sp, r, i)
-				inSum.add(key)
-				if saveIn != nil {
-					line = strconv.AppendUint(line[:0], key, 10)
-					line = append(line, '\n')
-					saveIn.Write(line)
-				}
-				batch = append(batch, seq.Record{Key: key, Val: uint64(i)})
-				if len(batch) == cap(batch) {
-					if err := fw.WriteRecords(batch); err != nil {
-						pw.CloseWithError(err)
-						return
-					}
-					batch = batch[:0]
-				}
-			}
-			if err := fw.WriteRecords(batch); err != nil {
-				pw.CloseWithError(err)
-				return
-			}
-			if err := fw.Close(); err != nil {
-				pw.CloseWithError(err)
-				return
-			}
-			pw.CloseWithError(bw.Flush())
-			return
-		}
-		for i := 0; i < sp.n; i++ {
-			key := genKey(sp, r, i)
-			inSum.add(key)
-			line = strconv.AppendUint(line[:0], key, 10)
-			line = append(line, '\n')
-			if saveIn != nil {
-				saveIn.Write(line)
-			}
-			if _, err := bw.Write(line); err != nil {
-				pw.CloseWithError(err)
-				return
-			}
-		}
-		pw.CloseWithError(bw.Flush())
+		pw.CloseWithError(writeBody(pw, sp, &inSum, saveIn))
 	}()
 
 	query := "/sort?model=" + model
@@ -529,70 +473,23 @@ func runJob(addr, model string, jobMem int, save string, sp jobSpec) jobResult {
 		defer saveOut.Flush()
 	}
 	var prev uint64
-	first := true
 	var line []byte
-	if sp.binary {
-		if got := resp.Header.Get("X-Asymsortd-Wire"); got != "binary" {
-			res.err = fmt.Errorf("asked for a binary response, server answered wire %q", got)
-			return res
-		}
-		fr, err := wire.NewReader(bufio.NewReaderSize(resp.Body, 1<<20))
-		if err != nil {
-			res.err = err
-			return res
-		}
-		res.ttfb = time.Since(start) // the header just arrived
-		buf := make([]seq.Record, 1<<13)
-		for {
-			m, rerr := fr.ReadRecords(buf)
-			for _, rec := range buf[:m] {
-				if !first && rec.Key < prev {
-					res.err = fmt.Errorf("response not sorted at record %d: %d after %d", outSum.n, rec.Key, prev)
-					return res
-				}
-				prev, first = rec.Key, false
-				outSum.add(rec.Key)
-				if saveOut != nil {
-					line = strconv.AppendUint(line[:0], rec.Key, 10)
-					line = append(line, '\n')
-					saveOut.Write(line)
-				}
+	res.ttfb, res.err = readResponse(resp, sp.binary, false, start, func(recs []seq.Record) error {
+		for _, rec := range recs {
+			if outSum.n > 0 && rec.Key < prev {
+				return fmt.Errorf("response not sorted at record %d: %d after %d", outSum.n, rec.Key, prev)
 			}
-			if rerr == io.EOF {
-				break
-			}
-			if rerr != nil {
-				res.err = rerr
-				return res
-			}
-		}
-	} else {
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 1<<20), 1<<20)
-		for sc.Scan() {
-			if first {
-				res.ttfb = time.Since(start)
-			}
-			key, err := strconv.ParseUint(sc.Text(), 10, 64)
-			if err != nil {
-				res.err = fmt.Errorf("response line %d: %v", outSum.n+1, err)
-				return res
-			}
-			if !first && key < prev {
-				res.err = fmt.Errorf("response not sorted at record %d: %d after %d", outSum.n, key, prev)
-				return res
-			}
-			prev, first = key, false
-			outSum.add(key)
+			prev = rec.Key
+			outSum.add(rec.Key)
 			if saveOut != nil {
-				saveOut.Write(sc.Bytes())
-				saveOut.WriteByte('\n')
+				line = wire.AppendLine(line[:0], rec, false)
+				saveOut.Write(line)
 			}
 		}
-		if err := sc.Err(); err != nil {
-			res.err = err
-			return res
-		}
+		return nil
+	})
+	if res.err != nil {
+		return res
 	}
 	res.wall = time.Since(start)
 	// The generator has necessarily finished (the server only responds
@@ -603,6 +500,99 @@ func runJob(addr, model string, jobMem int, save string, sp jobSpec) jobResult {
 			inSum.n, outSum.n)
 	}
 	return res
+}
+
+// writeBody streams job sp's generated keys to w: as text lines, or,
+// when sp.binary, as a chunked frame of records whose payload is the
+// key's index — exactly the pairing the server's text stager assigns,
+// so the two dialects sort identical record multisets. Every key is
+// folded into sum and, when save is non-nil, dumped there as a text
+// line in either dialect, so dumps from a text run and a binary run of
+// the same seed diff clean.
+func writeBody(w io.Writer, sp jobSpec, sum *checksum, save *bufio.Writer) error {
+	bw := bufio.NewWriterSize(w, 1<<20)
+	var fw *wire.Writer
+	if sp.binary {
+		var err error
+		if fw, err = wire.NewWriter(bw, int64(sp.n)); err != nil {
+			return err
+		}
+	}
+	r := xrand.New(sp.seed)
+	batch := make([]seq.Record, 0, 1<<13)
+	var line []byte
+	for i := 0; i < sp.n; i++ {
+		rec := seq.Record{Key: genKey(sp, r, i), Val: uint64(i)}
+		sum.add(rec.Key)
+		if fw == nil || save != nil {
+			line = wire.AppendLine(line[:0], rec, false)
+		}
+		if save != nil {
+			save.Write(line)
+		}
+		if fw == nil {
+			if _, err := bw.Write(line); err != nil {
+				return err
+			}
+			continue
+		}
+		if batch = append(batch, rec); len(batch) == cap(batch) || i == sp.n-1 {
+			if err := fw.WriteRecords(batch); err != nil {
+				return err
+			}
+			batch = batch[:0]
+		}
+	}
+	if fw != nil {
+		if err := fw.Close(); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+// readResponse reads a response body of records — a record frame when
+// binary, else text lines: bare keys, or "key value" lines when
+// withVals — and hands them to fn in batches. It returns the time from
+// start to the first record: to a frame's header, or to the first text
+// line.
+func readResponse(resp *http.Response, binary, withVals bool, start time.Time,
+	fn func([]seq.Record) error) (time.Duration, error) {
+	var rr interface {
+		ReadRecords([]seq.Record) (int, error)
+	}
+	var ttfb time.Duration
+	if binary {
+		if got := resp.Header.Get("X-Asymsortd-Wire"); got != "binary" {
+			return 0, fmt.Errorf("asked for a binary response, server answered wire %q", got)
+		}
+		fr, err := wire.NewReader(bufio.NewReaderSize(resp.Body, 1<<20))
+		if err != nil {
+			return 0, err
+		}
+		ttfb = time.Since(start) // the header just arrived
+		rr = fr
+	} else {
+		rr = wire.NewTextReader(resp.Body, withVals)
+	}
+	buf := make([]seq.Record, 1<<13)
+	// The first read asks for one record, so the first text line stamps
+	// ttfb as soon as it arrives.
+	for n := 1; ; n = len(buf) {
+		m, err := rr.ReadRecords(buf[:n])
+		if ttfb == 0 && m > 0 {
+			ttfb = time.Since(start)
+		}
+		if ferr := fn(buf[:m]); ferr != nil {
+			return ttfb, ferr
+		}
+		if err == io.EOF {
+			return ttfb, nil
+		}
+		if err != nil {
+			return ttfb, err
+		}
+	}
 }
 
 // renderJobTable prints the per-job table and returns the failure

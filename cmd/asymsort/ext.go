@@ -1,26 +1,23 @@
 package main
 
 // The ext model: sort a file larger than RAM with the internal/extmem
-// engine. Under the default text dialect, keys are staged into a
-// binary record file (payload = line index, so records are unique
-// under seq.TotalLess as the engine requires), sorted under the memory
-// budget, and streamed back out as text. Under -wire binary, input and
-// output are internal/wire record frames: a chunked frame (or stdin)
-// is spooled raw into the staged file with no parse, and a contiguous
-// frame file skips staging entirely — the frame file itself is handed
-// to the engine with Config.InSkip covering the header slot, so the
-// staging write (the expensive op, charged ω in the paper's model)
-// vanishes. Verification is streaming in every dialect — order check
-// plus a record checksum against the input — since the whole point is
-// that nothing here fits in memory.
+// engine. Input is staged into a binary record file through serve's
+// codec, the one the daemon stages request bodies with: text keys
+// become records with payload = record index (blank lines are not
+// numbered), so records are unique under seq.TotalLess as the engine
+// requires, and under -wire binary a chunked frame (or any frame on
+// stdin) is spooled raw, with no parse. A seekable contiguous frame
+// file skips staging entirely — the frame file itself is handed to the
+// engine with Config.InSkip covering the header slot, so the staging
+// write (the expensive op, charged ω in the paper's model) vanishes.
+// Verification is streaming in every dialect — order check plus a
+// record checksum against the input — since the whole point is that
+// nothing here fits in memory.
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"time"
 
 	"asymsort/internal/extmem"
@@ -41,8 +38,8 @@ func runExt(inPath, outPath, memFlag string, blockRecs int, omega uint64, k, fan
 	}
 }
 
-// extChunk is the record granularity of the CLI's staging and
-// verification streams.
+// extChunk is the buffer, in records, through which a generated input
+// is written.
 const extChunk = 1 << 15
 
 // checksum is an order-independent digest of a record multiset.
@@ -86,53 +83,44 @@ func extRun(inPath, outPath, memFlag string, blockRecs int, omega uint64, k, fan
 		return err
 	}
 
-	// Stage the input as a binary record file.
+	// Stage the input as a binary record file; the engine sorts records
+	// [skip, skip+n) of engineIn.
 	staged := filepath.Join(tmpdir, fmt.Sprintf("asymsort-ext-%d-in", os.Getpid()))
 	sortedBin := filepath.Join(tmpdir, fmt.Sprintf("asymsort-ext-%d-out", os.Getpid()))
 	defer os.Remove(staged)
 	defer os.Remove(sortedBin)
 
-	var inSum checksum
-	var src string
-	engineIn := staged
-	inSkip := 0
+	engineIn, skip := staged, 0
+	src := "generated uniform workload"
 	start := time.Now()
-	switch {
-	case inPath != "" && binaryWire:
+	if inPath == "" {
+		err = stageUniform(staged, n, seed)
+	} else {
 		src = inPath
 		if src == "-" {
 			src = "stdin"
 		}
-		zeroCopy, err := stageBinaryRecords(inPath, staged, &inSum)
-		if err != nil {
-			return err
-		}
-		if zeroCopy {
+		var inPlace bool
+		if n, skip, inPlace, err = stageInput(inPath, staged, binaryWire); inPlace {
 			// Contiguous seekable frame: the frame file IS the staged
 			// input (header = one record slot, skipped via InSkip), so
-			// staging cost only the verification read pass, no write.
-			engineIn, inSkip = inPath, 1
+			// staging costs only the checksum read, no write.
+			engineIn = inPath
 			src += " (contiguous frame, staged in place)"
 		}
-	case inPath != "":
-		src = inPath
-		if src == "-" {
-			src = "stdin"
-		}
-		if err := stageTextKeys(inPath, staged, &inSum); err != nil {
-			return err
-		}
-	default:
-		src = "generated uniform workload"
-		if err := stageUniform(staged, n, seed, &inSum); err != nil {
-			return err
-		}
+	}
+	if err != nil {
+		return err
+	}
+	inSum, err := checksumRecords(engineIn, skip, skip+n)
+	if err != nil {
+		return err
 	}
 	stageTime := time.Since(start)
 
 	cfg := extmem.Config{
 		Mem: memRecs, Block: blockRecs, K: k, Omega: float64(omega),
-		FanIn: fanin, TmpDir: tmpdir, Procs: procs, InSkip: inSkip,
+		FanIn: fanin, TmpDir: tmpdir, Procs: procs, InSkip: skip,
 	}
 	fmt.Printf("external sort: n=%d records (%s) from %s\n",
 		inSum.n, fmtBytes(int64(inSum.n)*extmem.RecordBytes), src)
@@ -187,196 +175,92 @@ func extRun(inPath, outPath, memFlag string, blockRecs int, omega uint64, k, fan
 	return nil
 }
 
-// stageBinaryRecords stages a wire frame as the engine's input. A
-// seekable contiguous frame file needs no staging write at all — the
-// header is exactly one record slot, so the frame file itself becomes
-// the engine input (InSkip=1) and this function only streams the
-// verification checksum. Chunked frames (and stdin, which cannot be
-// handed over in place) are spooled raw into dst, folding each record
-// into the checksum on the way past.
-func stageBinaryRecords(inPath, dst string, sum *checksum) (zeroCopy bool, err error) {
+// stageInput stages the file at inPath ('-' = stdin) in the -wire
+// dialect through serve's codec and returns the payload count and the
+// staged file's leading skip. A seekable contiguous frame file is not
+// copied: it is returned inPlace, with skip 1 for its header slot.
+func stageInput(inPath, staged string, binaryWire bool) (n, skip int, inPlace bool, err error) {
+	f := os.Stdin
 	if inPath != "-" {
-		f, err := os.Open(inPath)
-		if err != nil {
-			return false, err
-		}
-		hdrRaw := make([]byte, wire.HeaderBytes)
-		_, rerr := io.ReadFull(f, hdrRaw)
-		f.Close()
-		if rerr != nil {
-			return false, fmt.Errorf("%s: reading frame header: %v", inPath, rerr)
-		}
-		hdr, err := wire.ParseHeader(hdrRaw)
-		if err != nil {
-			return false, fmt.Errorf("%s: %v", inPath, err)
-		}
-		if hdr.Contiguous {
-			return true, checksumContiguousFrame(inPath, hdr.Count, sum)
-		}
-	}
-	var r io.Reader = os.Stdin
-	if inPath != "-" {
-		f, err := os.Open(inPath)
-		if err != nil {
-			return false, err
+		if f, err = os.Open(inPath); err != nil {
+			return 0, 0, false, err
 		}
 		defer f.Close()
-		r = f
-	}
-	fr, err := wire.NewReader(bufio.NewReaderSize(r, 1<<20))
-	if err != nil {
-		return false, err
-	}
-	out, err := os.Create(dst)
-	if err != nil {
-		return false, err
-	}
-	defer out.Close() // no-op after the explicit Close below
-	bw := bufio.NewWriterSize(out, 1<<20)
-	if _, err := fr.Spool(&recordSummer{w: bw, sum: sum}); err != nil {
-		return false, err
-	}
-	if err := bw.Flush(); err != nil {
-		return false, err
-	}
-	return false, out.Close()
-}
-
-// recordSummer folds every record that passes through it into the
-// checksum, decoding through a small record buffer. wire.Reader.Spool
-// always writes whole chunks of whole records, so writes arrive
-// record-aligned.
-type recordSummer struct {
-	w    io.Writer
-	sum  *checksum
-	recs [256]seq.Record
-}
-
-func (rs *recordSummer) Write(p []byte) (int, error) {
-	if len(p)%extmem.RecordBytes != 0 {
-		return 0, fmt.Errorf("unaligned record payload write (%d bytes)", len(p))
-	}
-	for b := p; len(b) > 0; {
-		recs := rs.recs[:min(len(rs.recs), len(b)/extmem.RecordBytes)]
-		seq.Decode(recs, b)
-		for _, r := range recs {
-			rs.sum.add(r)
-		}
-		b = b[len(recs)*extmem.RecordBytes:]
-	}
-	return rs.w.Write(p)
-}
-
-// checksumContiguousFrame streams the payload of a contiguous frame
-// file into the checksum — the only read the zero-copy handoff pays
-// before the engine takes the file over.
-func checksumContiguousFrame(path string, count int64, sum *checksum) error {
-	bf, err := extmem.OpenBlockFile(path, 1, nil)
-	if err != nil {
-		return err
-	}
-	defer bf.Close()
-	if got := int64(bf.Len() - 1); got != count {
-		return fmt.Errorf("%s: contiguous frame announces %d records but the file holds %d", path, count, got)
-	}
-	buf := make([]seq.Record, extChunk)
-	for off := 1; off < bf.Len(); off += len(buf) {
-		if rem := bf.Len() - off; rem < len(buf) {
-			buf = buf[:rem]
-		}
-		if err := bf.ReadAt(off, buf); err != nil {
-			return err
-		}
-		for _, r := range buf {
-			sum.add(r)
-		}
-	}
-	return nil
-}
-
-// stageTextKeys converts one-key-per-line text into a binary record
-// file, payload = line index.
-func stageTextKeys(inPath, dst string, sum *checksum) error {
-	var r io.Reader = os.Stdin
-	if inPath != "-" {
-		f, err := os.Open(inPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		r = f
-	}
-	bf, err := extmem.CreateBlockFile(dst, 1, nil)
-	if err != nil {
-		return err
-	}
-	defer bf.Close()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	batch := make([]seq.Record, 0, extChunk)
-	off, line := 0, 0
-	flush := func() error {
-		if err := bf.WriteAt(off, batch); err != nil {
-			return err
-		}
-		off += len(batch)
-		batch = batch[:0]
-		return nil
-	}
-	for sc.Scan() {
-		txt := sc.Text()
-		line++
-		if txt == "" {
-			continue
-		}
-		key, err := strconv.ParseUint(txt, 10, 64)
-		if err != nil {
-			return fmt.Errorf("line %d: %v", line, err)
-		}
-		rec := seq.Record{Key: key, Val: uint64(off + len(batch))}
-		sum.add(rec)
-		batch = append(batch, rec)
-		if len(batch) == cap(batch) {
-			if err := flush(); err != nil {
-				return err
+		if binaryWire {
+			if n, inPlace, err = inPlaceFrame(f); inPlace || err != nil {
+				return n, 1, inPlace, err
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return err
+	n, skip, err = serve.Codec{Binary: binaryWire}.Stage(f, staged)
+	return n, skip, false, err
+}
+
+// inPlaceFrame reports whether f holds a contiguous frame, which the
+// engine can read in place, and its record count, checked against f's
+// length. Anything else — a chunked frame, or bytes that are no frame
+// at all — is left to the codec to stage or reject.
+func inPlaceFrame(f *os.File) (int, bool, error) {
+	raw := make([]byte, wire.HeaderBytes)
+	if _, err := f.ReadAt(raw, 0); err != nil {
+		return 0, false, nil
 	}
-	return flush()
+	hdr, err := wire.ParseHeader(raw)
+	if err != nil || !hdr.Contiguous {
+		return 0, false, nil
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, false, err
+	}
+	if want := (hdr.Count + 1) * wire.RecordBytes; fi.Size() != want {
+		return 0, false, fmt.Errorf("%s: contiguous frame of %d records needs %d bytes, the file holds %d",
+			f.Name(), hdr.Count, want, fi.Size())
+	}
+	return int(hdr.Count), true, nil
+}
+
+// checksumRecords returns the checksum of records [lo, hi) of the
+// record file at path.
+func checksumRecords(path string, lo, hi int) (checksum, error) {
+	var sum checksum
+	bf, err := extmem.OpenBlockFile(path, 1, nil)
+	if err != nil {
+		return sum, err
+	}
+	defer bf.Close()
+	err = extmem.ScanRecords(bf, lo, hi, func(r seq.Record) error {
+		sum.add(r)
+		return nil
+	})
+	return sum, err
 }
 
 // stageUniform streams the seq.Uniform workload to a binary record file
 // without materializing it: same key formula, bounded memory.
-func stageUniform(dst string, n int, seed uint64, sum *checksum) error {
+func stageUniform(dst string, n int, seed uint64) error {
 	bf, err := extmem.CreateBlockFile(dst, 1, nil)
 	if err != nil {
 		return err
 	}
 	defer bf.Close()
+	w := extmem.NewRunWriter(bf, 0, make([]seq.Record, 0, extChunk))
 	r := xrand.New(seed)
-	batch := make([]seq.Record, 0, extChunk)
 	for i := 0; i < n; i++ {
-		rec := seq.Record{Key: (r.Next() << 24) | uint64(i)&0xffffff, Val: uint64(i)}
-		sum.add(rec)
-		batch = append(batch, rec)
-		if len(batch) == cap(batch) {
-			if err := bf.WriteAt(i+1-len(batch), batch); err != nil {
-				return err
-			}
-			batch = batch[:0]
+		if err := w.Add(seq.Record{Key: (r.Next() << 24) | uint64(i)&0xffffff, Val: uint64(i)}); err != nil {
+			return err
 		}
 	}
-	return bf.WriteAt(n-len(batch), batch)
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	return bf.Close()
 }
 
 // verifySortedBinary streams the sorted binary file, checking key
 // order and accumulating the checksum; when outPath is non-empty it
 // simultaneously writes the output ('-' = stdout) — keys as text by
-// default, or a contiguous wire frame (header + raw record bytes, no
-// per-record encode beyond the LE packing) when binaryOut is set.
+// default, or a contiguous wire frame when binaryOut is set.
 func verifySortedBinary(binPath, outPath string, binaryOut bool) (checksum, error) {
 	var sum checksum
 	bf, err := extmem.OpenBlockFile(binPath, 1, nil)
@@ -384,70 +268,31 @@ func verifySortedBinary(binPath, outPath string, binaryOut bool) (checksum, erro
 		return sum, err
 	}
 	defer bf.Close()
-
-	var tw *bufio.Writer
-	var tf *os.File // closed explicitly: close errors mean a truncated -out
+	var out *recordWriter
 	if outPath != "" {
-		var w io.Writer = os.Stdout
-		if outPath != "-" {
-			f, err := os.Create(outPath)
-			if err != nil {
-				return sum, err
-			}
-			defer f.Close() // no-op after the explicit Close below
-			tf = f
-			w = f
+		if out, err = createRecordWriter(outPath, binaryOut, false, bf.Len()); err != nil {
+			return sum, err
 		}
-		tw = bufio.NewWriterSize(w, 1<<20)
-		if binaryOut {
-			if err := wire.WriteContiguousHeader(tw, int64(bf.Len())); err != nil {
-				return sum, err
-			}
-		}
+		defer out.close() // a no-op after the close below
 	}
-
-	buf := make([]seq.Record, extChunk)
 	var prev uint64
-	have := false
-	var line []byte
-	for off := 0; off < bf.Len(); off += len(buf) {
-		if rem := bf.Len() - off; rem < len(buf) {
-			buf = buf[:rem]
+	err = extmem.ScanRecords(bf, 0, bf.Len(), func(r seq.Record) error {
+		if sum.n > 0 && r.Key < prev {
+			return fmt.Errorf("output not sorted at record %d: %d after %d", sum.n, r.Key, prev)
 		}
-		if err := bf.ReadAt(off, buf); err != nil {
-			return sum, err
+		prev = r.Key
+		sum.add(r)
+		if out != nil {
+			out.add(r)
 		}
-		for _, r := range buf {
-			if have && r.Key < prev {
-				return sum, fmt.Errorf("output not sorted at record %d: %d after %d", sum.n, r.Key, prev)
-			}
-			prev, have = r.Key, true
-			sum.add(r)
-			if tw != nil && !binaryOut {
-				line = strconv.AppendUint(line[:0], r.Key, 10)
-				line = append(line, '\n')
-				if _, err := tw.Write(line); err != nil {
-					return sum, err
-				}
-			}
-		}
-		if tw != nil && binaryOut {
-			if _, err := tw.Write(seq.Encoded(buf)); err != nil {
-				return sum, err
-			}
+		return nil
+	})
+	if err == nil && out != nil {
+		if err = out.close(); err != nil {
+			err = fmt.Errorf("writing %s: %w", outPath, err)
 		}
 	}
-	if tw != nil {
-		if err := tw.Flush(); err != nil {
-			return sum, err
-		}
-		if tf != nil {
-			if err := tf.Close(); err != nil {
-				return sum, fmt.Errorf("closing %s: %w", outPath, err)
-			}
-		}
-	}
-	return sum, nil
+	return sum, err
 }
 
 // parseSize and fmtBytes are the shared size helpers (serve owns the

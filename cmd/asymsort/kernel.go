@@ -11,9 +11,7 @@ package main
 // CLI's differential harness.
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -192,31 +190,4 @@ func kernelExt(k *kernel.Kernel, p kernel.Params, in []seq.Record, f kernelFlags
 	fmt.Printf("  elapsed : %v\n", elapsed.Round(time.Millisecond))
 
 	return extmem.ReadRecordsFile(outBin)
-}
-
-// writeRecords writes result records one per line — "key value" pairs,
-// or bare keys for the sort kernel ('-' = stdout).
-func writeRecords(path string, recs []seq.Record, withVals bool) error {
-	var w io.Writer = os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	bw := bufio.NewWriterSize(w, 1<<20)
-	for _, r := range recs {
-		var err error
-		if withVals {
-			_, err = fmt.Fprintf(bw, "%d %d\n", r.Key, r.Val)
-		} else {
-			_, err = fmt.Fprintln(bw, r.Key)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

@@ -24,24 +24,23 @@
 //	asymsort -model ext -wire binary -in recs.asrf -out sorted.asrf -mem 8MB
 //
 // Native and ext input is one unsigned 64-bit key per line (payload =
-// line number); -out writes the sorted keys one per line. With
+// record index; blank lines are not numbered); -out writes the sorted
+// keys one per line. Both are internal/wire's text dialect. With
 // -wire binary the ext model instead reads and writes internal/wire
 // record frames: chunked frames and stdin are spooled raw into the
 // staged file with no per-record parse, a contiguous frame file is
 // handed to the engine in place (extmem.Config.InSkip skips the
 // header slot — no staging copy at all), and -out emits a contiguous
-// frame. The ext
-// model runs the internal/extmem external-memory engine: it sorts
-// files larger than RAM under the -mem budget, spilling sorted runs to
-// -tmpdir and merging them at the fan-in the paper's Appendix A rule
-// picks for the device's read/write cost ratio ω (override with
-// -fanin), and reports the measured block-IO ledger next to wall-clock.
-// With -procs P > 1 (the default is GOMAXPROCS) the engine forms runs
-// on P workers, each with a private M-record buffer, cuts every merge
-// into P worker-private key ranges, and overlaps merge IO with
-// compute — the block-write ledger is
-// identical to the sequential engine's at any P; -procs 1 selects the
-// strictly sequential baseline.
+// frame. The ext model runs the internal/extmem external-memory
+// engine: it sorts files larger than RAM under the -mem budget,
+// spilling sorted runs to -tmpdir and merging them at the fan-in the
+// paper's Appendix A rule picks for the device's read/write cost ratio
+// ω (override with -fanin), and reports the measured block-IO ledger
+// next to wall-clock. With -procs P > 1 (the default is GOMAXPROCS)
+// the engine forms runs on P workers, each with a private M-record
+// buffer, and cuts every merge into P worker-private key ranges — the
+// block-write ledger is identical to the sequential engine's at any P;
+// -procs 1 selects the strictly sequential baseline.
 package main
 
 import (
@@ -51,7 +50,6 @@ import (
 	"io"
 	"os"
 	"runtime/pprof"
-	"strconv"
 	"time"
 
 	"asymsort/internal/aem"
@@ -70,6 +68,7 @@ import (
 	"asymsort/internal/rt"
 	"asymsort/internal/seq"
 	"asymsort/internal/wd"
+	"asymsort/internal/wire"
 )
 
 func main() {
@@ -289,7 +288,7 @@ func runNative(algo string, n int, omega, seed uint64, procs int, inPath, outPat
 		fmt.Printf("  slices ref = %v (sequential slices-based sort)\n", time.Since(start))
 	}
 	if outPath != "" {
-		if err := writeKeys(outPath, out); err != nil {
+		if err := writeRecords(outPath, out, false); err != nil {
 			fmt.Fprintf(os.Stderr, "asymsort: %v\n", err)
 			os.Exit(1)
 		}
@@ -297,58 +296,101 @@ func runNative(algo string, n int, omega, seed uint64, procs int, inPath, outPat
 	}
 }
 
-// readKeys parses one unsigned 64-bit key per line; the payload is the
-// line index, preserving the repository-wide unique (key, payload) pairs.
+// readKeys reads one unsigned 64-bit key per line ('-' = stdin); the
+// payload is the record index, preserving the repository-wide unique
+// (key, payload) pairs.
 func readKeys(path string) ([]seq.Record, error) {
-	var r io.Reader = os.Stdin
+	f := os.Stdin
 	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
+		var err error
+		if f, err = os.Open(path); err != nil {
 			return nil, err
 		}
 		defer f.Close()
-		r = f
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	tr := wire.NewTextReader(f, false)
 	var recs []seq.Record
-	line := 0
-	for sc.Scan() {
-		txt := sc.Text()
-		line++
-		if txt == "" {
-			continue
+	buf := make([]seq.Record, 1<<12)
+	for {
+		n, err := tr.ReadRecords(buf)
+		recs = append(recs, buf[:n]...)
+		if err == io.EOF {
+			return recs, nil
 		}
-		key, err := strconv.ParseUint(txt, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("line %d: %v", line, err)
+			return nil, err
 		}
-		recs = append(recs, seq.Record{Key: key, Val: uint64(len(recs))})
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return recs, nil
 }
 
-// writeKeys writes sorted keys one per line.
-func writeKeys(path string, recs []seq.Record) error {
-	var w io.Writer = os.Stdout
+// recordWriter writes records to an -out destination ('-' = stdout)
+// through a 1 MiB buffer: as text lines — bare keys, or "key value"
+// lines when withVals is set — or, when binary, as a contiguous frame.
+// Write errors stick in the buffer and surface at close.
+type recordWriter struct {
+	bw               *bufio.Writer
+	f                *os.File
+	binary, withVals bool
+	line             []byte
+	one              [1]seq.Record
+}
+
+// createRecordWriter opens path for n records (n is announced in a
+// binary frame's header).
+func createRecordWriter(path string, binary, withVals bool, n int) (*recordWriter, error) {
+	f := os.Stdout
 	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
+		var err error
+		if f, err = os.Create(path); err != nil {
+			return nil, err
 		}
-		defer f.Close()
-		w = f
 	}
-	bw := bufio.NewWriterSize(w, 1<<20)
+	w := &recordWriter{bw: bufio.NewWriterSize(f, 1<<20), f: f, binary: binary, withVals: withVals}
+	if binary {
+		if err := wire.WriteContiguousHeader(w.bw, int64(n)); err != nil {
+			w.close()
+			return nil, err
+		}
+	}
+	return w, nil
+}
+
+func (w *recordWriter) add(r seq.Record) {
+	if w.binary {
+		w.one[0] = r
+		w.bw.Write(seq.Encoded(w.one[:]))
+		return
+	}
+	w.line = wire.AppendLine(w.line[:0], r, w.withVals)
+	w.bw.Write(w.line)
+}
+
+// close flushes and closes the destination, reporting the first write
+// error; later calls return nil.
+func (w *recordWriter) close() error {
+	if w.f == nil {
+		return nil
+	}
+	err := w.bw.Flush()
+	if w.f != os.Stdout {
+		if cerr := w.f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	w.f = nil
+	return err
+}
+
+// writeRecords writes recs to path ('-' = stdout) as text lines.
+func writeRecords(path string, recs []seq.Record, withVals bool) error {
+	w, err := createRecordWriter(path, false, withVals, len(recs))
+	if err != nil {
+		return err
+	}
 	for _, r := range recs {
-		if _, err := fmt.Fprintln(bw, r.Key); err != nil {
-			return err
-		}
+		w.add(r)
 	}
-	return bw.Flush()
+	return w.close()
 }
 
 func ratio(s cost.Snapshot) string {

@@ -228,35 +228,39 @@ func ReadRecordsFile(path string) ([]seq.Record, error) {
 	return out, nil
 }
 
-// runWriter appends records to a destination region [base, …) of a
+// RunWriter appends records to a destination region [base, …) of a
 // BlockFile through a block-multiple buffer, so every flush is
 // block-aligned and a region of n records costs exactly ⌈n/B⌉ block
 // writes — the same accounting as the simulator's store-block flushes.
-type runWriter struct {
+// The engine's merges and post-pass write through it, and so do the
+// kernel compositions.
+type RunWriter struct {
 	bf   *BlockFile
 	base int // absolute record offset of the region start
 	off  int // records flushed so far
 	buf  []seq.Record
 }
 
-// newRunWriter adopts buf (empty, capacity a whole number of blocks —
+// NewRunWriter adopts buf (empty, capacity a whole number of blocks —
 // the engine carves it from its arena) as the flush buffer.
-func newRunWriter(bf *BlockFile, base int, buf []seq.Record) *runWriter {
+func NewRunWriter(bf *BlockFile, base int, buf []seq.Record) *RunWriter {
 	if cap(buf)%bf.b != 0 || cap(buf) == 0 {
-		panic("extmem: runWriter buffer must be a positive whole number of blocks")
+		panic("extmem: RunWriter buffer must be a positive whole number of blocks")
 	}
-	return &runWriter{bf: bf, base: base, buf: buf[:0]}
+	return &RunWriter{bf: bf, base: base, buf: buf[:0]}
 }
 
-func (w *runWriter) add(r seq.Record) error {
+// Add appends r, flushing when the buffer fills.
+func (w *RunWriter) Add(r seq.Record) error {
 	w.buf = append(w.buf, r)
 	if len(w.buf) == cap(w.buf) {
-		return w.flush()
+		return w.Flush()
 	}
 	return nil
 }
 
-func (w *runWriter) flush() error {
+// Flush writes the buffered records.
+func (w *RunWriter) Flush() error {
 	if len(w.buf) == 0 {
 		return nil
 	}

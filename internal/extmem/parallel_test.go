@@ -406,13 +406,13 @@ func TestRunWriterMatchesReference(t *testing.T) {
 							}
 							return path, bf.Len(), stats.Snapshot().Writes
 						}
-						w := newRunWriter(bf, base, make([]seq.Record, 0, wLen))
+						w := NewRunWriter(bf, base, make([]seq.Record, 0, wLen))
 						for _, r := range recs {
-							if err := w.add(r); err != nil {
+							if err := w.Add(r); err != nil {
 								t.Fatal(err)
 							}
 						}
-						if err := w.flush(); err != nil {
+						if err := w.Flush(); err != nil {
 							t.Fatal(err)
 						}
 						return path, bf.Len(), stats.Snapshot().Writes
@@ -469,13 +469,13 @@ func BenchmarkMergeWriter(b *testing.B) {
 		bf := open(b, "sync.bin")
 		b.SetBytes(total)
 		for b.Loop() {
-			w := newRunWriter(bf, 0, make([]seq.Record, 0, wLen))
+			w := NewRunWriter(bf, 0, make([]seq.Record, 0, wLen))
 			for _, r := range recs {
-				if err := w.add(r); err != nil {
+				if err := w.Add(r); err != nil {
 					b.Fatal(err)
 				}
 			}
-			if err := w.flush(); err != nil {
+			if err := w.Flush(); err != nil {
 				b.Fatal(err)
 			}
 		}

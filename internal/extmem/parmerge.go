@@ -341,7 +341,7 @@ func (e *engine) mergeRange(nd *planNode, srcs []*BlockFile, cuts [][]int, T []i
 		out.head = append(out.head, rec)
 	}
 	if bodyEnd > headEnd {
-		w := newRunWriter(dst, headEnd, stage)
+		w := NewRunWriter(dst, headEnd, stage)
 		left := 0 // records until the next block boundary
 		for pos < bodyEnd {
 			rec, ok, err := lt.pop()
@@ -363,20 +363,20 @@ func (e *engine) mergeRange(nd *planNode, srcs []*BlockFile, cuts [][]int, T []i
 			left--
 			pos++
 			if post != nil {
-				err = post.Push(rec, w.add)
+				err = post.Push(rec, w.Add)
 			} else {
-				err = w.add(rec)
+				err = w.Add(rec)
 			}
 			if err != nil {
 				return parOut{err: err}
 			}
 		}
 		if post != nil {
-			if err := post.Flush(w.add); err != nil {
+			if err := post.Flush(w.Add); err != nil {
 				return parOut{err: err}
 			}
 		}
-		if err := w.flush(); err != nil {
+		if err := w.Flush(); err != nil {
 			return parOut{err: err}
 		}
 	}

@@ -126,11 +126,11 @@ func (e *engine) formRootStreamed(nd *planNode) error {
 	post := e.cfg.post
 	// Its own stage buffer: formation streams the input through
 	// e.readBuf while this writer fills.
-	w := newRunWriter(e.out, 0, make([]seq.Record, 0, stageRecs(e.cfg.block)))
+	w := NewRunWriter(e.out, 0, make([]seq.Record, 0, stageRecs(e.cfg.block)))
 	if nd != nil {
 		err := e.formLeaves([]*planNode{nd}, func(_, _ int, batch []seq.Record) error {
 			for _, r := range batch {
-				if err := post.Push(r, w.add); err != nil {
+				if err := post.Push(r, w.Add); err != nil {
 					return err
 				}
 			}
@@ -140,8 +140,8 @@ func (e *engine) formRootStreamed(nd *planNode) error {
 			return err
 		}
 	}
-	if err := post.Flush(w.add); err != nil {
+	if err := post.Flush(w.Add); err != nil {
 		return err
 	}
-	return w.flush()
+	return w.Flush()
 }

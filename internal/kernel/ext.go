@@ -33,42 +33,11 @@ func blocksOf(n, block int) uint64 {
 	return uint64((n + block - 1) / block)
 }
 
-// appender buffers sequential output records from offset 0 of a
-// BlockFile through a block-multiple buffer, so n appended records
-// cost exactly ⌈n/B⌉ block writes — the kernel-side counterpart of
-// the engine's runWriter.
-type appender struct {
-	bf  *extmem.BlockFile
-	off int
-	buf []seq.Record
-}
-
-func newAppender(bf *extmem.BlockFile, block int) *appender {
-	n := extChunk - extChunk%block
-	if n < block {
-		n = block
-	}
-	return &appender{bf: bf, buf: make([]seq.Record, 0, n)}
-}
-
-func (a *appender) add(r seq.Record) error {
-	a.buf = append(a.buf, r)
-	if len(a.buf) == cap(a.buf) {
-		return a.flush()
-	}
-	return nil
-}
-
-func (a *appender) flush() error {
-	if len(a.buf) == 0 {
-		return nil
-	}
-	if err := a.bf.WriteAt(a.off, a.buf); err != nil {
-		return err
-	}
-	a.off += len(a.buf)
-	a.buf = a.buf[:0]
-	return nil
+// newWriter returns a block-aligned writer of bf from offset 0 with an
+// extChunk-record buffer rounded down to whole blocks (at least one),
+// so n written records cost exactly ⌈n/B⌉ block writes.
+func newWriter(bf *extmem.BlockFile, block int) *extmem.RunWriter {
+	return extmem.NewRunWriter(bf, 0, make([]seq.Record, 0, max(extChunk-extChunk%block, block)))
 }
 
 func sortExt(cfg extmem.Config, inPath, outPath string, _ Params) (*ExtResult, error) {
@@ -157,13 +126,13 @@ func histogramExt(cfg extmem.Config, inPath, outPath string, p Params) (*ExtResu
 		return nil, err
 	}
 	defer out.Close()
-	a := newAppender(out, cfg.Block)
+	w := newWriter(out, cfg.Block)
 	for b, c := range counts {
-		if err := a.add(seq.Record{Key: uint64(b), Val: c}); err != nil {
+		if err := w.Add(seq.Record{Key: uint64(b), Val: c}); err != nil {
 			return nil, err
 		}
 	}
-	if err := a.flush(); err != nil {
+	if err := w.Flush(); err != nil {
 		return nil, err
 	}
 	return &ExtResult{
@@ -247,12 +216,10 @@ func mergejoinExt(cfg extmem.Config, inPath, outPath string, p Params) (*ExtResu
 		in.Close()
 		return nil, err
 	}
-	la := newAppender(left, cfg.Block)
-	err = extmem.ScanRecords(in, cfg.InSkip, cfg.InSkip+p.LeftN, func(r seq.Record) error {
-		return la.add(r)
-	})
+	lw := newWriter(left, cfg.Block)
+	err = extmem.ScanRecords(in, cfg.InSkip, cfg.InSkip+p.LeftN, lw.Add)
 	if err == nil {
-		err = la.flush()
+		err = lw.Flush()
 	}
 	left.Close()
 	in.Close()
@@ -291,7 +258,7 @@ func mergejoinExt(cfg extmem.Config, inPath, outPath string, p Params) (*ExtResu
 		return nil, err
 	}
 	defer out.Close()
-	a := newAppender(out, cfg.Block)
+	w := newWriter(out, cfg.Block)
 
 	lsc := extmem.NewRecordScanner(ls, 0, ls.Len(), extChunk)
 	rsc := extmem.NewRecordScanner(rs, 0, rs.Len(), extChunk)
@@ -331,7 +298,7 @@ func mergejoinExt(cfg extmem.Config, inPath, outPath string, p Params) (*ExtResu
 			}
 			for lok && lr.Key == key {
 				for _, g := range group {
-					if err := a.add(seq.Record{Key: key, Val: lr.Val + g.Val}); err != nil {
+					if err := w.Add(seq.Record{Key: key, Val: lr.Val + g.Val}); err != nil {
 						return nil, err
 					}
 				}
@@ -341,7 +308,7 @@ func mergejoinExt(cfg extmem.Config, inPath, outPath string, p Params) (*ExtResu
 			}
 		}
 	}
-	if err := a.flush(); err != nil {
+	if err := w.Flush(); err != nil {
 		return nil, err
 	}
 
@@ -350,7 +317,7 @@ func mergejoinExt(cfg extmem.Config, inPath, outPath string, p Params) (*ExtResu
 		Sorts: []*extmem.Report{lRep, rRep},
 		Total: total,
 		PlanWrites: blocksOf(p.LeftN, cfg.Block) + lRep.PlanWrites + rRep.PlanWrites +
-			blocksOf(a.off, cfg.Block),
-		OutN: a.off,
+			blocksOf(out.Len(), cfg.Block),
+		OutN: out.Len(),
 	}, nil
 }

@@ -9,9 +9,12 @@
 // The Broker is the paper's fixed (M, B, ω) envelope made operational:
 // the global memory budget M (in records) and the rt.Pool worker
 // tokens live here, and every job runs under a Lease — a (Mᵢ, Pᵢ)
-// slice of the whole. Admission is FIFO with backpressure: a job waits
-// until the broker can grant it at least its fair share, so a burst of
-// arrivals queues instead of oversubscribing memory. While jobs run
+// slice of the whole. Admission applies backpressure: a job waits
+// until the broker can grant it at least its share, so a burst of
+// arrivals queues instead of oversubscribing memory. The default
+// adaptive policy admits queued jobs by (aged priority, deadline,
+// arrival) and sizes shares by each job's ask; BrokerConfig.FIFO
+// selects pure arrival order with uniform fair shares. While jobs run
 // the broker rebalances: when arrivals queue behind running jobs it
 // shrinks oversized grants toward the fair share, and when capacity
 // frees with nothing queued it grows running grants back toward what
@@ -160,7 +163,7 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) {
 		pool:     rt.NewPool(procs),
 	}
 	b.mQueueDepth = reg.Gauge("asymsortd_queue_depth",
-		"Jobs waiting in the broker's FIFO admission queue.").With()
+		"Jobs waiting in the broker's admission queue.").With()
 	b.mLeases = reg.Gauge("asymsortd_leases",
 		"Memory leases currently held by running jobs.").With()
 	b.mGrantBytes = reg.Gauge("asymsortd_grant_bytes",

@@ -4,12 +4,13 @@ package serve
 // shared by every kernel job. A Codec value captures one direction's
 // negotiated dialect; Stage spools a request body into the staged
 // binary record file (fixing n), and Stream sends a result record file
-// back out. The binary dialect moves internal/wire frames whose
-// payload IS the staged on-disk format — no parse, no re-encode, a
-// single buffered copy each way — while the text dialect parses
-// decimal keys in (payload = line index, the repository-wide
-// unique-pair convention) and renders keys (or "key value" pairs, for
-// kernels whose payloads carry results) out.
+// back out. Both dialects live in internal/wire. Binary frames carry
+// a payload that IS the staged on-disk format — no parse, no
+// re-encode, a single buffered copy each way — while text is read
+// through wire.TextReader (payload = record index, blank lines are not
+// numbered: the repository-wide unique-pair convention) and rendered
+// with wire.AppendLine: keys, or "key value" pairs for kernels whose
+// payloads carry results.
 //
 // The codec is exported because the cluster coordinator speaks the
 // same dialects: it stages client bodies with StageRequest, ships
@@ -25,7 +26,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"asymsort/internal/extmem"
@@ -36,11 +36,6 @@ import (
 
 // stageChunk is the record granularity of staging and output streams.
 const stageChunk = 1 << 14
-
-// maxLineBytes caps one text-dialect input line. A line is one decimal
-// uint64 (≤ 20 digits); the cap is generous for whitespace junk while
-// keeping a garbage body from ballooning the scanner's token buffer.
-const maxLineBytes = 1 << 20
 
 // Codec is one direction's negotiated wire dialect.
 type Codec struct {
@@ -169,54 +164,30 @@ func (c Codec) StreamFiles(w io.Writer, paths []string, n int) error {
 	return bw.Flush()
 }
 
-// stageKeys parses one decimal uint64 key per line into a binary
-// record file (payload = line index, so equal keys keep their input
-// order) and returns the record count.
+// stageKeys stages one decimal key per line into a binary record file
+// (payload = record index, so equal keys keep their input order) and
+// returns the record count.
 func stageKeys(r io.Reader, dst string) (int, error) {
 	bf, err := extmem.CreateBlockFile(dst, 1, nil)
 	if err != nil {
 		return 0, err
 	}
 	defer bf.Close()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), maxLineBytes)
-	batch := make([]seq.Record, 0, stageChunk)
-	off, line := 0, 0
-	flush := func() error {
-		if err := bf.WriteAt(off, batch); err != nil {
-			return err
+	tr := wire.NewTextReader(r, false)
+	buf := make([]seq.Record, stageChunk)
+	for n := 0; ; {
+		m, err := tr.ReadRecords(buf)
+		if werr := bf.WriteAt(n, buf[:m]); werr != nil {
+			return 0, werr
 		}
-		off += len(batch)
-		batch = batch[:0]
-		return nil
-	}
-	for sc.Scan() {
-		txt := sc.Text()
-		line++
-		if txt == "" {
-			continue
+		n += m
+		if err == io.EOF {
+			return n, bf.Close()
 		}
-		key, err := strconv.ParseUint(txt, 10, 64)
 		if err != nil {
-			return 0, fmt.Errorf("input line %d: %v", line, err)
-		}
-		batch = append(batch, seq.Record{Key: key, Val: uint64(off + len(batch))})
-		if len(batch) == cap(batch) {
-			if err := flush(); err != nil {
-				return 0, err
-			}
+			return 0, err
 		}
 	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			return 0, fmt.Errorf("input line %d: line exceeds %d bytes", line+1, maxLineBytes)
-		}
-		return 0, err
-	}
-	if err := flush(); err != nil {
-		return 0, err
-	}
-	return off, bf.Close()
 }
 
 // stageRecords spools a binary wire frame into the staged record file
@@ -267,28 +238,12 @@ func streamText(binPath string, bw *bufio.Writer, withVals bool) error {
 		return err
 	}
 	defer bf.Close()
-	buf := make([]seq.Record, stageChunk)
 	var line []byte
-	for off := 0; off < bf.Len(); off += len(buf) {
-		if rem := bf.Len() - off; rem < len(buf) {
-			buf = buf[:rem]
-		}
-		if err := bf.ReadAt(off, buf); err != nil {
-			return err
-		}
-		for _, rec := range buf {
-			line = strconv.AppendUint(line[:0], rec.Key, 10)
-			if withVals {
-				line = append(line, ' ')
-				line = strconv.AppendUint(line, rec.Val, 10)
-			}
-			line = append(line, '\n')
-			if _, err := bw.Write(line); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return extmem.ScanRecords(bf, 0, bf.Len(), func(r seq.Record) error {
+		line = wire.AppendLine(line[:0], r, withVals)
+		_, err := bw.Write(line)
+		return err
+	})
 }
 
 // streamRecords streams the result record files out as one chunked

@@ -35,7 +35,7 @@ func genDupKeys(n, span int, seed int64) []uint64 {
 	return keys
 }
 
-// recsOfKeys mirrors the text-dialect staging: payload = line index.
+// recsOfKeys mirrors the text-dialect staging: payload = record index.
 func recsOfKeys(keys []uint64) []seq.Record {
 	recs := make([]seq.Record, len(keys))
 	for i, k := range keys {

@@ -36,7 +36,7 @@ package serve
 // method get a JSON 405 with an Allow header.
 //
 // A job's life is runJob's four steps. Its query is validated first
-// (ParseJobQuery, request.go), so a bad hint is a 400 before any body
+// (ParseJobQuery, in this file), so a bad hint is a 400 before any body
 // byte is staged. stage spools the body through the wire codec
 // (codec.go) to a binary record file, which fixes n, and validates the
 // kernel params against n. admit Acquires a lease (queueing under

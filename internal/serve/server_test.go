@@ -769,7 +769,7 @@ func TestServeHeadersSurviveLargeResponse(t *testing.T) {
 // as a line-numbered 400, not an opaque token-too-long error.
 func TestServeTooLongLine(t *testing.T) {
 	s := newTestService(t, 1<<13, 1, 64)
-	body := "17\n42\n" + strings.Repeat("9", maxLineBytes+16) + "\n"
+	body := "17\n42\n" + strings.Repeat("9", wire.MaxLineBytes+16) + "\n"
 	code, msg, _ := s.postSort(t, context.Background(), "", body)
 	if code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", code)

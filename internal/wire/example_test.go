@@ -62,7 +62,7 @@ func Example() {
 	// record: key=20 val=2
 }
 
-// EncodeRecords and DecodeRecords are the raw payload codec under both
+// EncodeRecords and seq.Decode are the raw payload codec under both
 // frame dialects: 16 little-endian bytes per record, byte-identical to
 // the extmem on-disk record layout — which is why a contiguous frame
 // staged to a file can be handed to the external-sort engine without a
@@ -74,7 +74,7 @@ func ExampleEncodeRecords() {
 	fmt.Printf("payload: %d bytes, first record bytes % x\n", len(raw), raw[:16])
 
 	back := make([]seq.Record, 2)
-	wire.DecodeRecords(back, raw)
+	seq.Decode(back, raw)
 	fmt.Printf("decoded: %v\n", back)
 
 	// Output:

@@ -1,10 +1,21 @@
-// Package wire defines the binary columnar record frame the sort
-// service and its clients speak: the hot-path alternative to
-// newline-decimal text that moves seq.Records as raw little-endian
-// bytes, so neither side ever runs strconv.ParseUint/AppendUint and a
-// server can spool a request body straight into a staged record file
-// (and stream a sorted record file straight back out) without decoding
-// a single record.
+// Package wire owns the two dialects the sort service and its clients
+// speak: newline-decimal text (text.go), the default, and the binary
+// columnar record frame, the hot-path alternative that moves
+// seq.Records as raw little-endian bytes, so neither side ever runs
+// strconv.ParseUint/AppendUint and a server can spool a request body
+// straight into a staged record file (and stream a sorted record file
+// straight back out) without decoding a single record.
+//
+// # Text
+//
+// One record per line in decimal, each line ending in "\n" or "\r\n"
+// and at most MaxLineBytes long. Bare-key lines ("key") carry no
+// payload: a reader gives each record its record index (payload =
+// record index; blank lines are not numbered), which keeps equal keys
+// in input order and every record unique under seq.TotalLess. Kernels
+// whose payloads carry results (group sums, bucket counts, join sums)
+// answer with "key value" lines. AppendLine renders a line and
+// TextReader reads them.
 //
 // # Frame layout
 //
@@ -155,10 +166,6 @@ func ParseHeader(raw []byte) (Header, error) {
 func EncodeRecords(raw []byte, recs []seq.Record) {
 	copy(raw[:len(recs)*RecordBytes], seq.Encoded(recs))
 }
-
-// DecodeRecords decodes len(recs) records out of raw with seq's record
-// codec.
-func DecodeRecords(recs []seq.Record, raw []byte) { seq.Decode(recs, raw) }
 
 // Writer emits one frame. Zero-value is not usable; construct with
 // NewWriter. Writers buffer internally only one chunk prefix — callers
