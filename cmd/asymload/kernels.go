@@ -209,10 +209,9 @@ func dump(path string, recs []seq.Record, withVals bool) error {
 	}
 	defer f.Close()
 	bw := bufio.NewWriterSize(f, 1<<20)
-	var line []byte
 	for _, rec := range recs {
-		line = wire.AppendLine(line[:0], rec, withVals)
-		bw.Write(line) // a write error sticks and Flush returns it
+		// A write error sticks and Flush returns it.
+		bw.Write(wire.AppendLine(bw.AvailableBuffer(), rec, withVals))
 	}
 	if err := bw.Flush(); err != nil {
 		return err

@@ -413,14 +413,12 @@ func runJob(addr, model string, jobMem int, save string, sp jobSpec) jobResult {
 		if saveInF != nil {
 			saveIn = bufio.NewWriterSize(saveInF, 1<<20)
 		}
-		defer func() {
-			if saveInF != nil {
-				saveIn.Flush()
-				saveInF.Close()
-			}
-			inSumCh <- inSum
-		}()
 		pw.CloseWithError(writeBody(pw, sp, &inSum, saveIn))
+		if saveInF != nil {
+			saveIn.Flush()
+			saveInF.Close()
+		}
+		inSumCh <- inSum
 	}()
 
 	query := "/sort?model=" + model
@@ -473,7 +471,6 @@ func runJob(addr, model string, jobMem int, save string, sp jobSpec) jobResult {
 		defer saveOut.Flush()
 	}
 	var prev uint64
-	var line []byte
 	res.ttfb, res.err = readResponse(resp, sp.binary, false, start, func(recs []seq.Record) error {
 		for _, rec := range recs {
 			if outSum.n > 0 && rec.Key < prev {
@@ -482,8 +479,7 @@ func runJob(addr, model string, jobMem int, save string, sp jobSpec) jobResult {
 			prev = rec.Key
 			outSum.add(rec.Key)
 			if saveOut != nil {
-				line = wire.AppendLine(line[:0], rec, false)
-				saveOut.Write(line)
+				saveOut.Write(wire.AppendLine(saveOut.AvailableBuffer(), rec, false))
 			}
 		}
 		return nil

@@ -38,10 +38,6 @@ func runExt(inPath, outPath, memFlag string, blockRecs int, omega uint64, k, fan
 	}
 }
 
-// extChunk is the buffer, in records, through which a generated input
-// is written.
-const extChunk = 1 << 15
-
 // checksum is an order-independent digest of a record multiset.
 type checksum struct {
 	n        int
@@ -100,12 +96,10 @@ func extRun(inPath, outPath, memFlag string, blockRecs int, omega uint64, k, fan
 		if src == "-" {
 			src = "stdin"
 		}
-		var inPlace bool
-		if n, skip, inPlace, err = stageInput(inPath, staged, binaryWire); inPlace {
+		if engineIn, n, skip, err = stageInput(inPath, staged, binaryWire); engineIn == inPath {
 			// Contiguous seekable frame: the frame file IS the staged
 			// input (header = one record slot, skipped via InSkip), so
 			// staging costs only the checksum read, no write.
-			engineIn = inPath
 			src += " (contiguous frame, staged in place)"
 		}
 	}
@@ -176,24 +170,25 @@ func extRun(inPath, outPath, memFlag string, blockRecs int, omega uint64, k, fan
 }
 
 // stageInput stages the file at inPath ('-' = stdin) in the -wire
-// dialect through serve's codec and returns the payload count and the
-// staged file's leading skip. A seekable contiguous frame file is not
-// copied: it is returned inPlace, with skip 1 for its header slot.
-func stageInput(inPath, staged string, binaryWire bool) (n, skip int, inPlace bool, err error) {
+// dialect through serve's codec into staged. It returns the file the
+// engine reads — staged, or inPath itself for a seekable contiguous
+// frame, read in place behind its header slot — with its payload
+// count and leading skip.
+func stageInput(inPath, staged string, binaryWire bool) (path string, n, skip int, err error) {
 	f := os.Stdin
 	if inPath != "-" {
 		if f, err = os.Open(inPath); err != nil {
-			return 0, 0, false, err
+			return "", 0, 0, err
 		}
 		defer f.Close()
 		if binaryWire {
-			if n, inPlace, err = inPlaceFrame(f); inPlace || err != nil {
-				return n, 1, inPlace, err
+			if n, ok, err := inPlaceFrame(f); ok || err != nil {
+				return inPath, n, 1, err
 			}
 		}
 	}
 	n, skip, err = serve.Codec{Binary: binaryWire}.Stage(f, staged)
-	return n, skip, false, err
+	return staged, n, skip, err
 }
 
 // inPlaceFrame reports whether f holds a contiguous frame, which the
@@ -244,7 +239,7 @@ func stageUniform(dst string, n int, seed uint64) error {
 		return err
 	}
 	defer bf.Close()
-	w := extmem.NewRunWriter(bf, 0, make([]seq.Record, 0, extChunk))
+	w := extmem.NewRunWriter(bf, 0, make([]seq.Record, 0, 1<<15))
 	r := xrand.New(seed)
 	for i := 0; i < n; i++ {
 		if err := w.Add(seq.Record{Key: (r.Next() << 24) | uint64(i)&0xffffff, Val: uint64(i)}); err != nil {

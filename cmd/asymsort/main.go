@@ -331,7 +331,6 @@ type recordWriter struct {
 	bw               *bufio.Writer
 	f                *os.File
 	binary, withVals bool
-	line             []byte
 	one              [1]seq.Record
 }
 
@@ -361,8 +360,7 @@ func (w *recordWriter) add(r seq.Record) {
 		w.bw.Write(seq.Encoded(w.one[:]))
 		return
 	}
-	w.line = wire.AppendLine(w.line[:0], r, w.withVals)
-	w.bw.Write(w.line)
+	w.bw.Write(wire.AppendLine(w.bw.AvailableBuffer(), r, w.withVals))
 }
 
 // close flushes and closes the destination, reporting the first write

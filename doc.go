@@ -76,10 +76,13 @@
 //     references), verifies every response on the wire, and prints
 //     recordable throughput/latency tables with per-wire-mode p50/p99
 //     quantiles
-//   - internal/wire — the binary columnar record frame (content type
-//     application/x-asymsort-records): a 16-byte header plus
-//     length-prefixed chunks or a contiguous raw payload of 16-byte
-//     little-endian records, the zero-parse hot path of the service.
+//   - internal/wire — both record dialects: newline-decimal text (a
+//     line appender and a batch reader; bare keys get payload = record
+//     index, blank lines are not numbered), and the binary columnar
+//     record frame (content type application/x-asymsort-records): a
+//     16-byte header plus length-prefixed chunks or a contiguous raw
+//     payload of 16-byte little-endian records, the zero-parse hot
+//     path of the service.
 //     The header is exactly one record slot, so a contiguous frame
 //     file doubles as a valid extmem record file and is handed to the
 //     external engine in place (extmem.Config.InSkip) with no staging

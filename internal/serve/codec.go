@@ -238,10 +238,9 @@ func streamText(binPath string, bw *bufio.Writer, withVals bool) error {
 		return err
 	}
 	defer bf.Close()
-	var line []byte
+	// Each line renders straight into bw's free space.
 	return extmem.ScanRecords(bf, 0, bf.Len(), func(r seq.Record) error {
-		line = wire.AppendLine(line[:0], r, withVals)
-		_, err := bw.Write(line)
+		_, err := bw.Write(wire.AppendLine(bw.AvailableBuffer(), r, withVals))
 		return err
 	})
 }

@@ -62,28 +62,30 @@ func (tr *TextReader) ReadRecords(buf []seq.Record) (int, error) {
 			return n, fmt.Errorf("line %d: %w", tr.line+1, err)
 		}
 		tr.line++
-		if len(tr.sc.Bytes()) == 0 {
+		b := tr.sc.Bytes()
+		if len(b) == 0 {
 			continue
 		}
-		r, err := tr.parse(tr.sc.Bytes())
+		// The string conversions below do not escape (strconv copies
+		// what its errors quote), so a line costs no allocation.
+		var err error
+		if tr.withVals {
+			buf[n], err = parsePair(b)
+		} else {
+			buf[n].Key, err = strconv.ParseUint(string(b), 10, 64)
+			buf[n].Val = tr.recs
+		}
 		if err != nil {
 			return n, fmt.Errorf("line %d: %v", tr.line, err)
 		}
-		buf[n] = r
 		n++
 		tr.recs++
 	}
 	return n, nil
 }
 
-// parse decodes one non-empty line. The string conversions do not
-// escape (strconv copies what its errors quote), so a line costs no
-// allocation.
-func (tr *TextReader) parse(b []byte) (seq.Record, error) {
-	if !tr.withVals {
-		key, err := strconv.ParseUint(string(b), 10, 64)
-		return seq.Record{Key: key, Val: tr.recs}, err
-	}
+// parsePair decodes one "key value" line.
+func parsePair(b []byte) (seq.Record, error) {
 	ks, vs, ok := bytes.Cut(b, []byte{' '})
 	if !ok {
 		return seq.Record{}, errors.New(`want "key value"`)
