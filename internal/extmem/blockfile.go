@@ -259,6 +259,22 @@ func (w *RunWriter) Add(r seq.Record) error {
 	return nil
 }
 
+// avail returns the buffer's free tail for the caller to fill in
+// place; commit(n) then appends its first n records.
+func (w *RunWriter) avail() []seq.Record {
+	return w.buf[len(w.buf):cap(w.buf)]
+}
+
+// commit appends the first n records of avail's slice, flushing when
+// the buffer fills.
+func (w *RunWriter) commit(n int) error {
+	w.buf = w.buf[:len(w.buf)+n]
+	if len(w.buf) == cap(w.buf) {
+		return w.Flush()
+	}
+	return nil
+}
+
 // Flush writes the buffered records.
 func (w *RunWriter) Flush() error {
 	if len(w.buf) == 0 {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"asymsort/internal/seq"
+	"asymsort/internal/xrand"
 )
 
 // runSort sorts workload in through the engine on temp files, asserts
@@ -466,5 +467,79 @@ func BenchmarkFormation(b *testing.B) {
 				b.ReportMetric(float64(sorts*row.n*RecordBytes)/1e6/form.Seconds(), "form_MB/s")
 			})
 		}
+	}
+}
+
+// keyFold folds the sorted stream into one record per key, summing the
+// payloads: the shape of the semisort kernel's reduce.
+type keyFold struct {
+	cur  seq.Record
+	have bool
+}
+
+func (s *keyFold) Push(r seq.Record, emit func(seq.Record) error) error {
+	if s.have && s.cur.Key == r.Key {
+		s.cur.Val += r.Val
+		return nil
+	}
+	if s.have {
+		if err := emit(s.cur); err != nil {
+			return err
+		}
+	}
+	s.cur, s.have = r, true
+	return nil
+}
+
+func (s *keyFold) Flush(emit func(seq.Record) error) error {
+	if !s.have {
+		return nil
+	}
+	s.have = false
+	return emit(s.cur)
+}
+
+func TestStreamedRootAllocs(t *testing.T) {
+	// A streamed root folds every record through the post hook. Its
+	// allocations must not grow with n: at n and 4n the plan keeps its
+	// shape (one merge of 32 leaves at M = 512, B = 16, or a single
+	// leaf at M = 65 536), so any growth is per-record work.
+	for _, tc := range []struct {
+		name   string
+		mem    int
+		levels int
+	}{{"merged-root", 512, 1}, {"single-leaf", 1 << 16, 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			in, out := filepath.Join(dir, "in.bin"), filepath.Join(dir, "out.bin")
+			allocs := func(n int) (float64, *Report) {
+				r := xrand.New(uint64(n))
+				recs := make([]seq.Record, n)
+				for i := range recs {
+					recs[i] = seq.Record{Key: r.Uint64n(64), Val: uint64(i)}
+				}
+				if err := WriteRecordsFile(in, recs); err != nil {
+					t.Fatal(err)
+				}
+				cfg := Config{Mem: tc.mem, Block: 16, K: 1, Procs: 1, TmpDir: dir, Post: &keyFold{}}
+				var rep *Report
+				a := testing.AllocsPerRun(2, func() {
+					var err error
+					if rep, err = Sort(cfg, in, out); err != nil {
+						t.Fatal(err)
+					}
+				})
+				return a, rep
+			}
+			small, rs := allocs(2048)
+			big, rb := allocs(8192)
+			if rs.Levels != tc.levels || rb.Levels != tc.levels || rs.Runs != rb.Runs {
+				t.Fatalf("plans: %d levels, %d runs at n; %d levels, %d runs at 4n; want %d levels both",
+					rs.Levels, rs.Runs, rb.Levels, rb.Runs, tc.levels)
+			}
+			if big > small+8 {
+				t.Fatalf("a streamed Sort of 2048 records allocates %.0f times, of 8192 records %.0f", small, big)
+			}
+		})
 	}
 }

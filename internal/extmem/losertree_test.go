@@ -1,6 +1,7 @@
 package extmem
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -13,8 +14,10 @@ import (
 
 // mergeViaLoserTree lays the given runs back-to-back in one BlockFile,
 // merges them through runReaders + a loserTree with the given refill
-// buffer size, and returns the merged sequence.
-func mergeViaLoserTree(t *testing.T, runs [][]seq.Record, bufRecs int) []seq.Record {
+// buffer size, popping blocks of blk records, and returns the merged
+// sequence. Every block but the last must come back full, and a pop
+// after the end must return nothing.
+func mergeViaLoserTree(t *testing.T, runs [][]seq.Record, bufRecs, blk int) []seq.Record {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "runs.bin")
 	bf, err := CreateBlockFile(path, 4, nil)
@@ -35,30 +38,44 @@ func mergeViaLoserTree(t *testing.T, runs [][]seq.Record, bufRecs int) []seq.Rec
 	if err != nil {
 		t.Fatal(err)
 	}
+	return drainTree(t, lt, blk)
+}
+
+// drainTree pops lt to exhaustion in blocks of blk records.
+func drainTree(t testing.TB, lt *loserTree, blk int) []seq.Record {
+	t.Helper()
 	var out []seq.Record
+	buf := make([]seq.Record, blk)
 	for {
-		rec, ok, err := lt.pop()
+		n, err := lt.popInto(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
+		out = append(out, buf[:n]...)
+		if n < blk {
+			if n, err := lt.popInto(buf); n != 0 || err != nil {
+				t.Fatalf("pop after the end: %d records, err %v", n, err)
+			}
 			return out
 		}
-		out = append(out, rec)
 	}
 }
 
-// checkMerge asserts the loser-tree merge of runs equals slices.Sort of
-// their concatenation.
-func checkMerge(t *testing.T, runs [][]seq.Record, bufRecs int) {
-	t.Helper()
+// sortedConcat returns the runs' records in one slice, sorted — the
+// reference every merge is held to.
+func sortedConcat(runs [][]seq.Record) []seq.Record {
 	var want []seq.Record
 	for _, run := range runs {
 		want = append(want, run...)
 	}
 	want = slices.Clone(want)
 	slices.SortFunc(want, seq.TotalCompare)
-	got := mergeViaLoserTree(t, runs, bufRecs)
+	return want
+}
+
+// sameRecords fails t unless got equals want record for record.
+func sameRecords(t testing.TB, got, want []seq.Record) {
+	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("merged %d records, want %d", len(got), len(want))
 	}
@@ -66,6 +83,16 @@ func checkMerge(t *testing.T, runs [][]seq.Record, bufRecs int) {
 		if got[i] != want[i] {
 			t.Fatalf("record %d: got %+v, want %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// checkMerge asserts the loser-tree merge of runs equals slices.Sort of
+// their concatenation, popped in blocks of 1, 7 and 64 records.
+func checkMerge(t *testing.T, runs [][]seq.Record, bufRecs int) {
+	t.Helper()
+	want := sortedConcat(runs)
+	for _, blk := range []int{1, 7, 64} {
+		sameRecords(t, mergeViaLoserTree(t, runs, bufRecs, blk), want)
 	}
 }
 
@@ -189,35 +216,221 @@ func (m *memStream) span() ([]seq.Record, error) {
 	return s, nil
 }
 
-// BenchmarkLoserTree times the merge kernel alone: 2¹⁸ uniform records
-// split into f sorted in-memory runs, handed over in spans of 64
-// records, popped to exhaustion. ns/rec is the per-record cost of one
-// pass through the tree (build included) at each fan-in.
-func BenchmarkLoserTree(b *testing.B) {
-	const n = 1 << 18
-	for _, f := range []int{2, 64, 256, 4096} {
-		runs := make([][]seq.Record, f)
-		for i := range runs {
-			runs[i] = sortedRun(n/f, uint64(f*7919+i))
+// memTree builds a loser tree over the runs, each handed over in spans
+// of at most spanN records.
+func memTree(t testing.TB, runs [][]seq.Record, spanN int) *loserTree {
+	t.Helper()
+	rdrs := make([]recStream, len(runs))
+	for i, run := range runs {
+		rdrs[i] = &memStream{recs: run, n: spanN}
+	}
+	lt, err := newLoserTree(rdrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lt
+}
+
+func TestLoserTreeModeSwitch(t *testing.T) {
+	// Each run holds distinct keys, then keys from a 4-key alphabet,
+	// then distinct keys again, so the merged stream's duplicate rate
+	// rises and falls: the tree must enter full mode and leave it, and
+	// both replays must keep the order.
+	const k, part = 8, 200
+	r := xrand.New(5)
+	runs := make([][]seq.Record, k)
+	for i := range runs {
+		run := make([]seq.Record, 0, 3*part)
+		for j := range 3 * part {
+			key := r.Uint64n(1 << 40)
+			if j/part == 1 {
+				key = 1<<41 + r.Uint64n(4)
+			} else if j/part == 2 {
+				key += 1 << 42
+			}
+			run = append(run, seq.Record{Key: key, Val: r.Uint64n(16)})
 		}
-		b.Run(fmt.Sprintf("fanin=%d", f), func(b *testing.B) {
-			rdrs := make([]recStream, f)
-			for b.Loop() {
-				for i, run := range runs {
-					rdrs[i] = &memStream{recs: run, n: 64}
-				}
-				lt, err := newLoserTree(rdrs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for {
-					_, ok, _ := lt.pop()
-					if !ok {
-						break
-					}
+		slices.SortFunc(run, seq.TotalCompare)
+		runs[i] = run
+	}
+	lt := memTree(t, runs, 16)
+	var got []seq.Record
+	var modes []bool
+	buf := make([]seq.Record, 64)
+	for {
+		modes = append(modes, lt.full)
+		n, err := lt.popInto(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, buf[:n]...)
+		if n < len(buf) {
+			break
+		}
+	}
+	sameRecords(t, got, sortedConcat(runs))
+	switches := 0
+	for i := 1; i < len(modes); i++ {
+		if modes[i] != modes[i-1] {
+			switches++
+		}
+	}
+	if modes[0] || !slices.Contains(modes, true) || modes[len(modes)-1] || switches != 2 {
+		t.Fatalf("modes per block %v: want key mode, then full mode, then key mode again", modes)
+	}
+}
+
+func TestLoserTreeRunsEndInsideBlock(t *testing.T) {
+	// Runs of 3, 5, 9 and 70 records with interleaved keys: the short
+	// runs run out inside the first 64-record block while the long one
+	// continues, and the last block comes back short.
+	lens := []int{3, 5, 9, 70}
+	runs := make([][]seq.Record, len(lens))
+	for i, n := range lens {
+		for j := range n {
+			runs[i] = append(runs[i], seq.Record{Key: uint64(j*len(lens) + i), Val: uint64(i)})
+		}
+	}
+	lt := memTree(t, runs, 4)
+	buf := make([]seq.Record, 64)
+	var counts []int
+	var got []seq.Record
+	for {
+		n, err := lt.popInto(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts = append(counts, n)
+		got = append(got, buf[:n]...)
+		if n == 0 {
+			break
+		}
+	}
+	if want := []int{64, 23, 0}; !slices.Equal(counts, want) {
+		t.Fatalf("block counts %v, want %v", counts, want)
+	}
+	sameRecords(t, got, sortedConcat(runs))
+}
+
+// failStream hands out its run in spans of n records and fails its
+// fail-th span call (counting from 1).
+type failStream struct {
+	memStream
+	calls, fail int
+}
+
+var errSpan = errors.New("span failed")
+
+func (f *failStream) span() ([]seq.Record, error) {
+	if f.calls++; f.calls == f.fail {
+		return nil, errSpan
+	}
+	return f.memStream.span()
+}
+
+func TestLoserTreeReaderErrorMidBlock(t *testing.T) {
+	// Two runs with alternating keys in spans of 4: run 0's third span
+	// fails when key 14 leaves the tree, 15 records into a 64-record
+	// block.
+	runs := make([][]seq.Record, 2)
+	for j := range 40 {
+		runs[j%2] = append(runs[j%2], seq.Record{Key: uint64(j)})
+	}
+	rdrs := []recStream{
+		&failStream{memStream: memStream{recs: runs[0], n: 4}, fail: 3},
+		&memStream{recs: runs[1], n: 4},
+	}
+	lt, err := newLoserTree(rdrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]seq.Record, 64)
+	n, err := lt.popInto(buf)
+	if !errors.Is(err, errSpan) {
+		t.Fatalf("popInto: %d records, err %v; want %v", n, err, errSpan)
+	}
+	if n != 14 {
+		t.Fatalf("popInto returned %d records before the error, want 14", n)
+	}
+	sameRecords(t, buf[:n], sortedConcat(runs)[:n])
+}
+
+// FuzzLoserTree checks the tree against slices.SortFunc over fuzzed run
+// counts, run lengths, span sizes, block sizes and key alphabets; a
+// small alphabet makes duplicate keys, and exact duplicate records,
+// common enough to switch the replay mode.
+func FuzzLoserTree(f *testing.F) {
+	f.Add(uint64(1), uint8(5), uint8(40), uint8(3), uint8(64), uint8(0))
+	f.Add(uint64(2), uint8(1), uint8(100), uint8(1), uint8(1), uint8(1))
+	f.Add(uint64(3), uint8(17), uint8(60), uint8(4), uint8(7), uint8(2))
+	f.Add(uint64(4), uint8(64), uint8(30), uint8(16), uint8(64), uint8(12))
+	f.Add(uint64(5), uint8(33), uint8(80), uint8(2), uint8(9), uint8(64))
+	f.Add(uint64(6), uint8(3), uint8(200), uint8(7), uint8(200), uint8(3))
+	f.Fuzz(func(t *testing.T, seed uint64, k, maxLen, spanN, blk, keyBits uint8) {
+		if k == 0 || spanN == 0 || blk == 0 {
+			return
+		}
+		r := xrand.New(seed)
+		// keyBits 0 or ≥ 64 draws full-width keys; others draw keys of
+		// that many bits. Keys near the top of the range meet the +∞
+		// sentinel.
+		key := func() uint64 {
+			v := r.Next()
+			if b := keyBits % 65; b > 0 && b < 64 {
+				v &= 1<<b - 1
+				if r.Uint64n(8) == 0 {
+					v = math.MaxUint64 - v
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/rec")
-		})
+			return v
+		}
+		runs := make([][]seq.Record, int(k))
+		for i := range runs {
+			run := make([]seq.Record, r.Uint64n(uint64(maxLen)+1))
+			for j := range run {
+				run[j] = seq.Record{Key: key(), Val: r.Uint64n(4)}
+			}
+			slices.SortFunc(run, seq.TotalCompare)
+			runs[i] = run
+		}
+		sameRecords(t, drainTree(t, memTree(t, runs, int(spanN)), int(blk)), sortedConcat(runs))
+	})
+}
+
+// BenchmarkLoserTree times the merge kernel alone: 2¹⁸ records split
+// into f sorted in-memory runs, handed over in spans of 64 records and
+// popped to exhaustion in blocks of 64. ns/rec is the per-record cost
+// of one pass through the tree (build included) at each fan-in. The
+// distinct rows draw uniform keys, the shape of ext-classic-p1; the
+// mod4096 rows draw keys from 4 096 values, the shape of serve-mixed's
+// semisort, and run mostly in full mode.
+func BenchmarkLoserTree(b *testing.B) {
+	const n = 1 << 18
+	for _, shape := range []struct {
+		name string
+		mask uint64
+	}{{"distinct", math.MaxUint64}, {"mod4096", 4095}} {
+		for _, f := range []int{2, 16, 64, 256, 4096} {
+			runs := make([][]seq.Record, f)
+			for i := range runs {
+				runs[i] = sortedRun(n/f, uint64(f*7919+i))
+				for j := range runs[i] {
+					runs[i][j].Key &= shape.mask
+				}
+				slices.SortFunc(runs[i], seq.TotalCompare)
+			}
+			b.Run(fmt.Sprintf("keys=%s/fanin=%d", shape.name, f), func(b *testing.B) {
+				buf := make([]seq.Record, 64)
+				for b.Loop() {
+					lt := memTree(b, runs, 64)
+					for {
+						if m, _ := lt.popInto(buf); m < len(buf) {
+							break
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/rec")
+			})
+		}
 	}
 }

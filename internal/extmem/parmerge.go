@@ -297,11 +297,14 @@ func (e *engine) mergeArena(wi, readRecs, wLen int) (arena, stage []seq.Record) 
 // [T[wi], T[wi+1]). The records before the extent's first block
 // boundary (the head) and, unless the extent ends the node, those after
 // its last one (the tail) share a device block with a neighbouring
-// extent, so they are returned for stitching. Everything between — at
-// P = 1 the whole node, whose lo is block-aligned — is the body,
-// written through a synchronous block-aligned writer that flushes a
-// final partial block itself. Head, body and tail each have a loop of
-// their own, which keeps the body one tight loop.
+// extent, so they are popped into memory for stitching, one popInto
+// each; a pop comes back short only once every run is exhausted. Everything between — at P = 1 the whole node, whose lo is
+// block-aligned — is the body, popped a block at a time straight into
+// the free stage of a synchronous block-aligned writer, which flushes
+// a final partial block itself. A streamed root pops each block into a
+// one-block scratch instead and pushes it through the post hook, whose
+// emitted records fill the writer. The cancel check and the block
+// index capture run once per block.
 func (e *engine) mergeRange(nd *planNode, srcs []*BlockFile, cuts [][]int, T []int, wi int, dst *BlockFile, idx []seq.Record, post Streamer, c int, arena, stage []seq.Record) parOut {
 	B := e.cfg.block
 	lo, hi := T[wi], T[wi+1]
@@ -329,50 +332,56 @@ func (e *engine) mergeRange(nd *planNode, srcs []*BlockFile, cuts [][]int, T []i
 	}
 	out.tailPos = bodyEnd
 
-	pos := lo
-	for ; pos < headEnd; pos++ {
-		rec, ok, err := lt.pop()
-		if err != nil {
-			return parOut{err: err}
-		}
-		if !ok {
-			break
-		}
-		out.head = append(out.head, rec)
+	out.head = make([]seq.Record, headEnd-lo)
+	n, err := lt.popInto(out.head)
+	if err != nil {
+		return parOut{err: err}
 	}
+	out.head = out.head[:n]
+	pos := lo + n
 	if bodyEnd > headEnd {
 		w := NewRunWriter(dst, headEnd, stage)
-		left := 0 // records until the next block boundary
+		var emit func(seq.Record) error
+		var scratch []seq.Record
+		if post != nil {
+			emit = w.Add // bound once: a method value built per record escapes and allocates
+			scratch = make([]seq.Record, B)
+		}
 		for pos < bodyEnd {
-			rec, ok, err := lt.pop()
+			if err := e.canceled(); err != nil {
+				return parOut{err: err}
+			}
+			blk := scratch
+			if post == nil {
+				blk = w.avail()
+			}
+			blk = blk[:min(B, bodyEnd-pos)]
+			n, err := lt.popInto(blk)
 			if err != nil {
 				return parOut{err: err}
 			}
-			if !ok {
+			if n == 0 {
 				break
 			}
-			if left == 0 {
-				if err := e.canceled(); err != nil {
-					return parOut{err: err}
-				}
-				if idx != nil {
-					idx[(pos-nd.lo)/B] = rec
-				}
-				left = B
+			if idx != nil {
+				idx[(pos-nd.lo)/B] = blk[0]
 			}
-			left--
-			pos++
-			if post != nil {
-				err = post.Push(rec, w.Add)
+			pos += n
+			if post == nil {
+				err = w.commit(n)
 			} else {
-				err = w.Add(rec)
+				for _, rec := range blk[:n] {
+					if err = post.Push(rec, emit); err != nil {
+						break
+					}
+				}
 			}
 			if err != nil {
 				return parOut{err: err}
 			}
 		}
 		if post != nil {
-			if err := post.Flush(w.Add); err != nil {
+			if err := post.Flush(emit); err != nil {
 				return parOut{err: err}
 			}
 		}
@@ -380,16 +389,12 @@ func (e *engine) mergeRange(nd *planNode, srcs []*BlockFile, cuts [][]int, T []i
 			return parOut{err: err}
 		}
 	}
-	for ; pos < hi; pos++ {
-		rec, ok, err := lt.pop()
-		if err != nil {
-			return parOut{err: err}
-		}
-		if !ok {
-			break
-		}
-		out.tail = append(out.tail, rec)
+	out.tail = make([]seq.Record, hi-bodyEnd)
+	if n, err = lt.popInto(out.tail); err != nil {
+		return parOut{err: err}
 	}
+	out.tail = out.tail[:n]
+	pos += n
 	if pos != hi {
 		out.err = fmt.Errorf("extmem: merge worker %d of [%d,%d) produced %d records, want %d",
 			wi, lo, hi, pos-lo, hi-lo)

@@ -127,10 +127,11 @@ func (e *engine) formRootStreamed(nd *planNode) error {
 	// Its own stage buffer: formation streams the input through
 	// e.readBuf while this writer fills.
 	w := NewRunWriter(e.out, 0, make([]seq.Record, 0, stageRecs(e.cfg.block)))
+	emit := w.Add // bound once: a method value built per record escapes and allocates
 	if nd != nil {
 		err := e.formLeaves([]*planNode{nd}, func(_, _ int, batch []seq.Record) error {
 			for _, r := range batch {
-				if err := post.Push(r, w.Add); err != nil {
+				if err := post.Push(r, emit); err != nil {
 					return err
 				}
 			}
@@ -140,7 +141,7 @@ func (e *engine) formRootStreamed(nd *planNode) error {
 			return err
 		}
 	}
-	if err := post.Flush(w.Add); err != nil {
+	if err := post.Flush(emit); err != nil {
 		return err
 	}
 	return w.Flush()
