@@ -47,9 +47,9 @@ import (
 // every record of the previous one has entered — once per refill, never
 // per record.
 type loserTree struct {
-	p    uint64
-	node []ltNode
-	head []seq.Record
+	p    uint64       // leaves, padded to a power of two
+	node []ltNode     // node[1..p-1]: match losers; node[0]: winner
+	head []seq.Record // head[r]: run r's record in play; head[p..2p): +∞
 	runs []ltRun
 	rdrs []recStream
 	full bool   // replay the next block in full mode
@@ -81,7 +81,7 @@ func newLoserTree(rdrs []recStream) (*loserTree, error) {
 	}
 	lt := &loserTree{
 		p:    uint64(p),
-		node: make([]ltNode, 2*p), // node[p..2p) unused: see popInto
+		node: make([]ltNode, 2*p), // node[p..2p) unused: see popKey
 		head: make([]seq.Record, 2*p),
 		runs: make([]ltRun, k),
 		rdrs: rdrs,
@@ -131,7 +131,7 @@ func (lt *loserTree) refill(r uint64) (ltNode, error) {
 	if len(s) == 0 {
 		return ltNode{math.MaxUint64, r + lt.p}, nil
 	}
-	lt.runs[r] = ltRun{s[1:], 0}
+	lt.runs[r] = ltRun{s, 1}
 	lt.head[r] = s[0]
 	return ltNode{s[0].Key, r}, nil
 }
@@ -141,19 +141,13 @@ func (lt *loserTree) refill(r uint64) (ltNode, error) {
 // out first. A reader error ends the merge: popInto returns it with the
 // count of records written before the record whose run failed to
 // refill. The block is replayed in the mode its predecessor chose, and
-// its own adjacent keys choose the next block's.
+// its own count of equal adjacent keys chooses the next block's.
 func (lt *loserTree) popInto(dst []seq.Record) (n int, err error) {
+	var eq int
 	if lt.full {
-		n, err = lt.popFull(dst)
+		n, eq, err = lt.popFull(dst)
 	} else {
-		n, err = lt.popKey(dst)
-	}
-	eq := 0
-	for _, rec := range dst[:n] {
-		if rec.Key == lt.last {
-			eq++
-		}
-		lt.last = rec.Key
+		n, eq, err = lt.popKey(dst)
 	}
 	lt.full = eq*fullModeDups > n
 	return n, err
@@ -164,16 +158,24 @@ func (lt *loserTree) popInto(dst []seq.Record) (n int, err error) {
 // run) read from head. At each node the stored loser and the climber w
 // swap exactly when the loser orders first. node and head both hold 2p
 // entries, so masking their indexes by 2p-1 proves them in bounds: the
-// loop needs no length checks and fits in registers.
-func (lt *loserTree) popKey(dst []seq.Record) (int, error) {
+// loop needs no length checks and fits in registers. It returns the
+// count of popped records and of those whose key equals the one popped
+// before.
+func (lt *loserTree) popKey(dst []seq.Record) (int, int, error) {
 	p, nd := lt.p, lt.node
 	head := lt.head[:len(nd)]
 	w := nd[0]
 	mask := uint64(len(nd) - 1)
+	last, eq := lt.last, 0
 	n := 0
 	for ; n < len(dst) && w.run < p; n++ {
 		r := w.run
-		dst[n] = head[r&mask]
+		rec := head[r&mask]
+		dst[n] = rec
+		if rec.Key == last {
+			eq++
+		}
+		last = rec.Key
 		if rn := &lt.runs[r]; rn.i < len(rn.s) {
 			rec := rn.s[rn.i]
 			rn.i++
@@ -181,7 +183,7 @@ func (lt *loserTree) popKey(dst []seq.Record) (int, error) {
 		} else {
 			var err error
 			if w, err = lt.refill(r); err != nil {
-				return n, err
+				return n, eq, err
 			}
 		}
 		for i := (p + r) >> 1; i > 0; i >>= 1 {
@@ -198,32 +200,37 @@ func (lt *loserTree) popKey(dst []seq.Record) (int, error) {
 			w = ltNode{w.key ^ dk, w.run ^ dr}
 		}
 	}
-	nd[0] = w
-	return n, nil
+	nd[0], lt.last = w, last
+	return n, eq, nil
 }
 
-// popFull is popInto in full mode.
-func (lt *loserTree) popFull(dst []seq.Record) (int, error) {
-	p, nd, head := lt.p, lt.node, lt.head
-	w := nd[0]
+// popFull is popKey in full mode, the replay in replayFull.
+func (lt *loserTree) popFull(dst []seq.Record) (int, int, error) {
+	w := lt.node[0]
+	last, eq := lt.last, 0
 	n := 0
-	for ; n < len(dst) && w.run < p; n++ {
+	for ; n < len(dst) && w.run < lt.p; n++ {
 		r := w.run
-		dst[n] = head[r]
+		rec := lt.head[r]
+		dst[n] = rec
+		if rec.Key == last {
+			eq++
+		}
+		last = rec.Key
 		if rn := &lt.runs[r]; rn.i < len(rn.s) {
 			rec := rn.s[rn.i]
 			rn.i++
-			head[r], w.key = rec, rec.Key
+			lt.head[r], w.key = rec, rec.Key
 		} else {
 			var err error
 			if w, err = lt.refill(r); err != nil {
-				return n, err
+				return n, eq, err
 			}
 		}
-		w = replayFull(nd, head, (p+r)>>1, w)
+		w = lt.replayFull((lt.p+r)>>1, w)
 	}
-	nd[0] = w
-	return n, nil
+	lt.node[0], lt.last = w, last
+	return n, eq, nil
 }
 
 // replayFull climbs from node i to the root in full mode, one (Key,
@@ -234,11 +241,12 @@ func (lt *loserTree) popFull(dst []seq.Record) (int, error) {
 // branch.
 //
 //go:noinline
-func replayFull(nd []ltNode, head []seq.Record, i uint64, w ltNode) ltNode {
+func (lt *loserTree) replayFull(i uint64, w ltNode) ltNode {
+	nd := lt.node
 	if len(nd) == 0 {
 		return w
 	}
-	head = head[:len(nd)]
+	head := lt.head[:len(nd)]
 	mask := uint64(len(nd) - 1)
 	wv := head[w.run&mask].Val
 	for ; i > 0; i >>= 1 {

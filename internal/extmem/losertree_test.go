@@ -15,8 +15,7 @@ import (
 // mergeViaLoserTree lays the given runs back-to-back in one BlockFile,
 // merges them through runReaders + a loserTree with the given refill
 // buffer size, popping blocks of blk records, and returns the merged
-// sequence. Every block but the last must come back full, and a pop
-// after the end must return nothing.
+// sequence.
 func mergeViaLoserTree(t *testing.T, runs [][]seq.Record, bufRecs, blk int) []seq.Record {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "runs.bin")
@@ -41,7 +40,9 @@ func mergeViaLoserTree(t *testing.T, runs [][]seq.Record, bufRecs, blk int) []se
 	return drainTree(t, lt, blk)
 }
 
-// drainTree pops lt to exhaustion in blocks of blk records.
+// drainTree pops lt to exhaustion in blocks of blk records. Every block
+// but the last must come back full, and a pop after the end must return
+// nothing.
 func drainTree(t testing.TB, lt *loserTree, blk int) []seq.Record {
 	t.Helper()
 	var out []seq.Record
@@ -68,7 +69,6 @@ func sortedConcat(runs [][]seq.Record) []seq.Record {
 	for _, run := range runs {
 		want = append(want, run...)
 	}
-	want = slices.Clone(want)
 	slices.SortFunc(want, seq.TotalCompare)
 	return want
 }
@@ -371,9 +371,9 @@ func FuzzLoserTree(f *testing.F) {
 			return
 		}
 		r := xrand.New(seed)
-		// keyBits 0 or ≥ 64 draws full-width keys; others draw keys of
-		// that many bits. Keys near the top of the range meet the +∞
-		// sentinel.
+		// keyBits mod 65 is the key width; 0 and 64 draw full-width
+		// keys. Narrow keys are flipped to the top of the range one
+		// time in 8, where they meet the +∞ sentinel.
 		key := func() uint64 {
 			v := r.Next()
 			if b := keyBits % 65; b > 0 && b < 64 {

@@ -297,14 +297,15 @@ func (e *engine) mergeArena(wi, readRecs, wLen int) (arena, stage []seq.Record) 
 // [T[wi], T[wi+1]). The records before the extent's first block
 // boundary (the head) and, unless the extent ends the node, those after
 // its last one (the tail) share a device block with a neighbouring
-// extent, so they are popped into memory for stitching, one popInto
-// each; a pop comes back short only once every run is exhausted. Everything between — at P = 1 the whole node, whose lo is
+// extent, so each is popped into memory in one popInto for stitching.
+// Everything between — at P = 1 the whole node, whose lo is
 // block-aligned — is the body, popped a block at a time straight into
 // the free stage of a synchronous block-aligned writer, which flushes
 // a final partial block itself. A streamed root pops each block into a
 // one-block scratch instead and pushes it through the post hook, whose
 // emitted records fill the writer. The cancel check and the block
-// index capture run once per block.
+// index capture run once per block. A pop comes back short only once
+// every run is exhausted, which the final count check reports.
 func (e *engine) mergeRange(nd *planNode, srcs []*BlockFile, cuts [][]int, T []int, wi int, dst *BlockFile, idx []seq.Record, post Streamer, c int, arena, stage []seq.Record) parOut {
 	B := e.cfg.block
 	lo, hi := T[wi], T[wi+1]
