@@ -204,7 +204,9 @@ func (lt *loserTree) popKey(dst []seq.Record) (int, int, error) {
 	return n, eq, nil
 }
 
-// popFull is popKey in full mode, the replay in replayFull.
+// popFull is popKey in full mode, the replay in replayFull. The two
+// loops stay apart: in one loop for both modes, the call into
+// replayFull made key mode reload the loop's values on every record.
 func (lt *loserTree) popFull(dst []seq.Record) (int, int, error) {
 	w := lt.node[0]
 	last, eq := lt.last, 0
@@ -244,7 +246,7 @@ func (lt *loserTree) popFull(dst []seq.Record) (int, int, error) {
 func (lt *loserTree) replayFull(i uint64, w ltNode) ltNode {
 	nd := lt.node
 	if len(nd) == 0 {
-		return w
+		return w // never taken; it proves the masked indexes in bounds
 	}
 	head := lt.head[:len(nd)]
 	mask := uint64(len(nd) - 1)

@@ -358,16 +358,31 @@ func TestServeKernelStatsAggregates(t *testing.T) {
 func TestServeKillMidMergeSemisortReclaimsLease(t *testing.T) {
 	s := newTestService(t, 1<<14, 2, 64)
 
-	// Deterministic mid-merge kill, exactly the sort test's: the victim
-	// (lease 0) is revoked at its second Mem ack — the first merge-level
-	// boundary — via the client context, the disconnect path production
-	// takes.
+	// Deterministic mid-merge kill, ordered as in the sort test: the
+	// victim (lease 0) is revoked at its second Mem ack — the first
+	// merge-level boundary — via the client context, the disconnect
+	// path production takes. The hook holds the victim's engine at that
+	// boundary: first until the test has seen both bystanders past
+	// staging, then, after the hang-up, until the server has revoked the
+	// lease (disconnect → context.AfterFunc → Lease.Cancel). On one P
+	// the victim would otherwise finish its merge before the disconnect
+	// reaches the server.
 	vctx, vcancel := context.WithCancel(context.Background())
 	defer vcancel()
+	bystandersIn := make(chan struct{})
 	s.b.mu.Lock()
 	s.b.testOnAck = func(l *Lease, ack int) {
-		if l.ID() == 0 && ack == 2 {
-			vcancel()
+		if l.ID() != 0 || ack != 2 {
+			return
+		}
+		select {
+		case <-bystandersIn:
+		case <-time.After(10 * time.Second):
+		}
+		vcancel()
+		select {
+		case <-l.Canceled():
+		case <-time.After(10 * time.Second):
 		}
 	}
 	s.b.mu.Unlock()
@@ -419,15 +434,30 @@ func TestServeKillMidMergeSemisortReclaimsLease(t *testing.T) {
 		}(i)
 	}
 
+	deadline = time.Now().Add(10 * time.Second)
+	for {
+		snap := s.stats(t)
+		if len(snap.Jobs) == 3 && snap.Jobs[1].State != "staging" && snap.Jobs[2].State != "staging" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("bystanders never got past staging")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	close(bystandersIn)
+
 	if err := <-victimErr; err == nil || !strings.Contains(err.Error(), "context canceled") {
 		t.Fatalf("victim client saw %v, want a canceled request", err)
 	}
 	wg.Wait()
 
+	// The lease comes back before the victim's job dir is removed and
+	// its outcome is counted, so wait for all three outcomes too.
 	deadline = time.Now().Add(10 * time.Second)
 	for {
 		snap := s.stats(t)
-		if snap.Broker.FreeMem == snap.Broker.TotalMem && len(snap.Broker.Running) == 0 {
+		if snap.Broker.FreeMem == snap.Broker.TotalMem && len(snap.Broker.Running) == 0 && snap.Kernels["semisort"].Jobs == 3 {
 			break
 		}
 		if time.Now().After(deadline) {
