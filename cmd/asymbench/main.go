@@ -1,7 +1,6 @@
 // Command asymbench regenerates the experiment tables that validate every
 // theorem of Blelloch et al., "Sorting with Asymmetric Read and Write
-// Costs" (SPAA 2015) — see DESIGN.md for the experiment index and
-// EXPERIMENTS.md for recorded results.
+// Costs" (SPAA 2015).
 //
 // Usage:
 //
@@ -10,7 +9,6 @@
 //	asymbench -exp E3 -format csv # machine-readable output
 //	asymbench -exp native         # wall-clock table of the rt native backend
 //	asymbench -exp ext            # measured IO + wall-clock of the extmem engine
-//	asymbench -exp all -json out.json  # also record every table as JSON rows
 //	asymbench -list               # enumerate experiments
 package main
 
@@ -26,14 +24,13 @@ import (
 
 func main() {
 	var (
-		expID    = flag.String("exp", "all", "experiment ID (E1..E14), 'native', 'ext', 'kernels', or 'all'")
-		quick    = flag.Bool("quick", false, "use reduced problem sizes")
-		format   = flag.String("format", "text", "output format: text or csv")
-		seed     = flag.Uint64("seed", 1, "base random seed")
-		procs    = flag.Int("procs", 0, "native/ext benchmark workers (0 = GOMAXPROCS)")
-		jsonPath = flag.String("json", "", "also write every rendered table's rows as JSON to this file")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		version  = flag.Bool("version", false, "print build info and exit")
+		expID   = flag.String("exp", "all", "experiment ID (E1..E14), 'native', 'ext', 'kernels', or 'all'")
+		quick   = flag.Bool("quick", false, "use reduced problem sizes")
+		format  = flag.String("format", "text", "output format: text or csv")
+		seed    = flag.Uint64("seed", 1, "base random seed")
+		procs   = flag.Int("procs", 0, "native/ext benchmark workers (0 = GOMAXPROCS)")
+		list    = flag.Bool("list", false, "list experiments and exit")
+		version = flag.Bool("version", false, "print build info and exit")
 	)
 	flag.Parse()
 
@@ -51,9 +48,6 @@ func main() {
 		return
 	}
 	cfg := exp.Config{Quick: *quick, Seed: *seed, CSV: *format == "csv"}
-	if *jsonPath != "" {
-		cfg.Rec = exp.NewRecorder()
-	}
 	if *format != "text" && *format != "csv" {
 		fmt.Fprintf(os.Stderr, "asymbench: unknown format %q\n", *format)
 		os.Exit(2)
@@ -76,12 +70,5 @@ func main() {
 			os.Exit(2)
 		}
 		e.Run(os.Stdout, cfg)
-	}
-	if cfg.Rec != nil {
-		if err := cfg.Rec.WriteFile(*jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "asymbench: writing -json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nrecorded %s\n", *jsonPath)
 	}
 }

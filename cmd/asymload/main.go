@@ -5,8 +5,7 @@
 // (sorted order, record count, and an order-independent multiset
 // checksum against what it sent), cross-checks the daemon's /stats
 // ledgers (every ext job's measured block writes must equal the
-// simulated AEM plan's), and prints a throughput/latency table,
-// recordable as BENCH-style JSON rows via -json.
+// simulated AEM plan's), and prints a throughput/latency table.
 //
 // -wire picks the dialect each job speaks: text (newline-decimal keys,
 // the default), binary (internal/wire record frames both ways), or
@@ -14,7 +13,7 @@
 // mix, the checksum construction, and the -save dumps are identical
 // across dialects, so a text run and a binary run with the same seed
 // are directly diffable — and a per-wire-mode p50/p99 latency table is
-// printed (and recorded under -json) whenever jobs ran.
+// printed whenever jobs ran.
 //
 // -kernels widens the mix beyond sort: jobs draw their kernel from the
 // listed pool (any internal/kernel registry name) and post to the
@@ -61,7 +60,6 @@ import (
 	"time"
 
 	"asymsort/internal/cluster"
-	"asymsort/internal/exp"
 	"asymsort/internal/obs"
 	"asymsort/internal/seq"
 	"asymsort/internal/serve"
@@ -117,7 +115,6 @@ func main() {
 		model   = flag.String("model", "auto", "forwarded to /sort?model=")
 		jobMem  = flag.Int("jobmem", 0, "per-job budget hint in records, forwarded as /sort?mem= (0 = server default)")
 		save    = flag.String("save", "", "directory to dump each job's input/output text (for solo-run diffing)")
-		jsonOut = flag.String("json", "", "record the tables as JSON rows (exp.Recorder format)")
 		wireFmt = flag.String("wire", "text", "job dialect: text | binary (record frames) | mixed (alternate by job id)")
 		kernels = flag.String("kernels", "sort", "comma-separated kernel pool the mix draws from (see internal/kernel)")
 		metrics = flag.Bool("metrics", false, "scrape /metrics before and after the run and verify the counter deltas and post-drain gauges")
@@ -130,14 +127,14 @@ func main() {
 		fmt.Println(obs.ReadBuildInfo())
 		return
 	}
-	if err := run(*addr, *jobs, *conc, *seed, *minN, *maxN, *shapes, *spacing, *model, *jobMem, *save, *jsonOut, *wireFmt, *kernels, *metrics, *cluster, *mix); err != nil {
+	if err := run(*addr, *jobs, *conc, *seed, *minN, *maxN, *shapes, *spacing, *model, *jobMem, *save, *wireFmt, *kernels, *metrics, *cluster, *mix); err != nil {
 		fmt.Fprintf(os.Stderr, "asymload: %v\n", err)
 		os.Exit(1)
 	}
 }
 
 func run(addr string, jobs, conc int, seed uint64, minN, maxN int, shapeList string,
-	spacing time.Duration, model string, jobMem int, save, jsonOut, wireMode, kernelList string,
+	spacing time.Duration, model string, jobMem int, save, wireMode, kernelList string,
 	metricsCheck, clusterMode bool, mix string) error {
 	if jobs < 1 || minN < 1 || maxN < minN {
 		return fmt.Errorf("need -jobs >= 1 and 1 <= -minn <= -maxn")
@@ -262,15 +259,11 @@ func run(addr string, jobs, conc int, seed uint64, minN, maxN int, shapeList str
 	makespan := time.Since(start)
 
 	// Render the per-job table and the summary.
-	var rec *exp.Recorder
-	if jsonOut != "" {
-		rec = exp.NewRecorder()
-	}
-	failures := renderJobTable(os.Stdout, rec, results)
-	totalRecs := renderSummary(os.Stdout, rec, results, makespan, conc)
-	renderWireTable(os.Stdout, rec, results)
+	failures := renderJobTable(os.Stdout, results)
+	totalRecs := renderSummary(os.Stdout, results, makespan, conc)
+	renderWireTable(os.Stdout, results)
 	if mix != "" {
-		renderClassTable(os.Stdout, rec, results, mix)
+		renderClassTable(os.Stdout, results)
 	}
 
 	if clusterMode {
@@ -308,12 +301,6 @@ func run(addr string, jobs, conc int, seed uint64, minN, maxN int, shapeList str
 		}
 	}
 
-	if rec != nil {
-		if err := rec.WriteFile(jsonOut); err != nil {
-			return err
-		}
-		fmt.Printf("recorded %s\n", jsonOut)
-	}
 	// The greppable figures scripts (and the CI throughput gate) parse.
 	fmt.Printf("total wall: %dms\n", makespan.Milliseconds())
 	fmt.Printf("throughput: %.3f Mrec/s (%d records)\n",
@@ -593,7 +580,7 @@ func readResponse(resp *http.Response, binary, withVals bool, start time.Time,
 
 // renderJobTable prints the per-job table and returns the failure
 // count.
-func renderJobTable(w io.Writer, rec *exp.Recorder, results []jobResult) int {
+func renderJobTable(w io.Writer, results []jobResult) int {
 	header := []string{"job", "kernel", "shape", "n", "wire", "model", "memRecs", "wall ms", "ttfb ms", "Mrec/s", "status"}
 	var rows [][]string
 	failures := 0
@@ -616,15 +603,12 @@ func renderJobTable(w io.Writer, rec *exp.Recorder, results []jobResult) int {
 		})
 	}
 	writeTable(w, header, rows)
-	if rec != nil {
-		rec.Record("load", "asymsortd job mix", header, rows)
-	}
 	return failures
 }
 
 // renderSummary prints the aggregate line items and returns the total
 // record count.
-func renderSummary(w io.Writer, rec *exp.Recorder, results []jobResult, makespan time.Duration, conc int) int {
+func renderSummary(w io.Writer, results []jobResult, makespan time.Duration, conc int) int {
 	totalRecs := 0
 	walls := make([]time.Duration, 0, len(results))
 	for _, r := range results {
@@ -648,17 +632,12 @@ func renderSummary(w io.Writer, rec *exp.Recorder, results []jobResult, makespan
 	}}
 	fmt.Fprintln(w)
 	writeTable(w, header, rows)
-	if rec != nil {
-		rec.Record("load", "asymsortd job mix", header, rows)
-	}
 	return totalRecs
 }
 
 // renderWireTable prints per-wire-mode latency quantiles — the
-// text-vs-binary comparison the frame dialect exists for. Under -json
-// the rows land in the recording, so the BENCH artifact carries the
-// per-dialect p50/p99 for benchdiff.
-func renderWireTable(w io.Writer, rec *exp.Recorder, results []jobResult) {
+// text-vs-binary comparison the frame dialect exists for.
+func renderWireTable(w io.Writer, results []jobResult) {
 	var order []string
 	byMode := map[string][]jobResult{}
 	for _, r := range results {
@@ -697,16 +676,13 @@ func renderWireTable(w io.Writer, rec *exp.Recorder, results []jobResult) {
 	}
 	fmt.Fprintln(w)
 	writeTable(w, header, rows)
-	if rec != nil {
-		rec.Record("load-wire", "per-wire-mode latency", header, rows)
-	}
 }
 
 // renderClassTable prints the -mix per-class latency quantiles and the
 // greppable "<class> p50/p99" lines the CI mixed-load gate parses —
 // the small-job p99 under contention is the figure the adaptive broker
 // exists to improve.
-func renderClassTable(w io.Writer, rec *exp.Recorder, results []jobResult, mix string) {
+func renderClassTable(w io.Writer, results []jobResult) {
 	byClass := map[string][]jobResult{}
 	for _, r := range results {
 		if r.err != nil || r.spec.class == "" {
@@ -749,9 +725,6 @@ func renderClassTable(w io.Writer, rec *exp.Recorder, results []jobResult, mix s
 	writeTable(w, header, rows)
 	for _, l := range lines {
 		fmt.Fprintln(w, l)
-	}
-	if rec != nil {
-		rec.Record("load-class", "per-class latency ("+mix+" scenario)", header, rows)
 	}
 }
 

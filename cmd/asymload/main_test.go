@@ -50,7 +50,7 @@ func TestWireDifferential(t *testing.T) {
 		ts := newTestService(t)
 		save := filepath.Join(t.TempDir(), mode)
 		if err := run(ts.URL, jobs, 1, seed, 2000, 12000, "uniform,dups,sorted,reversed", 0,
-			"ext", 0, save, "", mode, "sort", true, false, ""); err != nil {
+			"ext", 0, save, mode, "sort", true, false, ""); err != nil {
 			t.Fatalf("%s run: %v", mode, err)
 		}
 		saves[mode] = save
@@ -132,10 +132,10 @@ func TestWireModeAssignment(t *testing.T) {
 			t.Fatalf("mode %s job %d: binary=%v, want %v", tc.mode, tc.id, got, tc.want)
 		}
 	}
-	if err := run("http://127.0.0.1:1", 1, 1, 1, 1, 1, "uniform", 0, "auto", 0, "", "", "bogus", "sort", false, false, ""); err == nil {
+	if err := run("http://127.0.0.1:1", 1, 1, 1, 1, 1, "uniform", 0, "auto", 0, "", "bogus", "sort", false, false, ""); err == nil {
 		t.Fatal("bad -wire value was accepted")
 	}
-	if err := run("http://127.0.0.1:1", 1, 1, 1, 1, 1, "uniform", 0, "auto", 0, "", "", "text", "sort,bogus", false, false, ""); err == nil {
+	if err := run("http://127.0.0.1:1", 1, 1, 1, 1, 1, "uniform", 0, "auto", 0, "", "text", "sort,bogus", false, false, ""); err == nil {
 		t.Fatal("bad -kernels value was accepted")
 	}
 }
@@ -163,14 +163,14 @@ func TestClusterLoad(t *testing.T) {
 
 	clusterSave := filepath.Join(t.TempDir(), "cluster")
 	if err := run(cts.URL, jobs, 2, seed, 2000, 12000, "uniform,dups,sorted,reversed,equal", 0,
-		"ext", 0, clusterSave, "", "mixed", "sort", false, true, ""); err != nil {
+		"ext", 0, clusterSave, "mixed", "sort", false, true, ""); err != nil {
 		t.Fatalf("cluster run: %v", err)
 	}
 
 	soloSave := filepath.Join(t.TempDir(), "solo")
 	solo := newTestService(t)
 	if err := run(solo.URL, jobs, 2, seed, 2000, 12000, "uniform,dups,sorted,reversed,equal", 0,
-		"ext", 0, soloSave, "", "mixed", "sort", false, false, ""); err != nil {
+		"ext", 0, soloSave, "mixed", "sort", false, false, ""); err != nil {
 		t.Fatalf("solo run: %v", err)
 	}
 
@@ -191,11 +191,11 @@ func TestClusterLoad(t *testing.T) {
 		}
 	}
 
-	if err := run(cts.URL, 1, 1, 1, 1000, 1000, "uniform", 0, "auto", 0, "", "", "text",
+	if err := run(cts.URL, 1, 1, 1, 1000, 1000, "uniform", 0, "auto", 0, "", "text",
 		"sort,semisort", false, true, ""); err == nil {
 		t.Fatal("-cluster accepted a non-sort kernel pool")
 	}
-	if err := run(cts.URL, 1, 1, 1, 1000, 1000, "uniform", 0, "auto", 0, "", "", "text",
+	if err := run(cts.URL, 1, 1, 1, 1000, 1000, "uniform", 0, "auto", 0, "", "text",
 		"sort", true, true, ""); err == nil {
 		t.Fatal("-cluster accepted -metrics")
 	}
@@ -209,7 +209,7 @@ func TestMixedLoadClasses(t *testing.T) {
 	const seed, jobs = 17, 8
 	ts := newTestService(t)
 	if err := run(ts.URL, jobs, 2, seed, 2000, 12000, "uniform", 0,
-		"ext", 0, "", "", "text", "sort", false, false, "mixed"); err != nil {
+		"ext", 0, "", "text", "sort", false, false, "mixed"); err != nil {
 		t.Fatalf("mixed run: %v", err)
 	}
 	resp, err := http.Get(ts.URL + "/stats")
@@ -244,10 +244,10 @@ func TestMixedLoadClasses(t *testing.T) {
 		t.Fatalf("mixed scenario produced %d small and %d bulk jobs; want both classes", small, bulk)
 	}
 
-	if err := run("http://127.0.0.1:1", 1, 1, 1, 1, 1, "uniform", 0, "auto", 0, "", "", "text", "sort", false, false, "bogus"); err == nil {
+	if err := run("http://127.0.0.1:1", 1, 1, 1, 1, 1, "uniform", 0, "auto", 0, "", "text", "sort", false, false, "bogus"); err == nil {
 		t.Fatal("bad -mix value was accepted")
 	}
-	if err := run("http://127.0.0.1:1", 1, 1, 1, 1, 1, "uniform", 0, "auto", 0, "", "", "text", "sort,semisort", false, false, "latency"); err == nil {
+	if err := run("http://127.0.0.1:1", 1, 1, 1, 1, 1, "uniform", 0, "auto", 0, "", "text", "sort,semisort", false, false, "latency"); err == nil {
 		t.Fatal("-mix accepted a non-sort kernel pool")
 	}
 }
@@ -267,7 +267,7 @@ func TestKernelMixDifferential(t *testing.T) {
 	for _, mode := range []string{"text", "binary"} {
 		ts := newTestService(t)
 		if err := run(ts.URL, jobs, 2, seed, 2000, 12000, "uniform,dups,sorted,reversed", 0,
-			"ext", 0, "", "", mode, pool, true, false, ""); err != nil {
+			"ext", 0, "", mode, pool, true, false, ""); err != nil {
 			t.Fatalf("%s kernel mix: %v", mode, err)
 		}
 		resp, err := http.Get(ts.URL + "/stats")

@@ -98,11 +98,10 @@
 //     hedged straggler re-dispatch, and its own /stats, /healthz, and
 //     /metrics surfaces. asymload -cluster drives and verifies it
 //   - internal/exp — the experiment harness regenerating every theorem's
-//     table (run via cmd/asymbench or the benchmarks in bench_test.go);
-//     asymbench -json records the tables as the structured rows the CI
-//     bench job archives as BENCH_<run>.json artifacts, and
-//     cmd/benchdiff joins two such recordings into the job summary's
-//     before/after markdown table
+//     table (run via cmd/asymbench or the benchmarks in bench_test.go),
+//     plus the native, ext and kernels wall-clock tables. The
+//     benchmark of record is bench/asymperf, its own module, which CI's
+//     bench job runs on every push to main
 //
 // The benchmarks in this directory (bench_test.go) regenerate each
 // experiment under `go test -bench` and time the native backend against

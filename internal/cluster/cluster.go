@@ -100,14 +100,8 @@ type Config struct {
 	// TraceDir, when non-empty, enables per-job trace export in the
 	// same two formats as internal/serve.
 	TraceDir string
-	// Client is the HTTP client for worker traffic; nil uses a private
-	// client with no overall timeout (shard sorts are long-lived).
-	Client *http.Client
 	// ProbeTimeout bounds one /healthz probe. Default 2s.
 	ProbeTimeout time.Duration
-	// SampleTarget is how many records the splitter sample draws.
-	// Default max(1024, 64*Shards).
-	SampleTarget int
 }
 
 // maxRetainedJobs bounds the /stats history, as in internal/serve.
@@ -223,14 +217,8 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.TmpDir == "" {
 		cfg.TmpDir = os.TempDir()
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{}
-	}
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = 2 * time.Second
-	}
-	if cfg.SampleTarget < 1 {
-		cfg.SampleTarget = max(1024, 64*cfg.Shards)
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -241,8 +229,11 @@ func New(cfg Config) (*Coordinator, error) {
 		reg: reg, obsm: newCoordMetrics(reg),
 		jobs: make(map[int]*JobStats),
 	}
+	// One client for all worker traffic, with no overall timeout: shard
+	// sorts are long-lived.
+	client := &http.Client{}
 	for _, u := range cfg.Workers {
-		c.workers = append(c.workers, &worker{url: u, client: cfg.Client})
+		c.workers = append(c.workers, &worker{url: u, client: client})
 	}
 	reg.GaugeFunc("asymsortd_uptime_seconds",
 		"Seconds since the coordinator started.",

@@ -61,7 +61,7 @@ func (c *Coordinator) partition(staged string, n, skip int, dir string, sp *obs.
 	defer bf.Close()
 	lo, hi := skip, skip+n
 
-	sample, err := extmem.SampleRecords(bf, lo, hi, c.cfg.SampleTarget)
+	sample, err := extmem.SampleRecords(bf, lo, hi, max(1024, 64*c.cfg.Shards))
 	if err != nil {
 		return nil, err
 	}

@@ -1,5 +1,5 @@
 // Package exp implements the experiment harness: one function per
-// experiment in DESIGN.md's index (E1–E12), each regenerating the
+// experiment (E1–E14, listed by All), each regenerating the
 // table/series that validates one of the paper's theorems. The cmd/asymbench
 // binary and the repository-root benchmarks both drive these functions.
 //
@@ -22,9 +22,6 @@ type Config struct {
 	Quick bool   // smaller sweeps for tests/benches
 	Seed  uint64 // base seed; all workloads derive from it
 	CSV   bool   // emit comma-separated values instead of aligned text
-	// Rec, when non-nil, additionally captures every rendered table as
-	// structured rows (see Recorder); asymbench -json drives it.
-	Rec *Recorder
 }
 
 // Experiment is a named, runnable experiment.
@@ -88,9 +85,6 @@ func (t *table) add(cells ...interface{}) {
 }
 
 func (t *table) write(w io.Writer, cfg Config) {
-	if cfg.Rec != nil {
-		cfg.Rec.table(t.header, t.rows)
-	}
 	if cfg.CSV {
 		fmt.Fprintln(w, strings.Join(t.header, ","))
 		for _, r := range t.rows {
@@ -108,9 +102,6 @@ func (t *table) write(w io.Writer, cfg Config) {
 
 // section prints an experiment banner.
 func section(w io.Writer, cfg Config, id, title, claim string) {
-	if cfg.Rec != nil {
-		cfg.Rec.begin(id, title)
-	}
 	if cfg.CSV {
 		fmt.Fprintf(w, "# %s %s\n", id, title)
 		return

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
@@ -25,6 +26,29 @@ func TestAllExperimentsQuick(t *testing.T) {
 			}
 			if !strings.Contains(out, e.ID) {
 				t.Errorf("%s output missing its banner", e.ID)
+			}
+		})
+	}
+}
+
+// The wall-clock tables outside the registry must run too. Each panics
+// on a wrong answer (and ext on a P = 2 ledger mismatch); an early
+// error return prints no verdict, so the verdict must be there and OK.
+func TestBenchTablesQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment suite")
+	}
+	cfg := Config{Quick: true, Seed: 1}
+	for _, b := range []struct {
+		name string
+		run  func(io.Writer, Config, int)
+	}{{"ext", ExtBench}, {"kernels", KernelsBench}, {"native", NativeBench}} {
+		t.Run(b.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			b.run(&buf, cfg, 2)
+			out := buf.String()
+			if strings.Contains(out, "SHAPE MISMATCH") || !strings.Contains(out, "SHAPE OK") {
+				t.Errorf("%s table has no OK verdict:\n%s", b.name, out)
 			}
 		})
 	}

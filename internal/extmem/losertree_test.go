@@ -204,14 +204,15 @@ func TestLoserTreeAllOnesRecords(t *testing.T) {
 }
 
 // memStream is an in-memory recStream: it hands out a sorted run in
-// spans of at most n records.
+// spans of at most len(buf) records, each copied into buf as runReader
+// refills do. The buffer stays in cache, as a refill buffer does, and a
+// tree that read a span after the next call would see it overwritten.
 type memStream struct {
-	recs []seq.Record
-	n    int
+	recs, buf []seq.Record
 }
 
 func (m *memStream) span() ([]seq.Record, error) {
-	s := m.recs[:min(m.n, len(m.recs))]
+	s := m.buf[:copy(m.buf, m.recs)]
 	m.recs = m.recs[len(s):]
 	return s, nil
 }
@@ -222,7 +223,7 @@ func memTree(t testing.TB, runs [][]seq.Record, spanN int) *loserTree {
 	t.Helper()
 	rdrs := make([]recStream, len(runs))
 	for i, run := range runs {
-		rdrs[i] = &memStream{recs: run, n: spanN}
+		rdrs[i] = &memStream{recs: run, buf: make([]seq.Record, spanN)}
 	}
 	lt, err := newLoserTree(rdrs)
 	if err != nil {
@@ -312,7 +313,7 @@ func TestLoserTreeRunsEndInsideBlock(t *testing.T) {
 	sameRecords(t, got, sortedConcat(runs))
 }
 
-// failStream hands out its run in spans of n records and fails its
+// failStream hands out its run in spans of len(buf) records and fails its
 // fail-th span call (counting from 1).
 type failStream struct {
 	memStream
@@ -337,8 +338,8 @@ func TestLoserTreeReaderErrorMidBlock(t *testing.T) {
 		runs[j%2] = append(runs[j%2], seq.Record{Key: uint64(j)})
 	}
 	rdrs := []recStream{
-		&failStream{memStream: memStream{recs: runs[0], n: 4}, fail: 3},
-		&memStream{recs: runs[1], n: 4},
+		&failStream{memStream: memStream{recs: runs[0], buf: make([]seq.Record, 4)}, fail: 3},
+		&memStream{recs: runs[1], buf: make([]seq.Record, 4)},
 	}
 	lt, err := newLoserTree(rdrs)
 	if err != nil {
@@ -398,9 +399,11 @@ func FuzzLoserTree(f *testing.F) {
 }
 
 // BenchmarkLoserTree times the merge kernel alone: 2¹⁸ records split
-// into f sorted in-memory runs, handed over in spans of 64 records and
-// popped to exhaustion in blocks of 64. ns/rec is the per-record cost
-// of one pass through the tree (build included) at each fan-in. The
+// into f sorted in-memory runs, handed over in spans of 64 records
+// copied into one reused buffer per run (as the engine's refills are)
+// and popped to exhaustion in blocks of 64. ns/rec is the per-record
+// cost of one pass through the tree (build and copies included) at
+// each fan-in. The
 // distinct rows draw uniform keys, the shape of ext-classic-p1; the
 // mod4096 rows draw keys from 4 096 values, the shape of serve-mixed's
 // semisort, and run mostly in full mode.
