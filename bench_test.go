@@ -1,7 +1,8 @@
 package asymsort
 
-// One benchmark per experiment table (B1..B12 ↔ E1..E12 in DESIGN.md),
-// plus micro-benchmarks of each sorting algorithm's simulated execution.
+// One benchmark per experiment table (B1..B12 ↔ E1..E12, the tables
+// `asymbench -list` names), plus micro-benchmarks of each sorting
+// algorithm's simulated execution.
 // Experiment benchmarks run the harness in Quick mode against io.Discard;
 // allocs/op in the output makes the "GC noise" reproduction note
 // checkable (hot paths allocate only at phase boundaries).

@@ -40,12 +40,14 @@
 //
 // The same seed with -concurrency 1 runs the identical job mix one at
 // a time — the serialized baseline a shared-envelope speedup is
-// measured against (the CI smoke gates concurrent/serialized ≥ 1.5×).
+// measured against (CI's makespan gate holds concurrent/serialized
+// ≥ 1.5×).
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -103,39 +105,47 @@ type jobResult struct {
 }
 
 func main() {
-	var (
-		addr    = flag.String("addr", "http://127.0.0.1:8077", "asymsortd base URL")
-		jobs    = flag.Int("jobs", 8, "number of jobs in the mix")
-		conc    = flag.Int("concurrency", 0, "max in-flight jobs (0 = all at once; 1 = serialized baseline)")
-		seed    = flag.Uint64("seed", 1, "mix seed: sizes, shapes, and per-job keys all derive from it")
-		minN    = flag.Int("minn", 20000, "smallest job size in records")
-		maxN    = flag.Int("maxn", 120000, "largest job size in records")
-		shapes  = flag.String("shapes", "uniform,sorted,reversed,dups,equal", "comma-separated shape pool the mix draws from")
-		spacing = flag.Duration("spacing", 0, "arrival spacing between job launches")
-		model   = flag.String("model", "auto", "forwarded to /sort?model=")
-		jobMem  = flag.Int("jobmem", 0, "per-job budget hint in records, forwarded as /sort?mem= (0 = server default)")
-		save    = flag.String("save", "", "directory to dump each job's input/output text (for solo-run diffing)")
-		wireFmt = flag.String("wire", "text", "job dialect: text | binary (record frames) | mixed (alternate by job id)")
-		kernels = flag.String("kernels", "sort", "comma-separated kernel pool the mix draws from (see internal/kernel)")
-		metrics = flag.Bool("metrics", false, "scrape /metrics before and after the run and verify the counter deltas and post-drain gauges")
-		cluster = flag.Bool("cluster", false, "target is an asymsortd coordinator: sort-only mix, /stats checked for job completion and shard retries/hedges")
-		mix     = flag.String("mix", "", "scenario generator: latency (small urgent jobs), throughput (bulk jobs), mixed (bulk background + small urgent foreground); adds priority/deadline headers and a per-class latency table")
-		version = flag.Bool("version", false, "print build info and exit")
-	)
-	flag.Parse()
-	if *version {
-		fmt.Println(obs.ReadBuildInfo())
-		return
-	}
-	if err := run(*addr, *jobs, *conc, *seed, *minN, *maxN, *shapes, *spacing, *model, *jobMem, *save, *wireFmt, *kernels, *metrics, *cluster, *mix); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintf(os.Stderr, "asymload: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, jobs, conc int, seed uint64, minN, maxN int, shapeList string,
-	spacing time.Duration, model string, jobMem int, save, wireMode, kernelList string,
-	metricsCheck, clusterMode bool, mix string) error {
+// run parses args, drives the mix, verifies it and prints the report
+// to stdout; any job that fails verification makes it an error.
+func run(args []string, stdout io.Writer) error {
+	var (
+		addr, shapeList, model, save, wireMode, kernelList, mix string
+		jobs, conc, minN, maxN, jobMem                          int
+		seed                                                    uint64
+		spacing                                                 time.Duration
+		metricsCheck, clusterMode, version                      bool
+	)
+	fs := flag.NewFlagSet("asymload", flag.ContinueOnError)
+	fs.StringVar(&addr, "addr", "http://127.0.0.1:8077", "asymsortd base URL")
+	fs.IntVar(&jobs, "jobs", 8, "number of jobs in the mix")
+	fs.IntVar(&conc, "concurrency", 0, "max in-flight jobs (0 = all at once; 1 = serialized baseline)")
+	fs.Uint64Var(&seed, "seed", 1, "mix seed: sizes, shapes, and per-job keys all derive from it")
+	fs.IntVar(&minN, "minn", 20000, "smallest job size in records")
+	fs.IntVar(&maxN, "maxn", 120000, "largest job size in records")
+	fs.StringVar(&shapeList, "shapes", "uniform,sorted,reversed,dups,equal", "comma-separated shape pool the mix draws from")
+	fs.DurationVar(&spacing, "spacing", 0, "arrival spacing between job launches")
+	fs.StringVar(&model, "model", "auto", "forwarded to /sort?model=")
+	fs.IntVar(&jobMem, "jobmem", 0, "per-job budget hint in records, forwarded as /sort?mem= (0 = server default)")
+	fs.StringVar(&save, "save", "", "directory to dump each job's input/output text (for solo-run diffing)")
+	fs.StringVar(&wireMode, "wire", "text", "job dialect: text | binary (record frames) | mixed (alternate by job id)")
+	fs.StringVar(&kernelList, "kernels", "sort", "comma-separated kernel pool the mix draws from (see internal/kernel)")
+	fs.BoolVar(&metricsCheck, "metrics", false, "scrape /metrics before and after the run and verify the counter deltas and post-drain gauges")
+	fs.BoolVar(&clusterMode, "cluster", false, "target is an asymsortd coordinator: sort-only mix, /stats checked for job completion and shard retries/hedges")
+	fs.StringVar(&mix, "mix", "", "scenario generator: latency (small urgent jobs), throughput (bulk jobs), mixed (bulk background + small urgent foreground); adds priority/deadline headers and a per-class latency table")
+	fs.BoolVar(&version, "version", false, "print build info and exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if version {
+		fmt.Fprintln(stdout, obs.ReadBuildInfo())
+		return nil
+	}
 	if jobs < 1 || minN < 1 || maxN < minN {
 		return fmt.Errorf("need -jobs >= 1 and 1 <= -minn <= -maxn")
 	}
@@ -217,10 +227,10 @@ func run(addr string, jobs, conc int, seed uint64, minN, maxN int, shapeList str
 		}
 	}
 
-	fmt.Printf("asymload: %d jobs (%d..%d records) against %s, concurrency %d, spacing %v, seed %d, wire %s, kernels %s\n",
+	fmt.Fprintf(stdout, "asymload: %d jobs (%d..%d records) against %s, concurrency %d, spacing %v, seed %d, wire %s, kernels %s\n",
 		jobs, minN, maxN, addr, conc, spacing, seed, wireMode, strings.Join(kpool, ","))
 	if mix != "" {
-		fmt.Printf("  scenario: %s (small: priority 4, deadline 1s, ~%d records; bulk: default class, ~%d records)\n",
+		fmt.Fprintf(stdout, "  scenario: %s (small: priority 4, deadline 1s, ~%d records; bulk: default class, ~%d records)\n",
 			mix, minN, maxN)
 	}
 
@@ -259,17 +269,17 @@ func run(addr string, jobs, conc int, seed uint64, minN, maxN int, shapeList str
 	makespan := time.Since(start)
 
 	// Render the per-job table and the summary.
-	failures := renderJobTable(os.Stdout, results)
-	totalRecs := renderSummary(os.Stdout, results, makespan, conc)
-	renderWireTable(os.Stdout, results)
+	failures := renderJobTable(stdout, results)
+	totalRecs := renderSummary(stdout, results, makespan, conc)
+	renderWireTable(stdout, results)
 	if mix != "" {
-		renderClassTable(os.Stdout, results)
+		renderClassTable(stdout, results)
 	}
 
 	if clusterMode {
 		// Coordinator cross-check: every job this run drove must have
 		// reached state "done" on the coordinator's own books too.
-		bad, err := checkClusterStats(addr, jobs)
+		bad, err := checkClusterStats(stdout, addr, jobs)
 		if err != nil {
 			return fmt.Errorf("fetching coordinator /stats: %v", err)
 		}
@@ -277,15 +287,15 @@ func run(addr string, jobs, conc int, seed uint64, minN, maxN int, shapeList str
 	} else {
 		// Cross-check the daemon's ledgers: every ext job's measured block
 		// writes must equal its simulated AEM plan.
-		extJobs, mismatches, err := checkLedgers(addr)
+		extJobs, mismatches, err := checkLedgers(stdout, addr)
 		if err != nil {
 			return fmt.Errorf("fetching /stats: %v", err)
 		}
 		if mismatches > 0 {
 			failures += mismatches
-			fmt.Printf("ledger identity: %d of %d ext jobs DIVERGE from the simulated AEM plan\n", mismatches, extJobs)
+			fmt.Fprintf(stdout, "ledger identity: %d of %d ext jobs DIVERGE from the simulated AEM plan\n", mismatches, extJobs)
 		} else {
-			fmt.Printf("ledger identity: OK (%d ext jobs, measured block writes == simulated AEM plan)\n", extJobs)
+			fmt.Fprintf(stdout, "ledger identity: OK (%d ext jobs, measured block writes == simulated AEM plan)\n", extJobs)
 		}
 	}
 
@@ -295,23 +305,23 @@ func run(addr string, jobs, conc int, seed uint64, minN, maxN int, shapeList str
 	if metricsCheck {
 		if err := checkMetrics(addr, before, jobs); err != nil {
 			failures++
-			fmt.Printf("metrics invariants: FAIL: %v\n", err)
+			fmt.Fprintf(stdout, "metrics invariants: FAIL: %v\n", err)
 		} else {
-			fmt.Printf("metrics invariants: OK (jobs_total +%d, queue/grant/lease gauges drained to zero)\n", jobs)
+			fmt.Fprintf(stdout, "metrics invariants: OK (jobs_total +%d, queue/grant/lease gauges drained to zero)\n", jobs)
 		}
 	}
 
 	// The greppable figures scripts (and the CI throughput gate) parse.
-	fmt.Printf("total wall: %dms\n", makespan.Milliseconds())
-	fmt.Printf("throughput: %.3f Mrec/s (%d records)\n",
+	fmt.Fprintf(stdout, "total wall: %dms\n", makespan.Milliseconds())
+	fmt.Fprintf(stdout, "throughput: %.3f Mrec/s (%d records)\n",
 		float64(totalRecs)/makespan.Seconds()/1e6, totalRecs)
 	if failures > 0 {
 		return fmt.Errorf("%d job(s) failed verification", failures)
 	}
 	if len(kpool) == 1 && kpool[0] == "sort" {
-		fmt.Println("all jobs verified: sorted, complete, checksums match")
+		fmt.Fprintln(stdout, "all jobs verified: sorted, complete, checksums match")
 	} else {
-		fmt.Println("all jobs verified: sort streams checksum-complete, kernel responses match their references")
+		fmt.Fprintln(stdout, "all jobs verified: sort streams checksum-complete, kernel responses match their references")
 	}
 	return nil
 }
@@ -758,7 +768,7 @@ type statsPayload struct {
 // checkLedgers fetches /stats and compares every completed ext job's
 // measured write ledger to its simulated plan — then re-checks the
 // identity on the per-kernel aggregates, which survive job eviction.
-func checkLedgers(addr string) (extJobs, mismatches int, err error) {
+func checkLedgers(out io.Writer, addr string) (extJobs, mismatches int, err error) {
 	resp, err := http.Get(addr + "/stats")
 	if err != nil {
 		return 0, 0, err
@@ -775,14 +785,14 @@ func checkLedgers(addr string) (extJobs, mismatches int, err error) {
 		extJobs++
 		if j.Writes != j.PlanWrites {
 			mismatches++
-			fmt.Printf("  job %d (%s): measured %d block writes, simulated plan %d\n",
+			fmt.Fprintf(out, "  job %d (%s): measured %d block writes, simulated plan %d\n",
 				j.ID, j.Kernel, j.Writes, j.PlanWrites)
 		}
 	}
 	for name, agg := range snap.Kernels {
 		if agg.Writes != agg.PlanWrites {
 			mismatches++
-			fmt.Printf("  kernel %s aggregate: measured %d block writes, simulated plan %d\n",
+			fmt.Fprintf(out, "  kernel %s aggregate: measured %d block writes, simulated plan %d\n",
 				name, agg.Writes, agg.PlanWrites)
 		}
 	}
@@ -807,7 +817,7 @@ type clusterStats struct {
 // Like checkMetrics it polls briefly: the coordinator records a job
 // done when its handler returns, a hair after the client sees the
 // response body end.
-func checkClusterStats(addr string, jobs int) (failures int, err error) {
+func checkClusterStats(out io.Writer, addr string, jobs int) (failures int, err error) {
 	var snap clusterStats
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Millisecond) {
 		resp, err := http.Get(addr + "/stats")
@@ -841,12 +851,12 @@ func checkClusterStats(addr string, jobs int) (failures int, err error) {
 			hedges += j.Hedges
 		default:
 			failures++
-			fmt.Printf("  coordinator job %d: state %q %s\n", j.ID, j.State, j.Err)
+			fmt.Fprintf(out, "  coordinator job %d: state %q %s\n", j.ID, j.State, j.Err)
 		}
 	}
 	if done < jobs {
 		failures++
-		fmt.Printf("coordinator books: only %d of %d jobs recorded done\n", done, jobs)
+		fmt.Fprintf(out, "coordinator books: only %d of %d jobs recorded done\n", done, jobs)
 	}
 	healthy := 0
 	for _, w := range snap.Workers {
@@ -858,7 +868,7 @@ func checkClusterStats(addr string, jobs int) (failures int, err error) {
 	if failures > 0 {
 		status = "FAIL"
 	}
-	fmt.Printf("cluster books: %s (%d jobs done over %d/%d healthy workers, %d shards, %d retries, %d hedges)\n",
+	fmt.Fprintf(out, "cluster books: %s (%d jobs done over %d/%d healthy workers, %d shards, %d retries, %d hedges)\n",
 		status, done, healthy, len(snap.Workers), shards, retries, hedges)
 	return failures, nil
 }

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"asymsort/internal/cluster"
@@ -34,6 +36,26 @@ func newTestService(t *testing.T) *httptest.Server {
 	return ts
 }
 
+// load runs asymload with args against addr and logs its report when
+// run fails.
+func load(t *testing.T, addr string, args ...string) error {
+	t.Helper()
+	var out bytes.Buffer
+	err := run(append([]string{"-addr", addr}, args...), &out)
+	if err != nil {
+		t.Logf("asymload %v: %v\n%s", args, err, out.String())
+	}
+	return err
+}
+
+// mustFail requires asymload to reject args with an error naming want.
+func mustFail(t *testing.T, want string, args ...string) {
+	t.Helper()
+	if err := load(t, "http://127.0.0.1:1", args...); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("asymload %v: err=%v, want one naming %q", args, err, want)
+	}
+}
+
 // TestWireDifferential runs the identical seeded job mix against fresh
 // services in every wire mode — text, binary, and mixed — serialized so
 // server job ids line up with the mix. run itself verifies each
@@ -49,8 +71,9 @@ func TestWireDifferential(t *testing.T) {
 	for _, mode := range []string{"text", "binary", "mixed"} {
 		ts := newTestService(t)
 		save := filepath.Join(t.TempDir(), mode)
-		if err := run(ts.URL, jobs, 1, seed, 2000, 12000, "uniform,dups,sorted,reversed", 0,
-			"ext", 0, save, mode, "sort", true, false, ""); err != nil {
+		if err := load(t, ts.URL, "-jobs", strconv.Itoa(jobs), "-concurrency", "1", "-seed", strconv.Itoa(seed),
+			"-minn", "2000", "-maxn", "12000", "-shapes", "uniform,dups,sorted,reversed",
+			"-model", "ext", "-save", save, "-wire", mode, "-metrics"); err != nil {
 			t.Fatalf("%s run: %v", mode, err)
 		}
 		saves[mode] = save
@@ -132,12 +155,9 @@ func TestWireModeAssignment(t *testing.T) {
 			t.Fatalf("mode %s job %d: binary=%v, want %v", tc.mode, tc.id, got, tc.want)
 		}
 	}
-	if err := run("http://127.0.0.1:1", 1, 1, 1, 1, 1, "uniform", 0, "auto", 0, "", "bogus", "sort", false, false, ""); err == nil {
-		t.Fatal("bad -wire value was accepted")
-	}
-	if err := run("http://127.0.0.1:1", 1, 1, 1, 1, 1, "uniform", 0, "auto", 0, "", "text", "sort,bogus", false, false, ""); err == nil {
-		t.Fatal("bad -kernels value was accepted")
-	}
+	tiny := []string{"-jobs", "1", "-concurrency", "1", "-minn", "1", "-maxn", "1", "-shapes", "uniform"}
+	mustFail(t, "bad -wire", append(tiny, "-wire", "bogus")...)
+	mustFail(t, "unknown kernel", append(tiny, "-kernels", "sort,bogus")...)
 }
 
 // TestClusterLoad points the seeded mix at a real coordinator over
@@ -161,16 +181,17 @@ func TestClusterLoad(t *testing.T) {
 	cts := httptest.NewServer(coord.Handler())
 	defer cts.Close()
 
+	mix := []string{"-jobs", strconv.Itoa(jobs), "-concurrency", "2", "-seed", strconv.Itoa(seed),
+		"-minn", "2000", "-maxn", "12000", "-shapes", "uniform,dups,sorted,reversed,equal",
+		"-model", "ext", "-wire", "mixed"}
 	clusterSave := filepath.Join(t.TempDir(), "cluster")
-	if err := run(cts.URL, jobs, 2, seed, 2000, 12000, "uniform,dups,sorted,reversed,equal", 0,
-		"ext", 0, clusterSave, "mixed", "sort", false, true, ""); err != nil {
+	if err := load(t, cts.URL, append(mix, "-save", clusterSave, "-cluster")...); err != nil {
 		t.Fatalf("cluster run: %v", err)
 	}
 
 	soloSave := filepath.Join(t.TempDir(), "solo")
 	solo := newTestService(t)
-	if err := run(solo.URL, jobs, 2, seed, 2000, 12000, "uniform,dups,sorted,reversed,equal", 0,
-		"ext", 0, soloSave, "mixed", "sort", false, false, ""); err != nil {
+	if err := load(t, solo.URL, append(mix, "-save", soloSave)...); err != nil {
 		t.Fatalf("solo run: %v", err)
 	}
 
@@ -191,14 +212,9 @@ func TestClusterLoad(t *testing.T) {
 		}
 	}
 
-	if err := run(cts.URL, 1, 1, 1, 1000, 1000, "uniform", 0, "auto", 0, "", "text",
-		"sort,semisort", false, true, ""); err == nil {
-		t.Fatal("-cluster accepted a non-sort kernel pool")
-	}
-	if err := run(cts.URL, 1, 1, 1, 1000, 1000, "uniform", 0, "auto", 0, "", "text",
-		"sort", true, true, ""); err == nil {
-		t.Fatal("-cluster accepted -metrics")
-	}
+	tiny := []string{"-jobs", "1", "-concurrency", "1", "-minn", "1000", "-maxn", "1000", "-shapes", "uniform", "-cluster"}
+	mustFail(t, "-cluster runs the sort kernel only", append(tiny, "-kernels", "sort,semisort")...)
+	mustFail(t, "-metrics checks solo-daemon", append(tiny, "-metrics")...)
 }
 
 // TestMixedLoadClasses drives a -mix mixed scenario and checks the
@@ -208,8 +224,8 @@ func TestClusterLoad(t *testing.T) {
 func TestMixedLoadClasses(t *testing.T) {
 	const seed, jobs = 17, 8
 	ts := newTestService(t)
-	if err := run(ts.URL, jobs, 2, seed, 2000, 12000, "uniform", 0,
-		"ext", 0, "", "text", "sort", false, false, "mixed"); err != nil {
+	if err := load(t, ts.URL, "-jobs", strconv.Itoa(jobs), "-concurrency", "2", "-seed", strconv.Itoa(seed),
+		"-minn", "2000", "-maxn", "12000", "-shapes", "uniform", "-model", "ext", "-mix", "mixed"); err != nil {
 		t.Fatalf("mixed run: %v", err)
 	}
 	resp, err := http.Get(ts.URL + "/stats")
@@ -244,12 +260,9 @@ func TestMixedLoadClasses(t *testing.T) {
 		t.Fatalf("mixed scenario produced %d small and %d bulk jobs; want both classes", small, bulk)
 	}
 
-	if err := run("http://127.0.0.1:1", 1, 1, 1, 1, 1, "uniform", 0, "auto", 0, "", "text", "sort", false, false, "bogus"); err == nil {
-		t.Fatal("bad -mix value was accepted")
-	}
-	if err := run("http://127.0.0.1:1", 1, 1, 1, 1, 1, "uniform", 0, "auto", 0, "", "text", "sort,semisort", false, false, "latency"); err == nil {
-		t.Fatal("-mix accepted a non-sort kernel pool")
-	}
+	tiny := []string{"-jobs", "1", "-concurrency", "1", "-minn", "1", "-maxn", "1", "-shapes", "uniform"}
+	mustFail(t, "bad -mix", append(tiny, "-mix", "bogus")...)
+	mustFail(t, "-mix scenarios run the sort kernel only", append(tiny, "-kernels", "sort,semisort", "-mix", "latency")...)
 }
 
 // TestKernelMixDifferential drives a mixed-kernel workload — every
@@ -266,8 +279,9 @@ func TestKernelMixDifferential(t *testing.T) {
 	pool := "sort,semisort,histogram,top-k,merge-join"
 	for _, mode := range []string{"text", "binary"} {
 		ts := newTestService(t)
-		if err := run(ts.URL, jobs, 2, seed, 2000, 12000, "uniform,dups,sorted,reversed", 0,
-			"ext", 0, "", mode, pool, true, false, ""); err != nil {
+		if err := load(t, ts.URL, "-jobs", strconv.Itoa(jobs), "-concurrency", "2", "-seed", strconv.Itoa(seed),
+			"-minn", "2000", "-maxn", "12000", "-shapes", "uniform,dups,sorted,reversed",
+			"-model", "ext", "-wire", mode, "-kernels", pool, "-metrics"); err != nil {
 			t.Fatalf("%s kernel mix: %v", mode, err)
 		}
 		resp, err := http.Get(ts.URL + "/stats")

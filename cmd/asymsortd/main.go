@@ -60,8 +60,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux for -debug-addr
@@ -79,170 +81,163 @@ import (
 )
 
 func main() {
-	var (
-		addr      = flag.String("addr", "127.0.0.1:8077", "listen address (host:port; :0 picks a free port)")
-		mem       = flag.String("mem", "64MB", "global memory budget shared by all jobs, e.g. 8MB")
-		block     = flag.Int("b", 64, "device block size in records (the model's B)")
-		omega     = flag.Float64("omega", 8, "prior write/read cost ratio ω, blended with the live measurement (0 = fully measured; picks k when -k 0)")
-		k         = flag.Int("k", 0, "ext read multiplier (0 = choose from ω, Appendix A)")
-		procs     = flag.Int("procs", 0, "machine worker count shared by all jobs (0 = GOMAXPROCS)")
-		tmpdir    = flag.String("tmpdir", "", "job staging/spill directory (default os.TempDir)")
-		admission = flag.String("admission", "adaptive", "broker scheduling policy: adaptive (priority/deadline-aware, size-proportional shares) or fifo (legacy arrival order)")
-		traceDir  = flag.String("trace-dir", "", "export each job's trace there as JSONL + Chrome trace-event JSON (empty = tracing off)")
-		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof on this extra listener (empty = pprof off)")
-		version   = flag.Bool("version", false, "print build info and exit")
-
-		coordinator = flag.Bool("coordinator", false, "run as a cluster coordinator instead of a job engine")
-		workers     = flag.String("workers", "", "comma-separated worker base URLs (coordinator mode; required)")
-		shards      = flag.Int("shards", 0, "range shards per job (coordinator mode; 0 = one per worker)")
-		retries     = flag.Int("retries", 2, "re-dispatch budget per failed shard (coordinator mode)")
-		hedge       = flag.Duration("hedge", 0, "re-dispatch a shard in flight longer than this to an idle worker (coordinator mode; 0 = off)")
-	)
-	flag.Parse()
-	if *version {
-		fmt.Println(obs.ReadBuildInfo())
-		return
-	}
-	var err error
-	if *coordinator {
-		err = runCoordinator(*addr, *workers, *shards, *retries, *hedge, *tmpdir, *traceDir, *debugAddr)
-	} else {
-		err = run(*addr, *mem, *block, *omega, *k, *procs, *tmpdir, *traceDir, *debugAddr, *admission)
-	}
-	if err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintf(os.Stderr, "asymsortd: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// runCoordinator serves the cluster front-end: the handler scatters
-// /sort jobs across the worker fleet instead of running them here.
-func runCoordinator(addr, workersFlag string, shards, retries int, hedge time.Duration, tmpdir, traceDir, debugAddr string) error {
-	var urls []string
-	for _, u := range strings.Split(workersFlag, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, strings.TrimRight(u, "/"))
+// run parses args, builds the job engine (or, with -coordinator, the
+// cluster front-end), makes the trace dir, listens, prints the banner
+// with the bound address to stdout, and serves until ctx is done. It
+// then flips /healthz to "draining" and waits up to 30 s for in-flight
+// jobs; nil means they all finished. Flag errors return before
+// anything listens. With -debug-addr set, net/http/pprof rides on its
+// own listener (DefaultServeMux carries its registrations), so the
+// profiling surface is only reachable where -debug-addr points,
+// typically loopback.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("asymsortd", flag.ContinueOnError)
+	var (
+		addr      = fs.String("addr", "127.0.0.1:8077", "listen address (host:port; :0 picks a free port)")
+		mem       = fs.String("mem", "64MB", "global memory budget shared by all jobs, e.g. 8MB")
+		block     = fs.Int("b", 64, "device block size in records (the model's B)")
+		omega     = fs.Float64("omega", 8, "prior write/read cost ratio ω, blended with the live measurement (0 = fully measured; picks k when -k 0)")
+		k         = fs.Int("k", 0, "ext read multiplier (0 = choose from ω, Appendix A)")
+		procs     = fs.Int("procs", 0, "machine worker count shared by all jobs (0 = GOMAXPROCS)")
+		tmpdir    = fs.String("tmpdir", "", "job staging/spill directory (default os.TempDir)")
+		admission = fs.String("admission", "adaptive", "broker scheduling policy: adaptive (priority/deadline-aware, size-proportional shares) or fifo (legacy arrival order)")
+		traceDir  = fs.String("trace-dir", "", "export each job's trace there as JSONL + Chrome trace-event JSON (empty = tracing off)")
+		debugAddr = fs.String("debug-addr", "", "serve net/http/pprof on this extra listener (empty = pprof off)")
+		version   = fs.Bool("version", false, "print build info and exit")
+
+		coordinator = fs.Bool("coordinator", false, "run as a cluster coordinator instead of a job engine")
+		workers     = fs.String("workers", "", "comma-separated worker base URLs (coordinator mode; required)")
+		shards      = fs.Int("shards", 0, "range shards per job (coordinator mode; 0 = one per worker)")
+		retries     = fs.Int("retries", 2, "re-dispatch budget per failed shard (coordinator mode)")
+		hedge       = fs.Duration("hedge", 0, "re-dispatch a shard in flight longer than this to an idle worker (coordinator mode; 0 = off)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *version {
+		fmt.Fprintln(stdout, obs.ReadBuildInfo())
+		return nil
+	}
+
+	var (
+		h    http.Handler
+		srv  *serve.Server // nil in coordinator mode
+		role = "listening"
+		info strings.Builder // the banner below its first line
+	)
+	if *coordinator {
+		// The handler scatters /sort jobs across the worker fleet
+		// instead of running them here.
+		var urls []string
+		for _, u := range strings.Split(*workers, ",") {
+			if u = strings.TrimSpace(u); u != "" {
+				urls = append(urls, strings.TrimRight(u, "/"))
+			}
 		}
+		if len(urls) == 0 {
+			return fmt.Errorf("coordinator mode needs -workers url1,url2,...")
+		}
+		coord, err := cluster.New(cluster.Config{
+			Workers: urls, Shards: *shards, Retries: *retries, HedgeAfter: *hedge,
+			TmpDir: *tmpdir, TraceDir: *traceDir, Metrics: obs.NewRegistry(),
+		})
+		if err != nil {
+			return err
+		}
+		cfg := coord.Config()
+		h, role = coord.Handler(), "coordinating"
+		fmt.Fprintf(&info, "  workers  : %s\n", strings.Join(cfg.Workers, " · "))
+		fmt.Fprintf(&info, "  dispatch : shards=%d retries=%d hedge=%v\n", cfg.Shards, cfg.Retries, cfg.HedgeAfter)
+		fmt.Fprintf(&info, "  endpoints: POST /sort · GET /stats · GET /healthz · GET /metrics\n")
+	} else {
+		memBytes, err := serve.ParseSize(*mem)
+		if err != nil {
+			return fmt.Errorf("bad -mem: %v", err)
+		}
+		var fifo bool
+		switch *admission {
+		case "adaptive", "":
+		case "fifo":
+			fifo = true
+		default:
+			return fmt.Errorf("bad -admission %q (want adaptive or fifo)", *admission)
+		}
+		// One registry for the whole process: the broker's envelope
+		// gauges and the job engine's job/IO/HTTP metrics share the
+		// /metrics scrape.
+		reg := obs.NewRegistry()
+		broker, err := serve.NewBroker(serve.BrokerConfig{
+			Mem: int(memBytes / extmem.RecordBytes), Procs: *procs, MinLease: 16 * *block, Metrics: reg, FIFO: fifo,
+		})
+		if err != nil {
+			return err
+		}
+		defer broker.Close()
+		if srv, err = serve.NewServer(serve.ServerConfig{
+			Broker: broker, Block: *block, Omega: *omega, K: *k, TmpDir: *tmpdir,
+			Metrics: reg, TraceDir: *traceDir,
+		}); err != nil {
+			return err
+		}
+		h = srv.Handler()
+		stats := broker.Stats()
+		fmt.Fprintf(&info, "  envelope : M=%d records (%s), B=%d records, ω prior=%g (live-measured), procs=%d, min lease %d records\n",
+			stats.TotalMem, *mem, *block, *omega, stats.Procs, stats.MinLease)
+		fmt.Fprintf(&info, "  admission: %s\n", *admission)
+		fmt.Fprintf(&info, "  kernels  : %s\n", strings.Join(kernel.Names(), " · "))
+		fmt.Fprintf(&info, "  endpoints: POST /v1/{kernel} · POST /sort · GET /stats · GET /healthz · GET /metrics\n")
 	}
-	if len(urls) == 0 {
-		return fmt.Errorf("coordinator mode needs -workers url1,url2,...")
-	}
-	coord, err := cluster.New(cluster.Config{
-		Workers: urls, Shards: shards, Retries: retries, HedgeAfter: hedge,
-		TmpDir: tmpdir, TraceDir: traceDir, Metrics: obs.NewRegistry(),
-	})
-	if err != nil {
-		return err
-	}
-	return serveUntilSignal(addr, debugAddr, traceDir, coord.Handler(), func(bound net.Addr) {
-		fmt.Printf("asymsortd: coordinating on %s\n", bound)
-		fmt.Printf("  workers  : %s\n", strings.Join(urls, " · "))
-		fmt.Printf("  dispatch : shards=%d retries=%d hedge=%v\n", max(shards, len(urls)), retries, hedge)
-		fmt.Printf("  endpoints: POST /sort · GET /stats · GET /healthz · GET /metrics\n")
-	}, nil)
-}
 
-func run(addr, memFlag string, block int, omega float64, k, procs int, tmpdir, traceDir, debugAddr, admission string) error {
-	memBytes, err := serve.ParseSize(memFlag)
-	if err != nil {
-		return fmt.Errorf("bad -mem: %v", err)
-	}
-	memRecs := int(memBytes / extmem.RecordBytes)
-	var fifo bool
-	switch admission {
-	case "adaptive", "":
-	case "fifo":
-		fifo = true
-	default:
-		return fmt.Errorf("bad -admission %q (want adaptive or fifo)", admission)
-	}
-
-	// One registry for the whole process: the broker's envelope gauges
-	// and the job engine's job/IO/HTTP metrics share the /metrics scrape.
-	reg := obs.NewRegistry()
-	broker, err := serve.NewBroker(serve.BrokerConfig{
-		Mem: memRecs, Procs: procs, MinLease: 16 * block, Metrics: reg, FIFO: fifo,
-	})
-	if err != nil {
-		return err
-	}
-	defer broker.Close()
-	srv, err := serve.NewServer(serve.ServerConfig{
-		Broker: broker, Block: block, Omega: omega, K: k, TmpDir: tmpdir,
-		Metrics: reg, TraceDir: traceDir,
-	})
-	if err != nil {
-		return err
-	}
-	stats := broker.Stats()
-	// The drain hook, SetDraining, flips /healthz to "draining" while
-	// jobs finish.
-	err = serveUntilSignal(addr, debugAddr, traceDir, srv.Handler(), func(bound net.Addr) {
-		fmt.Printf("asymsortd: listening on %s\n", bound)
-		fmt.Printf("  envelope : M=%d records (%s), B=%d records, ω prior=%g (live-measured), procs=%d, min lease %d records\n",
-			stats.TotalMem, memFlag, block, omega, stats.Procs, stats.MinLease)
-		fmt.Printf("  admission: %s\n", admission)
-		fmt.Printf("  kernels  : %s\n", strings.Join(kernel.Names(), " · "))
-		fmt.Printf("  endpoints: POST /v1/{kernel} · POST /sort · GET /stats · GET /healthz · GET /metrics\n")
-	}, srv.SetDraining)
-	if err != nil {
-		return err
-	}
-	// Only a clean drain persists the ω estimator, so the next start
-	// begins warm from costs no still-running job can change.
-	srv.Close()
-	return nil
-}
-
-// serveUntilSignal makes the trace dir, listens on addr, prints the
-// banner with the bound address, and serves h until SIGINT or SIGTERM.
-// It then runs onDrain (when non-nil) and waits up to 30 s for
-// in-flight jobs; nil means they all finished. With debugAddr set,
-// net/http/pprof rides on its own listener (DefaultServeMux carries its
-// registrations), so the profiling surface is only reachable where
-// -debug-addr points, typically loopback.
-func serveUntilSignal(addr, debugAddr, traceDir string, h http.Handler, banner func(net.Addr), onDrain func()) error {
-	if traceDir != "" {
-		if err := os.MkdirAll(traceDir, 0o777); err != nil {
+	if *traceDir != "" {
+		if err := os.MkdirAll(*traceDir, 0o777); err != nil {
 			return fmt.Errorf("bad -trace-dir: %v", err)
 		}
+		fmt.Fprintf(&info, "  tracing  : per-job JSONL + Chrome traces in %s\n", *traceDir)
 	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
-	banner(ln.Addr())
-	if traceDir != "" {
-		fmt.Printf("  tracing  : per-job JSONL + Chrome traces in %s\n", traceDir)
-	}
-	if debugAddr != "" {
-		dln, err := net.Listen("tcp", debugAddr)
+	fmt.Fprintf(stdout, "asymsortd: %s on %s\n%s", role, ln.Addr(), &info)
+	if *debugAddr != "" {
+		dln, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
 			ln.Close()
 			return fmt.Errorf("bad -debug-addr: %v", err)
 		}
-		fmt.Printf("  pprof    : http://%s/debug/pprof/\n", dln.Addr())
+		fmt.Fprintf(stdout, "  pprof    : http://%s/debug/pprof/\n", dln.Addr())
 		go http.Serve(dln, nil)
 		defer dln.Close()
 	}
 	httpSrv := &http.Server{Handler: h}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		return err
-	case s := <-sig:
-		fmt.Printf("asymsortd: %v — draining jobs and shutting down\n", s)
-		if onDrain != nil {
-			onDrain()
-		}
-		sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(sctx); err != nil {
-			return fmt.Errorf("shutdown with jobs still in flight: %w", err)
-		}
+	case <-ctx.Done():
+	}
+	fmt.Fprintf(stdout, "asymsortd: draining jobs and shutting down\n")
+	if srv != nil {
+		srv.SetDraining()
+	}
+	sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := httpSrv.Shutdown(sctx); err != nil {
+		return fmt.Errorf("shutdown with jobs still in flight: %w", err)
+	}
+	if srv == nil {
 		return nil
 	}
+	// The drain persists the ω estimator after the last job, so the
+	// next start begins warm (each ext job also saves it as it ends).
+	return srv.Close()
 }

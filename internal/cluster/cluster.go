@@ -26,7 +26,7 @@
 // splitter[i-1] <= r < splitter[i], every worker sorts its shard with
 // the same total order, and the concatenation of sorted shards IS the
 // sorted whole — byte-identical to `asymsort -model ext` on the same
-// input, which the cluster tests and the CI smoke pin.
+// input, which the cluster tests pin.
 //
 // The coordinator serves /sort through internal/serve's request path:
 // it validates the query with serve's grammar and relays the accepted
@@ -240,6 +240,10 @@ func New(cfg Config) (*Coordinator, error) {
 		func() float64 { return time.Since(c.start).Seconds() })
 	return c, nil
 }
+
+// Config returns the configuration the coordinator runs with, its
+// defaults resolved.
+func (c *Coordinator) Config() Config { return c.cfg }
 
 // Handler returns the coordinator mux. The client-facing surface is
 // the same dialect as a solo daemon's /sort, so clients (asymload

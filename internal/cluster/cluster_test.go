@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -24,12 +25,17 @@ import (
 // newWorker spins up one real asymsortd job engine (broker + server)
 // on an httptest listener — exactly what a cluster worker is.
 func newWorker(t *testing.T, mem int) *httptest.Server {
+	return newWorkerIn(t, mem, t.TempDir())
+}
+
+// newWorkerIn is newWorker with tmp as the worker's spill directory.
+func newWorkerIn(t *testing.T, mem int, tmp string) *httptest.Server {
 	t.Helper()
 	b, err := serve.NewBroker(serve.BrokerConfig{Mem: mem, Procs: 2, MinLease: 16 * 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.NewServer(serve.ServerConfig{Broker: b, Block: 64, Omega: 8, TmpDir: t.TempDir()})
+	srv, err := serve.NewServer(serve.ServerConfig{Broker: b, Block: 64, Omega: 8, TmpDir: tmp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,47 +339,128 @@ func TestClusterRetry(t *testing.T) {
 	}
 }
 
-// TestClusterWorkerDiesMidJob: one worker serves /healthz until its
+// TestClusterWorkerDiesMidJob: one worker of three dies during a job,
+// at one of two points. Before it answers, it serves /healthz until its
 // first shard arrives, then drops the connection and goes dark — the
-// crash shape of a killed daemon. The coordinator's post-failure
-// re-probe evicts it and the survivors absorb its shards.
+// crash shape of a killed daemon. Mid-answer, it sorts its first shard
+// on a real worker and aborts the connection after the first response
+// bytes. Either way the coordinator's post-failure re-probe evicts it
+// and the survivors absorb its shards: the body is the sorted keys,
+// /healthz says degraded with two healthy workers, the job is done with
+// a retry, /metrics counts the job done and a failed attempt, and the
+// survivors' and the coordinator's tmp dirs hold nothing but the ω
+// meter's state file.
 func TestClusterWorkerDiesMidJob(t *testing.T) {
-	real := newWorker(t, 1<<14)
-	var dead atomic.Bool
-	dying := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if dead.Load() {
-			hj, ok := w.(http.Hijacker)
-			if !ok {
-				t.Error("no hijacker")
-				return
-			}
-			conn, _, _ := hj.Hijack()
-			conn.Close()
-			return
+	for _, midAnswer := range []bool{false, true} {
+		name := "before-answer"
+		if midAnswer {
+			name = "mid-answer"
 		}
-		if r.URL.Path == "/sort" {
-			dead.Store(true)
-			conn, _, _ := w.(http.Hijacker).Hijack()
-			conn.Close()
-			return
-		}
-		proxyTo(t, real.URL, w, r)
-	}))
-	t.Cleanup(dying.Close)
+		t.Run(name, func(t *testing.T) {
+			real := newWorker(t, 1<<14)
+			var dead atomic.Bool
+			dying := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch {
+				case r.URL.Path == "/sort" && midAnswer && !dead.Swap(true):
+					rec := httptest.NewRecorder()
+					proxyTo(t, real.URL, rec, r)
+					for k, vs := range rec.Header() {
+						w.Header()[k] = vs
+					}
+					w.WriteHeader(rec.Code)
+					w.Write(rec.Body.Bytes()[:64])
+					w.(http.Flusher).Flush()
+					panic(http.ErrAbortHandler)
+				case r.URL.Path == "/sort" || dead.Load():
+					dead.Store(true)
+					conn, _, err := w.(http.Hijacker).Hijack()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					conn.Close()
+				default:
+					proxyTo(t, real.URL, w, r)
+				}
+			}))
+			t.Cleanup(dying.Close)
 
-	urls := []string{dying.URL, newWorker(t, 1<<14).URL, newWorker(t, 1<<14).URL}
-	c, coord := newCoordinator(t, Config{Workers: urls, Shards: 6})
-	keys := genKeys(30000, 13)
-	resp, body := post(t, coord.URL, "", "", []byte(keysText(keys)))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %.300s", resp.StatusCode, body)
-	}
-	if want := sortedText(keys); string(body) != want {
-		t.Fatal("output is not the sorted key text after a worker death")
-	}
-	st := c.workers[0].stats()
-	if st.Healthy {
-		t.Fatalf("dead worker still marked healthy: %+v", st)
+			tmps := []string{t.TempDir(), t.TempDir(), t.TempDir()} // two survivors, the coordinator
+			urls := []string{dying.URL, newWorkerIn(t, 1<<14, tmps[0]).URL, newWorkerIn(t, 1<<14, tmps[1]).URL}
+			c, coord := newCoordinator(t, Config{Workers: urls, Shards: 6, TmpDir: tmps[2]})
+			keys := genKeys(30000, 13)
+			resp, body := post(t, coord.URL, "", "", []byte(keysText(keys)))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %.300s", resp.StatusCode, body)
+			}
+			if want := sortedText(keys); string(body) != want {
+				t.Fatal("output is not the sorted key text after a worker death")
+			}
+			if st := c.workers[0].stats(); st.Healthy {
+				t.Fatalf("dead worker still marked healthy: %+v", st)
+			}
+
+			hr, err := http.Get(coord.URL + "/healthz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var hs healthSnapshot
+			err = json.NewDecoder(hr.Body).Decode(&hs)
+			hr.Body.Close()
+			if err != nil || hs.Status != "degraded" || hs.HealthyWorkers != 2 {
+				t.Fatalf("healthz after the death: %+v (%v), want degraded with 2 healthy workers", hs, err)
+			}
+
+			// The job is booked and its files go when its handler returns,
+			// a hair after the client sees the body end.
+			var job JobStats
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+				c.mu.Lock()
+				job = *c.jobs[0]
+				c.mu.Unlock()
+				var left []string
+				for _, dir := range tmps {
+					entries, err := os.ReadDir(dir)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, e := range entries {
+						if e.Name() != ".asymsort-omega.json" {
+							left = append(left, filepath.Join(dir, e.Name()))
+						}
+					}
+				}
+				if !job.live() && len(left) == 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("job %+v; left behind: %q", job, left)
+				}
+			}
+			if job.State != "done" || job.Retries < 1 {
+				t.Fatalf("job ledger after the death: %+v (want done with retries >= 1)", job)
+			}
+
+			mr, err := http.Get(coord.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := obs.ParseProm(mr.Body)
+			mr.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			done, _ := snap.Get("asymsortd_cluster_jobs_total", map[string]string{"outcome": "done"})
+			var failed float64
+			for _, smp := range snap.Samples {
+				if smp.Name == "asymsortd_cluster_shard_attempts_total" && smp.Labels["outcome"] == "error" {
+					failed += smp.Value
+				}
+			}
+			if done != 1 || failed < 1 {
+				t.Fatalf("metrics: %g jobs done, %g attempts failed; want 1 and >= 1", done, failed)
+			}
+		})
 	}
 }
 
@@ -441,19 +528,7 @@ func TestClusterHedging(t *testing.T) {
 	// throttle lives in a proxy in front of it, so the worker itself has
 	// a genuine in-flight job when the hedge winner cancels it.
 	slowTmp := t.TempDir()
-	sb, err := serve.NewBroker(serve.BrokerConfig{Mem: 1 << 14, Procs: 2, MinLease: 16 * 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ssrv, err := serve.NewServer(serve.ServerConfig{Broker: sb, Block: 64, Omega: 8, TmpDir: slowTmp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	slowWorker := httptest.NewServer(ssrv.Handler())
-	t.Cleanup(func() {
-		slowWorker.Close()
-		sb.Close()
-	})
+	slowWorker := newWorkerIn(t, 1<<14, slowTmp)
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/sort" {
 			req, err := http.NewRequestWithContext(r.Context(), "POST", slowWorker.URL+r.URL.String(),

@@ -22,7 +22,7 @@ import (
 // paper's bound is linear speedup with p = n/M processors when
 // M/B ≥ log² n.
 //
-// Simplifications (constant factors only, documented in DESIGN.md §7):
+// Simplifications (constant factors only):
 // splitters are chosen by processor 0 (the paper uses a parallel
 // mergesort over a log-factor-smaller sample; both are lower-order), and
 // each base-case subproblem is sorted whole by one processor, assigned

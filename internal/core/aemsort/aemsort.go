@@ -8,7 +8,7 @@
 // Bounds (Theorem 4.3): R(n) ≤ (k+1)⌈n/B⌉⌈log_{kM/B}(n/B)⌉ block reads and
 // W(n) ≤ ⌈n/B⌉⌈log_{kM/B}(n/B)⌉ block writes.
 //
-// One deviation from the paper's pseudocode, documented in DESIGN.md §7:
+// One deviation from the paper's pseudocode:
 // Algorithm 2 filters phase-2 insertions only by "e.key < Q.max" with
 // Q.max = +∞ when Q is not full. Taken literally this lets a round output
 // records larger than a record rejected earlier in the same round (reject

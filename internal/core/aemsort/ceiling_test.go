@@ -1,7 +1,7 @@
 package aemsort
 
 // Regression test for the Algorithm 2 deviation documented in the package
-// comment and DESIGN.md §7: without the round ceiling, the literal
+// comment: without the round ceiling, the literal
 // pseudocode emits unsorted output on this input. The construction makes
 // phase 1 reject run B's records while run A's marker drains the queue,
 // so phase 2 loads A's next block into a non-full queue; the ceiling must

@@ -31,7 +31,7 @@
 // (leaf sorts and sample sorts additionally take slice-level fast
 // paths; the fork-join structure is shared).
 //
-// One deviation, recorded in DESIGN.md §7: the ω partition rounds of step
+// One deviation: the ω partition rounds of step
 // (d) are implemented as count/scan/scatter passes whose depth is
 // O(ω log n) each, so a level's measured depth carries an O(ω² log n)
 // term where the paper claims the mergesort's O(ω log²(n/ω)) dominates;

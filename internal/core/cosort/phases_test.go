@@ -1,6 +1,6 @@
 package cosort
 
-// Phase-level tests for the Figure 1 steps (DESIGN.md entry F1): each of
+// Phase-level tests for the Figure 1 steps: each of
 // the algorithm's internal stages is validated against a brute-force
 // reference independently of the end-to-end sort tests.
 

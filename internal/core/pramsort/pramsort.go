@@ -58,7 +58,7 @@ type Options struct {
 	// RealSampleSort sorts samples with the measured parallel mergesort
 	// (O(ω log² s) depth) instead of the Cole cost oracle (O(ω log s)
 	// depth, charged per its published bounds). The oracle is the default
-	// so the end-to-end depth matches Theorem 3.2; see DESIGN.md §2.
+	// so the end-to-end depth matches Theorem 3.2; see prim.OracleColeSort.
 	// The native backend sorts samples for real either way.
 	RealSampleSort bool
 	// SlotFactor is c in the per-bucket array size c·log² n. Zero means

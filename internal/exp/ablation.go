@@ -17,7 +17,7 @@ import (
 //   - Algorithm 1's step 6 (Lemma 3.1 deep splitting): claimed to reduce
 //     depth from O(ω log² n)-ish to O(ω log n);
 //   - the Cole-oracle vs the real O(ω log² n)-depth sample mergesort
-//     (the DESIGN.md §2 substitution, quantified);
+//     (the prim.OracleColeSort substitution, quantified);
 //   - Algorithm 2 with run pointers in primary vs secondary memory (the
 //     paper's remark after Lemma 4.1: external pointers ≈ double writes).
 func E14Ablations(w io.Writer, cfg Config) {

@@ -88,7 +88,7 @@ func E1RAMSort(w io.Writer, cfg Config) {
 
 // E2PRAMSort validates Theorem 3.2: Algorithm 1 sorts with O(n log n)
 // reads, O(n) writes, and O(ω log n) depth w.h.p. (with step 6 enabled
-// and the Cole-oracle sample sort; see DESIGN.md §2).
+// and the Cole-oracle sample sort; see prim.OracleColeSort).
 func E2PRAMSort(w io.Writer, cfg Config) {
 	section(w, cfg, "E2", "Asymmetric PRAM sample sort (Algorithm 1)",
 		"O(n log n) reads, O(n) writes, O(ω log n) depth w.h.p.")

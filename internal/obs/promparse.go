@@ -19,7 +19,7 @@ type Sample struct {
 }
 
 // Snapshot is a parsed /metrics scrape with lookup helpers. asymload's
-// -metrics invariant check and the CI promcheck tool both consume this.
+// -metrics invariant check and the tests consume this.
 type Snapshot struct {
 	Samples []Sample
 }

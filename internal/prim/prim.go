@@ -269,8 +269,8 @@ func seqSortInto(c *wd.T, in, out *wd.Array[seq.Record]) {
 // intricate pipelined structure: O(n log n) reads and writes (n⌈lg n⌉ of
 // each) and O(ω log n) depth. The paper invokes Cole's algorithm as a
 // black box for sorting o(n)-size samples (Section 3, step 1); this oracle
-// is the documented substitution (DESIGN.md §2) that keeps the end-to-end
-// measured depth of Algorithm 1 at the theorem's O(ω log n).
+// is the substitution that keeps the end-to-end measured depth of
+// Algorithm 1 at the theorem's O(ω log n).
 func OracleColeSort(c *wd.T, in *wd.Array[seq.Record]) *wd.Array[seq.Record] {
 	n := in.Len()
 	out := wd.NewArray[seq.Record](n)
