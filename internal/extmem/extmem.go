@@ -16,11 +16,14 @@
 //     formed with the Lemma 4.2 selection sort under the M-record
 //     budget: up to k read passes over the leaf, each keeping the M
 //     smallest records past the previous pass's watermark as a sorted
-//     candidate set, into which each read chunk's radix-sorted
-//     survivors are merged, and writing it out once. min(P, leaves)
-//     workers form the leaves, each taking the next leaf and running
-//     read → select → write on its own private M-record buffer; at
-//     P = 1 that is one goroutine on the engine's one arena.
+//     candidate set, into which each read chunk's survivors,
+//     radix-sorted only as far as the M smallest, are merged, and
+//     writing it out once. A leaf of three or more passes counts its
+//     keys in the first pass; each later pass keeps only keys at or
+//     below the exact cut the count gives. min(P, leaves) workers form
+//     the leaves, each taking the next leaf and running read → select
+//     → write on its own private M-record buffer; at P = 1 that is one
+//     goroutine on the engine's one arena.
 //   - K-way merge (losertree.go, merge.go, parmerge.go): each internal
 //     node of the tree merges its children's runs through a loser-tree
 //     selector with per-run refill buffers and a synchronous

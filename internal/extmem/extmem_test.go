@@ -2,6 +2,7 @@ package extmem
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -124,6 +125,74 @@ func TestSortRepeatedPairs(t *testing.T) {
 					rep := runSort(t, Config{Mem: 64, Block: 16, K: 4, Procs: procs}, in)
 					if rep.Total.Writes != rep.PlanWrites {
 						t.Fatalf("measured %d block writes, plan %d", rep.Total.Writes, rep.PlanWrites)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestSortMultiChunkLeaves: leaves of three and four selection passes
+// that span two formChunk read spans, at M = 4 096, B = 64 and
+// n = 40 000. At the canonical fan-in kM/B that input cuts into leaves
+// of three or four blocks, so the plan narrows the fan-in to ⌈n/kM⌉
+// and the root's children are the widest leaves the budget allows:
+// 13 376 records (four passes) at K = 4 and 10 048 (three) at K = 3.
+// The inputs reach the counted cut's edges: sorted keys overflow the
+// table the first span maps, reversed ones fall below it, seven keys
+// or one pile into a bucket, keys next to 2⁶⁴ put the cut's edge past
+// it, and exact pairs straddle the passes. The counted cut and the
+// prefix sort change only in-memory work, so every pass still reads
+// its leaf once: formation reads are pinned at the sum over the leaves
+// of ⌈len/M⌉·⌈len/B⌉.
+func TestSortMultiChunkLeaves(t *testing.T) {
+	const n, mem, block = 40_000, 4096, 64
+	// Half the keys spread over the 3·2¹⁸ values below 2⁶⁴ and half
+	// pile onto the top three: a first span maps the pile into bucket
+	// 767 of 1 024, whose edge passes 2⁶⁴, and the cut of every pass
+	// before the last lands there.
+	r := xrand.New(n)
+	nearMax := make([]seq.Record, n)
+	for i := range nearMax {
+		spread := uint64(3 << 18)
+		if i%2 == 0 {
+			spread = 3
+		}
+		nearMax[i] = seq.Record{Key: math.MaxUint64 - r.Uint64n(spread), Val: uint64(i)}
+	}
+	inputs := []struct {
+		name string
+		recs []seq.Record
+	}{
+		{"uniform", seq.Uniform(n, 41)},
+		{"sorted", seq.Sorted(n)},
+		{"reversed", seq.Reversed(n)},
+		{"sevenkeys", seq.FewDistinct(n, 7, 41)},
+		{"allequal", seq.FewDistinct(n, 1, 41)},
+		{"nearmax", nearMax},
+		{"pairs", repeatedPairs(n, 3, 2, 41)},
+	}
+	for _, k := range []int{3, 4} {
+		fanIn := (n + k*mem - 1) / (k * mem)
+		plan := NewPlan(n, mem, block, k, fanIn)
+		leaves, _ := plan.phases()
+		var reads uint64
+		for _, nd := range leaves {
+			if nd.len() <= max(formChunk, 2*mem) {
+				t.Fatalf("k=%d: a %d-record leaf fits one span or two passes", k, nd.len())
+			}
+			reads += uint64((nd.len() + mem - 1) / mem * ((nd.len() + block - 1) / block))
+		}
+		for _, in := range inputs {
+			for _, procs := range []int{1, 2} {
+				t.Run(fmt.Sprintf("k=%d/%s/P=%d", k, in.name, procs), func(t *testing.T) {
+					rep := runSort(t, Config{Mem: mem, Block: block, K: k, Procs: procs, FanIn: fanIn}, in.recs)
+					if rep.Total.Writes != rep.PlanWrites || rep.PlanWrites != plan.TotalWrites() {
+						t.Fatalf("measured %d block writes, report plan %d, plan %d",
+							rep.Total.Writes, rep.PlanWrites, plan.TotalWrites())
+					}
+					if got := rep.LevelIO[0].Reads; got != reads {
+						t.Fatalf("formation read %d blocks, %d passes over the leaves read %d", got, len(leaves), reads)
 					}
 				})
 			}

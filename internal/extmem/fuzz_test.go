@@ -1,6 +1,7 @@
 package extmem
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -66,6 +67,11 @@ func FuzzExtSort(f *testing.F) {
 	f.Add(uint16(0), uint16(64), uint8(16), uint8(1), uint8(1), uint8(0), uint64(1))
 	// Exact duplicates over leaves of up to four selection passes.
 	f.Add(uint16(16000), uint16(128), uint8(15), uint8(3), uint8(2), uint8(5), uint64(16000))
+	// One leaf of four passes over two read spans at M = 4 096, B = 64,
+	// reversed and with exact duplicates: the first pass overflows the
+	// empty candidates, and the later three keep under the counted cut.
+	f.Add(uint16(16000), uint16(4096), uint8(63), uint8(3), uint8(1), uint8(2), uint64(16000))
+	f.Add(uint16(15000), uint16(4096), uint8(63), uint8(3), uint8(0), uint8(5), uint64(15000))
 
 	f.Fuzz(func(t *testing.T, n, mem uint16, block, k, procs, shape uint8, seed uint64) {
 		// Clamp the raw fuzz bytes into the engine's valid domain while
@@ -138,18 +144,26 @@ func FuzzExtSort(f *testing.F) {
 }
 
 // FuzzSelectSmallest is the differential fuzz of one selection pass.
-// Byte b of data is the record {b/8, b%8}, so byte order is record
-// order and exact duplicates are common. The records stream through
-// selectSmallest in spans of the lengths spans cycles through, reusing
-// one chunk as the engine does, under a budget of m records and a
-// watermark with a copy count; the result must equal the sorted
-// records past the watermark, cut to m. Chaining passes from the zero
-// watermark, as formLeaf does, must then emit every record in order.
+// Byte b of data is the record {key(b), b%8}, where key(b) is b/8
+// spread by a power of two that spread picks, from 0 or from just
+// below 2⁶⁴, so byte order is record order and exact duplicates are
+// common. The records stream through selectSmallest in spans of the
+// lengths spans cycles through, reusing one chunk as the engine does,
+// under a budget of m records, a watermark with a copy count and the
+// key bound key(bound); the result must equal the sorted records past
+// the watermark with keys at or below the bound, cut to m. Chaining
+// passes from the zero watermark, as formLeaf does, must then emit
+// every record in order: the first pass counts the keys into a
+// keyCount, every later pass keeps only keys at or below its cut, and
+// every pass still keeps m records while m remain.
+// (formLeaf counts only leaves of three or more passes; the cut holds
+// for any pass after the first, so here every such pass takes it.)
 //
 // The seeds reach a sorted input (no survivors once the candidates
 // fill), a reversed one (every record survives, more than m per span),
-// spans shorter than m, and an all-equal input under a watermark on
-// its one record.
+// spans shorter than m, an all-equal input under a watermark on its
+// one record, bounds below the watermark and inside the input, and
+// keys whose cut edge passes 2⁶⁴.
 func FuzzSelectSmallest(f *testing.F) {
 	ramp, rev := make([]byte, 256), make([]byte, 256)
 	mixed, pairs, equal := make([]byte, 600), make([]byte, 400), make([]byte, 300)
@@ -163,21 +177,40 @@ func FuzzSelectSmallest(f *testing.F) {
 	for i := range equal {
 		equal[i] = 42
 	}
-	f.Add(ramp, []byte{30}, uint16(39), byte(0), uint8(0))
-	f.Add(rev, []byte{63}, uint16(9), byte(0), uint8(0))
-	f.Add(mixed, []byte{5, 0, 12}, uint16(99), byte(77), uint8(2))
-	f.Add(equal, []byte{49}, uint16(63), byte(42), uint8(100))
-	f.Add(pairs, []byte{39, 2}, uint16(31), byte(9), uint8(5))
+	top := make([]byte, 300) // two in three records on the top key
+	for i := range top {
+		top[i] = 255
+		if i%3 == 0 {
+			top[i] = byte(i)
+		}
+	}
+	f.Add(ramp, []byte{30}, uint16(39), byte(0), uint8(0), byte(255), uint8(0))
+	f.Add(rev, []byte{63}, uint16(9), byte(0), uint8(0), byte(255), uint8(0))
+	f.Add(mixed, []byte{5, 0, 12}, uint16(99), byte(77), uint8(2), byte(255), uint8(0))
+	f.Add(equal, []byte{49}, uint16(63), byte(42), uint8(100), byte(255), uint8(0))
+	f.Add(pairs, []byte{39, 2}, uint16(31), byte(9), uint8(5), byte(255), uint8(0))
+	f.Add(rev, []byte{63}, uint16(9), byte(0), uint8(0), byte(100), uint8(7))
+	f.Add(mixed, []byte{200}, uint16(40), byte(120), uint8(1), byte(60), uint8(33))
+	f.Add(pairs, []byte{39, 2}, uint16(31), byte(9), uint8(5), byte(200), uint8(128+58))
+	f.Add(mixed, []byte{5, 0, 12}, uint16(60), byte(0), uint8(0), byte(255), uint8(128+40))
+	f.Add(top, []byte{99}, uint16(49), byte(0), uint8(0), byte(255), uint8(128+20))
 
-	f.Fuzz(func(t *testing.T, data, spans []byte, m uint16, wmByte byte, dups uint8) {
-		rec := func(b byte) seq.Record { return seq.Record{Key: uint64(b / 8), Val: uint64(b % 8)} }
+	f.Fuzz(func(t *testing.T, data, spans []byte, m uint16, wmByte byte, dups uint8, bound byte, spread uint8) {
+		s := uint(spread&127) % 59 // 31<<58 still fits below 2⁶⁴
+		var base uint64
+		if spread >= 128 {
+			base = math.MaxUint64 - 31<<s
+		}
+		key := func(b byte) uint64 { return base + uint64(b/8)<<s }
+		rec := func(b byte) seq.Record { return seq.Record{Key: key(b), Val: uint64(b % 8)} }
 		in := make([]seq.Record, min(len(data), 4096))
 		for i := range in {
 			in[i] = rec(data[i])
 		}
 		M := int(m)%512 + 1
 		chunk := make([]seq.Record, 256)
-		pass := func(wm watermark) []seq.Record {
+		var keys keyCount
+		pass := func(wm watermark, maxKey uint64, counting bool) []seq.Record {
 			pos, si := 0, 0
 			next := func() ([]seq.Record, error) {
 				l := len(chunk)
@@ -186,10 +219,14 @@ func FuzzSelectSmallest(f *testing.F) {
 					si++
 				}
 				sp := chunk[:min(l, len(in)-pos)]
-				pos += copy(sp, in[pos:])
+				copy(sp, in[pos:])
+				if counting && len(sp) > 0 {
+					keys.count(sp, pos == 0)
+				}
+				pos += len(sp)
 				return sp, nil
 			}
-			got, err := selectSmallest(next, wm, make([]seq.Record, 0, M), rt.SeqSortRecords)
+			got, _, err := selectSmallest(next, wm, maxKey, make([]seq.Record, 0, M), rt.SeqSortRecords)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,9 +240,12 @@ func FuzzSelectSmallest(f *testing.F) {
 		for skip := wm.dups; skip > 0 && i < len(sorted) && sorted[i] == wm.rec; skip-- {
 			i++
 		}
-		want := sorted[i:min(len(sorted), i+M)]
-		if got := pass(wm); !slices.Equal(got, want) {
-			t.Fatalf("m=%d watermark %v×%d: got %v, want %v", M, wm.rec, wm.dups, got, want)
+		j := i
+		for j < len(sorted) && j < i+M && sorted[j].Key <= key(bound) {
+			j++
+		}
+		if got, want := pass(wm, key(bound), false), sorted[i:j]; !slices.Equal(got, want) {
+			t.Fatalf("m=%d watermark %v×%d bound %d: got %v, want %v", M, wm.rec, wm.dups, key(bound), got, want)
 		}
 
 		if len(in) > 64*M {
@@ -213,9 +253,14 @@ func FuzzSelectSmallest(f *testing.F) {
 		}
 		var all []seq.Record
 		for wm = (watermark{}); len(all) < len(in); {
-			got := pass(wm)
-			if len(got) == 0 {
-				t.Fatalf("m=%d: pass after %d of %d records found nothing", M, len(all), len(in))
+			maxKey := uint64(math.MaxUint64)
+			if len(all) > 0 {
+				maxKey = keys.cut(len(all), M)
+			}
+			got := pass(wm, maxKey, len(all) == 0)
+			if want := min(M, len(in)-len(all)); len(got) != want {
+				t.Fatalf("m=%d: pass after %d of %d records kept %d under cut %d, want %d",
+					M, len(all), len(in), len(got), maxKey, want)
 			}
 			all = append(all, got...)
 			wm = wm.advance(got)

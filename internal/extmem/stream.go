@@ -1,6 +1,8 @@
 package extmem
 
 import (
+	"math"
+
 	"asymsort/internal/rt"
 	"asymsort/internal/seq"
 )
@@ -111,7 +113,8 @@ func ScanRecords(bf *BlockFile, lo, hi int, fn func(r seq.Record) error) error {
 // spans, holding k records (k ≥ 1 unless the range is empty).
 func SmallestRecords(bf *BlockFile, lo, hi, k int) ([]seq.Record, error) {
 	s := NewRecordScanner(bf, lo, hi, formChunk)
-	return selectSmallest(s.span, watermark{}, make([]seq.Record, 0, k), rt.SeqSortRecords)
+	top, _, err := selectSmallest(s.span, watermark{}, math.MaxUint64, make([]seq.Record, 0, k), rt.SeqSortRecords)
+	return top, err
 }
 
 // formRootStreamed handles the streamed run whose plan is a single

@@ -29,13 +29,17 @@ func SortRecords(p *Pool, recs []seq.Record) {
 	msort(p, recs, buf, false)
 }
 
-// radixCutoff is the bucket size below which SeqSortRecords finishes
+// radixCutoff is the bucket size below which SeqSortSmallest finishes
 // with insertion sort: a 256-bucket digit pass costs more than the few
 // inversions of a tiny bucket.
 const radixCutoff = 32
 
 // SeqSortRecords sorts a in place by the repository's total record
-// order — the sequential leaf sort of the native backend. It is an
+// order — the sequential leaf sort of the native backend.
+func SeqSortRecords(a []seq.Record) { SeqSortSmallest(a, len(a)) }
+
+// SeqSortSmallest leaves the m smallest records of a, sorted, in a[:m]
+// and the rest of a, in no particular order, in a[m:]. It is an
 // in-place MSD radix sort (American flag sort) on 8-bit digits of the
 // 128-bit (Key, Val) composite, whose unsigned digit order is exactly
 // seq.TotalLess. Each bucket starts at the highest bit where its keys
@@ -43,8 +47,9 @@ const radixCutoff = 32
 // digits once every Key bit agrees; a bucket whose records all agree is
 // done. Every digit consumes at least 8 of the 128 bits, so recursion
 // is at most 16 digits deep, and buckets under radixCutoff records
-// finish with insertion sort.
-func SeqSortRecords(a []seq.Record) {
+// finish with insertion sort. Buckets that start at or past m are
+// neither permuted nor sorted.
+func SeqSortSmallest(a []seq.Record, m int) {
 	if len(a) < radixCutoff {
 		insertionRecs(a)
 		return
@@ -55,7 +60,7 @@ func SeqSortRecords(a []seq.Record) {
 		and &= r.Key
 	}
 	if d := or ^ and; d != 0 {
-		flagSort(a, ^uint64(0), d)
+		flagSort(a, m, ^uint64(0), d)
 		return
 	}
 	or, and = a[0].Val, a[0].Val
@@ -64,15 +69,17 @@ func SeqSortRecords(a []seq.Record) {
 		and &= r.Val
 	}
 	if d := or ^ and; d != 0 {
-		flagSort(a, 0, d)
+		flagSort(a, m, 0, d)
 	}
 }
 
 // flagSort permutes a into 256 buckets by the 8-bit digit whose top bit
-// is the highest set bit of diff, then sorts every bucket. The digit is
-// read from Key when keyMask is all ones and from Val when it is zero;
-// bits above diff's top bit agree across a, so they never split it.
-func flagSort(a []seq.Record, keyMask, diff uint64) {
+// is the highest set bit of diff, then sorts every bucket, stopping at
+// the first bucket that starts at or past m: only the records of a[:m]
+// have to be in place. The digit is read from Key when keyMask is all
+// ones and from Val when it is zero; bits above diff's top bit agree
+// across a, so they never split it.
+func flagSort(a []seq.Record, m int, keyMask, diff uint64) {
 	valMask := ^keyMask
 	shift := max(bits.Len64(diff)-8, 0)
 	digit := func(r seq.Record) uint8 { return uint8((r.Key&keyMask | r.Val&valMask) >> shift) }
@@ -88,8 +95,12 @@ func flagSort(a []seq.Record, keyMask, diff uint64) {
 	}
 	// Cycle leader: take the first unplaced record of bucket b and swap
 	// it into its own bucket's next free slot until one belonging to b
-	// comes back.
+	// comes back. Once the buckets below m are full, the records left
+	// over all belong past them.
 	for b := range head {
+		if b > 0 && end[b-1] >= m {
+			break
+		}
 		for h := head[b]; h < end[b]; h = head[b] {
 			v := a[h]
 			for d := digit(v); int(d) != b; d = digit(v) {
@@ -103,8 +114,11 @@ func flagSort(a []seq.Record, keyMask, diff uint64) {
 	}
 	lo := 0
 	for _, hi := range end {
+		if lo >= m {
+			break
+		}
 		if hi-lo > 1 {
-			SeqSortRecords(a[lo:hi])
+			SeqSortSmallest(a[lo:hi], m-lo)
 		}
 		lo = hi
 	}

@@ -71,28 +71,42 @@ var seqSortFamilies = map[string]func(n int) []seq.Record{
 	},
 }
 
-// checkSeqSort asserts SeqSortRecords(in) equals slices.SortFunc under
-// seq.TotalCompare, leaving in untouched.
-func checkSeqSort(t *testing.T, name string, in []seq.Record) {
+// checkSeqSort asserts that sorting in up to m records — with
+// SeqSortRecords when m is len(in), else SeqSortSmallest — leaves the
+// first m records of slices.SortFunc under seq.TotalCompare in the
+// prefix and a permutation of in in the whole, leaving in untouched.
+func checkSeqSort(t *testing.T, name string, in []seq.Record, m int) {
 	t.Helper()
 	got := slices.Clone(in)
-	SeqSortRecords(got)
+	if m == len(in) {
+		SeqSortRecords(got)
+	} else {
+		SeqSortSmallest(got, m)
+	}
 	want := slices.Clone(in)
 	slices.SortFunc(want, seq.TotalCompare)
+	if !slices.Equal(got[:m], want[:m]) {
+		t.Fatalf("%s n=%d m=%d: sorted prefix diverges from slices.SortFunc", name, len(in), m)
+	}
+	slices.SortFunc(got, seq.TotalCompare)
 	if !slices.Equal(got, want) {
-		t.Fatalf("%s n=%d: SeqSortRecords diverges from slices.SortFunc", name, len(in))
+		t.Fatalf("%s n=%d m=%d: the output is not a permutation of the input", name, len(in), m)
 	}
 }
 
 // TestSeqSortRecords checks the native leaf sort against the stdlib
 // across input families and sizes around the insertion-sort cutoff and
-// the 256-bucket digit width.
+// the 256-bucket digit width, whole and cut to prefixes of one record,
+// a few records, and about half.
 func TestSeqSortRecords(t *testing.T) {
 	sizes := []int{0, 1, 2, radixCutoff - 1, radixCutoff, radixCutoff + 1,
 		2*radixCutoff - 1, 100, 255, 256, 257, 1000, 5000}
 	for name, g := range seqSortFamilies {
 		for _, n := range sizes {
-			checkSeqSort(t, name, g(n))
+			in := g(n)
+			for _, m := range []int{n, n / 2, min(n, 7), min(n, 1)} {
+				checkSeqSort(t, name, in, m)
+			}
 		}
 	}
 }
@@ -100,21 +114,24 @@ func TestSeqSortRecords(t *testing.T) {
 // FuzzSeqSortRecords is the differential test of the radix leaf: every
 // 16 bytes of input are one record, and squeeze shifts keys and
 // payloads right so shared prefixes, equal keys and exact duplicates
-// are common.
+// are common. m, taken modulo n+1, cuts the sort to a prefix.
 func FuzzSeqSortRecords(f *testing.F) {
-	f.Add([]byte{}, uint8(0))
-	f.Add(make([]byte, 16*radixCutoff), uint8(0))
+	f.Add([]byte{}, uint8(0), uint16(0))
+	f.Add(make([]byte, 16*radixCutoff), uint8(0), uint16(radixCutoff))
 	for i, n := range []int{radixCutoff + 1, 300, 3000} {
 		raw := make([]byte, 16*n)
 		r := xrand.New(uint64(i) + 11)
 		for j := 0; j < len(raw); j += 8 {
 			binary.LittleEndian.PutUint64(raw[j:], r.Next())
 		}
-		f.Add(raw, uint8(0))
-		f.Add(raw, uint8(58))
-		f.Add(raw, uint8(0xff))
+		f.Add(raw, uint8(0), uint16(n))
+		f.Add(raw, uint8(58), uint16(n))
+		f.Add(raw, uint8(0xff), uint16(n))
+		f.Add(raw, uint8(0), uint16(n/2))
+		f.Add(raw, uint8(58), uint16(n/3))
+		f.Add(raw, uint8(0xff), uint16(1))
 	}
-	f.Fuzz(func(t *testing.T, raw []byte, squeeze uint8) {
+	f.Fuzz(func(t *testing.T, raw []byte, squeeze uint8, m uint16) {
 		in := make([]seq.Record, len(raw)/16)
 		for i := range in {
 			in[i] = seq.Record{
@@ -122,7 +139,7 @@ func FuzzSeqSortRecords(f *testing.F) {
 				Val: binary.LittleEndian.Uint64(raw[16*i+8:]) >> (squeeze >> 2),
 			}
 		}
-		checkSeqSort(t, "fuzz", in)
+		checkSeqSort(t, "fuzz", in, int(m)%(len(in)+1))
 	})
 }
 
