@@ -116,7 +116,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		coordinator = fs.Bool("coordinator", false, "run as a cluster coordinator instead of a job engine")
 		workers     = fs.String("workers", "", "comma-separated worker base URLs (coordinator mode; required)")
 		shards      = fs.Int("shards", 0, "range shards per job (coordinator mode; 0 = one per worker)")
-		retries     = fs.Int("retries", 2, "re-dispatch budget per failed shard (coordinator mode)")
+		retries     = fs.Int("retries", 2, "re-dispatch budget per failed shard, at least 1 (coordinator mode)")
 		hedge       = fs.Duration("hedge", 0, "re-dispatch a shard in flight longer than this to an idle worker (coordinator mode; 0 = off)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -136,6 +136,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *coordinator {
 		// The handler scatters /sort jobs across the worker fleet
 		// instead of running them here.
+		if *retries < 1 {
+			return fmt.Errorf("bad -retries %d (want ≥ 1)", *retries)
+		}
 		var urls []string
 		for _, u := range strings.Split(*workers, ",") {
 			if u = strings.TrimSpace(u); u != "" {

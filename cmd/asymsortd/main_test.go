@@ -188,8 +188,9 @@ func TestSoloDaemon(t *testing.T) {
 // TestCoordinatorDaemon boots three job engines and a coordinator over
 // them from flags: a /sort through the coordinator equals the same
 // body sorted by one worker. The banner states the dispatch the
-// coordinator resolved, so -shards 2 over three workers reads 2 and
-// -retries 0 reads the default 2 the coordinator runs with.
+// coordinator resolved, so -shards 2 over three workers reads 2 beside
+// the flags' default 2 retries. -retries 0 is a flag error
+// (TestFlagErrors).
 func TestCoordinatorDaemon(t *testing.T) {
 	var urls []string
 	for i := 0; i < 3; i++ {
@@ -212,7 +213,7 @@ func TestCoordinatorDaemon(t *testing.T) {
 	}{
 		{coord, "dispatch : shards=6 retries=3 hedge=5s"},
 		{start(t, "-coordinator", "-workers", workers, "-addr", "127.0.0.1:0",
-			"-shards", "2", "-retries", "0"), "dispatch : shards=2 retries=2 hedge=0s"},
+			"-shards", "2"), "dispatch : shards=2 retries=2 hedge=0s"},
 	} {
 		out, err := tc.d.stop()
 		if err != nil || !strings.Contains(out, tc.want) {
@@ -221,8 +222,9 @@ func TestCoordinatorDaemon(t *testing.T) {
 	}
 }
 
-// TestFlagErrors: a bad -mem, a bad -admission and -coordinator
-// without -workers are errors that return before anything listens.
+// TestFlagErrors: a bad -mem, a bad -admission, -coordinator without
+// -workers and a coordinator's -retries below 1 are errors that return
+// before anything listens.
 // run gets a context that is already done, so a daemon that started
 // serving would drain at once and return nil.
 func TestFlagErrors(t *testing.T) {
@@ -232,6 +234,7 @@ func TestFlagErrors(t *testing.T) {
 		{"-mem", "lots"},
 		{"-admission", "lifo"},
 		{"-coordinator"},
+		{"-coordinator", "-workers", "http://127.0.0.1:1", "-retries", "0"},
 	} {
 		var out bytes.Buffer
 		err := run(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...), &out)

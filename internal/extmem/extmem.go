@@ -18,12 +18,16 @@
 //     smallest records past the previous pass's watermark as a sorted
 //     candidate set, into which each read chunk's survivors,
 //     radix-sorted only as far as the M smallest, are merged, and
-//     writing it out once. A leaf of three or more passes counts its
-//     keys in the first pass; each later pass keeps only keys at or
-//     below the exact cut the count gives. min(P, leaves) workers form
-//     the leaves, each taking the next leaf and running read → select
-//     → write on its own private M-record buffer; at P = 1 that is one
-//     goroutine on the engine's one arena.
+//     writing it out once. The first pass counts the leaf's keys span
+//     by span, and every pass keeps only keys at or below the exact cut
+//     the count gives (in the first pass, the cut of the spans counted
+//     so far). A key above the watermark's, at or below the cut and
+//     below the full candidates' largest is kept by one branch-free
+//     compare; only keys equal to the watermark's or the candidates'
+//     largest take the exact (Key, Val) test. min(P, leaves) workers
+//     form the leaves, each taking the next leaf and running read →
+//     select → write on its own private M-record buffer; at P = 1 that
+//     is one goroutine on the engine's one arena.
 //   - K-way merge (losertree.go, merge.go, parmerge.go): each internal
 //     node of the tree merges its children's runs through a loser-tree
 //     selector with per-run refill buffers and a synchronous

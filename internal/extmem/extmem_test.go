@@ -1,6 +1,7 @@
 package extmem
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"asymsort/internal/obs"
 	"asymsort/internal/seq"
 	"asymsort/internal/xrand"
 )
@@ -196,6 +198,51 @@ func TestSortMultiChunkLeaves(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestSelectionSortWork pins the records the selection passes hand to
+// a sort, read from the traced pass spans' "sorted" attribute: a K = 4
+// sort of uniform keys at M = 4 096, B = 64, whose fan-in (set as in
+// TestSortMultiChunkLeaves) cuts 16 384-record leaves of four passes
+// over two read spans. Each leaf may hand at most 1.25·kM records to a
+// sort and its first pass at most 1.75·M: the first pass bounds each
+// span by the cut of the keys counted so far, and the later passes by
+// the cut of the whole count.
+func TestSelectionSortWork(t *testing.T) {
+	const mem, block, k, leaf = 4096, 64, 4, 4 * 4096
+	const n = 4 * leaf
+	tr := obs.NewTrace("sort")
+	root := tr.Root("sort")
+	runSort(t, Config{Mem: mem, Block: block, K: k, Procs: 2, FanIn: n / leaf, Span: root}, seq.Uniform(n, 41))
+	root.End()
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, spans, err := obs.ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorted, first := map[int64]int64{}, map[int64]int64{}
+	for _, sp := range spans {
+		if sp.Name != "pass" {
+			continue
+		}
+		lo := sp.Attrs["leaf"]
+		sorted[lo] += sp.Attrs["sorted"]
+		if sp.Attrs["off"] == lo {
+			first[lo] = sp.Attrs["sorted"]
+		}
+	}
+	if len(sorted) != n/leaf {
+		t.Fatalf("traced %d leaves, want %d", len(sorted), n/leaf)
+	}
+	for lo, s := range sorted {
+		if s > leaf*5/4 || first[lo] > mem*7/4 {
+			t.Errorf("leaf %d hands %.2f·kM records to a sort (bound 1.25), %.2f·M in its first pass (bound 1.75)",
+				lo, float64(s)/leaf, float64(first[lo])/mem)
 		}
 	}
 }

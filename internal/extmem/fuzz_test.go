@@ -146,33 +146,49 @@ func FuzzExtSort(f *testing.F) {
 // FuzzSelectSmallest is the differential fuzz of one selection pass.
 // Byte b of data is the record {key(b), b%8}, where key(b) is b/8
 // spread by a power of two that spread picks, from 0 or from just
-// below 2⁶⁴, so byte order is record order and exact duplicates are
-// common. The records stream through selectSmallest in spans of the
-// lengths spans cycles through, reusing one chunk as the engine does,
-// under a budget of m records, a watermark with a copy count and the
-// key bound key(bound); the result must equal the sorted records past
-// the watermark with keys at or below the bound, cut to m. Chaining
-// passes from the zero watermark, as formLeaf does, must then emit
-// every record in order: the first pass counts the keys into a
-// keyCount, every later pass keeps only keys at or below its cut, and
-// every pass still keeps m records while m remain.
-// (formLeaf counts only leaves of three or more passes; the cut holds
-// for any pass after the first, so here every such pass takes it.)
+// below 2⁶⁴, except that byte 0 is key 0 and byte 255 is key 2⁶⁴−1 at
+// every spread, so byte order is record order, exact duplicates are
+// common and the band test's unsigned compare wraps. The records
+// stream through selectSmallest in spans of the lengths spans cycles
+// through, reusing one chunk as the engine does, under a budget of m
+// records, a watermark with a copy count and the key bound key(bound);
+// the result must equal the sorted records past the watermark with
+// keys at or below the bound, cut to m. Chaining passes from the zero
+// watermark, as formLeaf does, must then emit every record in order:
+// the first pass counts the keys into a keyCount span by span and
+// bounds each span by the cut of what it has counted, every later pass
+// keeps only keys at or below the cut of the whole count, and every
+// pass still keeps m records while m remain.
 //
 // The seeds reach a sorted input (no survivors once the candidates
 // fill), a reversed one (every record survives, more than m per span),
 // spans shorter than m, an all-equal input under a watermark on its
-// one record, bounds below the watermark and inside the input, and
-// keys whose cut edge passes 2⁶⁴.
+// one record, bounds below the watermark and inside the input, keys
+// whose cut edge passes 2⁶⁴, keys 0 and 2⁶⁴−1 against a watermark in
+// between and no bound, the watermark's key with Vals on both sides of
+// it, and ties on the full candidates' largest key across spans.
 func FuzzSelectSmallest(f *testing.F) {
 	ramp, rev := make([]byte, 256), make([]byte, 256)
 	mixed, pairs, equal := make([]byte, 600), make([]byte, 400), make([]byte, 300)
+	wmKey, ties := make([]byte, 400), make([]byte, 400)
 	for i := range ramp {
 		ramp[i], rev[i] = byte(i), byte(255-i)
 	}
 	for i, r := range seq.Uniform(len(mixed), 9) {
 		mixed[i] = byte(r.Key)
 		pairs[i%len(pairs)] = []byte{8, 9, 200}[r.Key%3]
+	}
+	for i, r := range seq.Uniform(len(ties), 10) {
+		// Every other record on key 5 (bytes 40–47), Vals 0 to 7.
+		wmKey[i] = byte(r.Key)
+		if i%2 == 0 {
+			wmKey[i] = 40 + byte(r.Key%8)
+		}
+		// One record in three below key 10, the rest on key 10.
+		ties[i] = 80 + byte(r.Key%8)
+		if i%3 == 0 {
+			ties[i] = byte(r.Key % 80)
+		}
 	}
 	for i := range equal {
 		equal[i] = 42
@@ -185,6 +201,9 @@ func FuzzSelectSmallest(f *testing.F) {
 		}
 	}
 	f.Add(ramp, []byte{30}, uint16(39), byte(0), uint8(0), byte(255), uint8(0))
+	// The m-th record is the first of its key: a cut one record short
+	// of m loses it.
+	f.Add(ramp, []byte{30}, uint16(40), byte(0), uint8(0), byte(255), uint8(0))
 	f.Add(rev, []byte{63}, uint16(9), byte(0), uint8(0), byte(255), uint8(0))
 	f.Add(mixed, []byte{5, 0, 12}, uint16(99), byte(77), uint8(2), byte(255), uint8(0))
 	f.Add(equal, []byte{49}, uint16(63), byte(42), uint8(100), byte(255), uint8(0))
@@ -194,6 +213,17 @@ func FuzzSelectSmallest(f *testing.F) {
 	f.Add(pairs, []byte{39, 2}, uint16(31), byte(9), uint8(5), byte(200), uint8(128+58))
 	f.Add(mixed, []byte{5, 0, 12}, uint16(60), byte(0), uint8(0), byte(255), uint8(128+40))
 	f.Add(top, []byte{99}, uint16(49), byte(0), uint8(0), byte(255), uint8(128+20))
+	// Keys 0 and 2⁶⁴−1 around a watermark, with no bound, near 0 and
+	// near 2⁶⁴.
+	f.Add(rev, []byte{40, 90}, uint16(200), byte(100), uint8(1), byte(255), uint8(58))
+	f.Add(ramp, []byte{17}, uint16(200), byte(130), uint8(1), byte(255), uint8(128+3))
+	// The watermark's key with Vals below and above the watermark's.
+	f.Add(wmKey, []byte{37}, uint16(99), byte(43), uint8(2), byte(255), uint8(5))
+	// Ties on the full candidates' largest key in every later span.
+	f.Add(ties, []byte{29, 40}, uint16(149), byte(0), uint8(0), byte(255), uint8(0))
+	// Bounds on the watermark's key and just below it.
+	f.Add(wmKey, []byte{64}, uint16(99), byte(43), uint8(1), byte(40), uint8(0))
+	f.Add(wmKey, []byte{64}, uint16(99), byte(43), uint8(1), byte(39), uint8(0))
 
 	f.Fuzz(func(t *testing.T, data, spans []byte, m uint16, wmByte byte, dups uint8, bound byte, spread uint8) {
 		s := uint(spread&127) % 59 // 31<<58 still fits below 2⁶⁴
@@ -201,7 +231,15 @@ func FuzzSelectSmallest(f *testing.F) {
 		if spread >= 128 {
 			base = math.MaxUint64 - 31<<s
 		}
-		key := func(b byte) uint64 { return base + uint64(b/8)<<s }
+		key := func(b byte) uint64 {
+			switch b {
+			case 0:
+				return 0
+			case 255:
+				return math.MaxUint64
+			}
+			return base + uint64(b/8)<<s
+		}
 		rec := func(b byte) seq.Record { return seq.Record{Key: key(b), Val: uint64(b % 8)} }
 		in := make([]seq.Record, min(len(data), 4096))
 		for i := range in {
@@ -212,7 +250,7 @@ func FuzzSelectSmallest(f *testing.F) {
 		var keys keyCount
 		pass := func(wm watermark, maxKey uint64, counting bool) []seq.Record {
 			pos, si := 0, 0
-			next := func() ([]seq.Record, error) {
+			next := func() ([]seq.Record, uint64, error) {
 				l := len(chunk)
 				if len(spans) > 0 {
 					l = int(spans[si%len(spans)]) + 1
@@ -222,11 +260,12 @@ func FuzzSelectSmallest(f *testing.F) {
 				copy(sp, in[pos:])
 				if counting && len(sp) > 0 {
 					keys.count(sp, pos == 0)
+					maxKey = keys.cut(0, M)
 				}
 				pos += len(sp)
-				return sp, nil
+				return sp, maxKey, nil
 			}
-			got, _, err := selectSmallest(next, wm, maxKey, make([]seq.Record, 0, M), rt.SeqSortRecords)
+			got, _, err := selectSmallest(next, wm, make([]seq.Record, 0, M), rt.SeqSortRecords)
 			if err != nil {
 				t.Fatal(err)
 			}

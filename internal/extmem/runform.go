@@ -20,10 +20,15 @@ import (
 // can still make the cut are radix-sorted in the chunk, only as far as
 // the M smallest, and merged in), and writes it out once. Reads
 // multiply by up to k; every record is written exactly once — the
-// paper's trade. A leaf of three or more passes counts its keys into a
-// fixed histogram in its first pass; from the count, every later pass
-// knows an exact upper bound on the keys it keeps, and records above it
-// never reach a sort.
+// paper's trade. The first pass counts the leaf's keys into a fixed
+// histogram span by span, and the count gives every pass an exact upper
+// bound on the keys it keeps: the first pass bounds each span by the
+// cut of the spans counted so far, the later passes by the cut of the
+// whole count, so records above it never reach a sort. A record is
+// kept without a branch when its key lies above the watermark's key,
+// at or below the bound and, once the candidates are full, below their
+// largest key; only keys equal to the watermark's key or the
+// candidates' largest take the exact (Key, Val) test.
 //
 // Formation runs on min(P, leaves) workers, each one processor of the
 // paper's parallel machine (§3) with a private memory of size M: a
@@ -156,10 +161,10 @@ func (e *engine) formLeaves(leaves []*planNode, sink func(i, off int, batch []se
 // records), read chunk and key count. A leaf that fits the budget
 // (always, when k = 1) takes one read, one sort and one emit. A larger
 // leaf runs selection passes, each emitting the M smallest records past
-// the previous pass's watermark, already sorted. A leaf of three or
-// more passes counts its keys in the first pass, and every later pass
-// keeps only keys at or below the count's cut. A two-pass leaf does not
-// count: its second pass is its last and keeps all it finds.
+// the previous pass's watermark, already sorted. Its first pass counts
+// the leaf's keys span by span, and every pass keeps only keys at or
+// below the count's cut: in the first pass, the cut of the spans
+// counted so far.
 func (e *engine) formLeaf(nd *planNode, buf, chunk []seq.Record, keys *keyCount, sortRecs func([]seq.Record), emit func(off int, batch []seq.Record) error) error {
 	if err := e.canceled(); err != nil {
 		return err
@@ -175,41 +180,40 @@ func (e *engine) formLeaf(nd *planNode, buf, chunk []seq.Record, keys *keyCount,
 		return emit(nd.lo, cand)
 	}
 	// next streams the leaf's range through chunk from rd, one span per
-	// call, with a cancellation check before each read. In a counting
-	// pass it also counts each span's keys before selectSmallest
-	// compacts the span.
+	// call, with a cancellation check before each read, and hands each
+	// span over with the pass's key bound. In the first pass it counts
+	// each span's keys before selectSmallest compacts the span, and the
+	// cut of all counted so far bounds this span and every later one.
 	var (
-		rd       int
-		counting bool
+		rd, off int
+		bound   uint64
 	)
-	next := func() ([]seq.Record, error) {
+	next := func() ([]seq.Record, uint64, error) {
 		if rd == nd.hi {
-			return nil, nil
+			return nil, 0, nil
 		}
 		if err := e.canceled(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		span := chunk[:min(nd.hi-rd, cap(chunk))]
 		if err := e.in.ReadAt(rd+e.cfg.inSkip, span); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		if counting {
+		if off == nd.lo {
 			keys.count(span, rd == nd.lo)
+			bound = keys.cut(0, e.cfg.mem)
 		}
 		rd += len(span)
-		return span, nil
+		return span, bound, nil
 	}
-	counted := nd.len() > 2*e.cfg.mem
 	var wm watermark
-	for off := nd.lo; off < nd.hi; {
+	for off = nd.lo; off < nd.hi; {
 		sp := e.passSpan(nd, off)
 		rd = nd.lo
-		counting = counted && off == nd.lo
-		maxKey := uint64(math.MaxUint64)
-		if counted && off > nd.lo {
-			maxKey = keys.cut(off-nd.lo, e.cfg.mem)
+		if off > nd.lo {
+			bound = keys.cut(off-nd.lo, e.cfg.mem)
 		}
-		cand, sorted, err := selectSmallest(next, wm, maxKey, buf[:0:e.cfg.mem], sortRecs)
+		cand, sorted, err := selectSmallest(next, wm, buf[:0:e.cfg.mem], sortRecs)
 		if err == nil && len(cand) == 0 {
 			err = noProgressErr(nd, off)
 		}
@@ -297,7 +301,9 @@ func (c *keyCount) count(span []seq.Record, first bool) {
 // past 2⁶⁴, bound nothing. The bound is exact, not an estimate: every
 // emitted record's key is at or below the watermark's, which is at or
 // below the cut, so at least m records past the watermark have keys at
-// or below it, and the m smallest of them are the pass's output.
+// or below it, and the m smallest of them are the pass's output. A
+// count of only the leaf's first spans bounds the first pass the same
+// way: at least m of the records it counted lie at or below the cut.
 func (c *keyCount) cut(emitted, m int) uint64 {
 	run := -emitted
 	for b, k := range c.n[:cutBuckets-1] {
@@ -313,29 +319,41 @@ func (c *keyCount) cut(emitted, m int) uint64 {
 }
 
 // selectSmallest runs one Lemma 4.2 selection pass over the spans next
-// returns, up to the first empty one. It returns cand holding the
-// cap(cand) ≥ 1 smallest records past the watermark with keys at or
-// below maxKey, sorted, and how many records it handed to a sort. Each
-// span is its scratch: the span's records that can still make the cut
-// — past the watermark, at or below maxKey and, once cand is full,
-// below cand's largest — are compacted into the span's prefix. When
-// they overflow an empty cand, the span is radix-sorted only as far as
-// its cap(cand) smallest, which become cand. Otherwise they top cand
-// up, and cand is sorted with sortRecs the moment it fills; survivors
+// returns, up to the first empty one, each with a key bound. It returns
+// cand holding the cap(cand) ≥ 1 smallest records past the watermark
+// whose keys are at or below their span's bound, sorted, and how many
+// records it handed to a sort. Each span is also its work area: the
+// span's records that can still make the cut — past the watermark, at
+// or below the bound and, once cand is full, below cand's largest —
+// are compacted into the span's prefix: keepBand keeps the keys in that
+// band without a branch, and only a key equal to the watermark's or
+// cand's largest takes the exact (Key, Val) test. When the survivors
+// overflow an empty cand, the span is radix-sorted only as far as its
+// cap(cand) smallest, which become cand. Otherwise they top cand up,
+// and cand is sorted with sortRecs the moment it fills; survivors
 // after that are radix-sorted, again only as far as cap(cand), and
 // merged into cand from the back.
-func selectSmallest(next func() ([]seq.Record, error), wm watermark, maxKey uint64, cand []seq.Record, sortRecs func([]seq.Record)) (_ []seq.Record, sorted int, err error) {
+func selectSmallest(next func() ([]seq.Record, uint64, error), wm watermark, cand []seq.Record, sortRecs func([]seq.Record)) (_ []seq.Record, sorted int, err error) {
 	m, skip := cap(cand), wm.dups
-	span, err := next()
-	for ; err == nil && len(span) > 0; span, err = next() {
+	span, bound, err := next()
+	for ; err == nil && len(span) > 0; span, bound, err = next() {
 		full := len(cand) == m
-		k := 0
-		for _, r := range span {
+		lo, edge, w := wm.rec.Key, wm.rec.Key, uint64(0)
+		if bound > lo {
+			w = bound - lo
+		}
+		if full {
+			edge = cand[m-1].Key
+			w = min(w, edge-lo) // keepBand stops at edge itself
+		}
+		k, i := keepBand(span, 0, 0, lo, w, edge)
+		for ; i < len(span); k, i = keepBand(span, k, i+1, lo, w, edge) {
+			r := span[i]
 			if r == wm.rec && skip > 0 {
 				skip-- // a copy an earlier pass emitted
 				continue
 			}
-			if !seq.TotalLess(r, wm.rec) && r.Key <= maxKey && (!full || seq.TotalLess(r, cand[m-1])) {
+			if !seq.TotalLess(r, wm.rec) && r.Key <= bound && (!full || seq.TotalLess(r, cand[m-1])) {
 				span[k] = r
 				k++
 			}
@@ -367,6 +385,25 @@ func selectSmallest(next func() ([]seq.Record, error), wm watermark, maxKey uint
 		sorted += len(cand)
 	}
 	return cand, sorted, err
+}
+
+// keepBand compacts span[i:] into span[k:], keeping the records whose
+// keys lie in (lo, lo+w], until the first record whose key is lo or
+// edge. It returns the new k and that record's index, or len(span). A
+// record is kept by one unsigned compare added to k, with no branch;
+// kept apart from selectSmallest, the loop's state stays in registers.
+func keepBand(span []seq.Record, k, i int, lo, w, edge uint64) (int, int) {
+	for ; i < len(span); i++ {
+		r := span[i]
+		if r.Key == lo || r.Key == edge {
+			break
+		}
+		span[k] = r
+		if r.Key-lo-1 < w {
+			k++
+		}
+	}
+	return k, i
 }
 
 // mergeSmallest merges the sorted s, no longer than cand, into the

@@ -113,7 +113,11 @@ func ScanRecords(bf *BlockFile, lo, hi int, fn func(r seq.Record) error) error {
 // spans, holding k records (k ≥ 1 unless the range is empty).
 func SmallestRecords(bf *BlockFile, lo, hi, k int) ([]seq.Record, error) {
 	s := NewRecordScanner(bf, lo, hi, formChunk)
-	top, _, err := selectSmallest(s.span, watermark{}, math.MaxUint64, make([]seq.Record, 0, k), rt.SeqSortRecords)
+	next := func() ([]seq.Record, uint64, error) {
+		sp, err := s.span()
+		return sp, math.MaxUint64, err
+	}
+	top, _, err := selectSmallest(next, watermark{}, make([]seq.Record, 0, k), rt.SeqSortRecords)
 	return top, err
 }
 
