@@ -54,6 +54,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -830,13 +831,7 @@ func checkClusterStats(out io.Writer, addr string, jobs int) (failures int, err 
 		if err != nil {
 			return 0, err
 		}
-		live := false
-		for _, j := range snap.Jobs {
-			switch j.State {
-			case "staging", "running", "streaming":
-				live = true
-			}
-		}
+		live := slices.ContainsFunc(snap.Jobs, func(j cluster.JobStats) bool { return j.Live() })
 		if !live || time.Now().After(deadline) {
 			break
 		}

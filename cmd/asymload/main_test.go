@@ -25,14 +25,10 @@ func newTestService(t *testing.T) *httptest.Server {
 	}
 	srv, err := serve.NewServer(serve.ServerConfig{Broker: broker, Block: 64, Omega: 8, TmpDir: t.TempDir()})
 	if err != nil {
-		broker.Close()
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		broker.Close()
-	})
+	t.Cleanup(ts.Close)
 	return ts
 }
 

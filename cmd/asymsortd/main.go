@@ -183,7 +183,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		defer broker.Close()
 		if srv, err = serve.NewServer(serve.ServerConfig{
 			Broker: broker, Block: *block, Omega: *omega, K: *k, TmpDir: *tmpdir,
 			Metrics: reg, TraceDir: *traceDir,

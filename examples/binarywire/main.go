@@ -86,7 +86,6 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	defer broker.Close()
 	srv, err := serve.NewServer(serve.ServerConfig{Broker: broker, TmpDir: dir})
 	if err != nil {
 		panic(err)

@@ -71,7 +71,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer broker.Close()
 	srv, err := serve.NewServer(serve.ServerConfig{
 		Broker: broker, Block: block, Omega: 8, TmpDir: tmp,
 		Metrics: reg, TraceDir: traceDir,

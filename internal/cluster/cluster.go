@@ -42,21 +42,21 @@
 // record. Workers are plain asymsortd daemons: they need no cluster
 // awareness at all.
 //
-// Robustness: workers are probed on GET /healthz before each job;
-// failed shard attempts are retried on any live worker up to
-// Config.Retries times; and when Config.HedgeAfter is set, an idle
-// worker duplicates the oldest in-flight straggler shard — first
-// answer wins, the loser is canceled, and either answer is
-// byte-identical so hedging never changes output. A worker whose
-// attempt fails and whose re-probe also fails leaves the fleet for the
-// rest of the job.
+// Robustness: workers are probed on GET /healthz before each job, and
+// only a status of "ok" counts as healthy; failed shard attempts are
+// retried on any live worker up to Config.Retries times; and when
+// Config.HedgeAfter is set, an idle worker duplicates the oldest
+// in-flight straggler shard — first answer wins, the loser is
+// canceled, and either answer is byte-identical so hedging never
+// changes output. A worker whose attempt fails and whose re-probe also
+// fails leaves the fleet for the rest of the job.
 //
 // Observability mirrors internal/serve: per-job trace spans (probe,
 // stage, split, scatter with one child span per shard attempt,
-// gather), asymsortd_cluster_* metrics on GET /metrics, and a JSON job
-// table with per-worker byte/retry ledgers on GET /stats. See
-// docs/ARCHITECTURE.md for where the layer sits and
-// docs/OPERATIONS.md for running a fleet.
+// gather), asymsortd_cluster_* metrics on GET /metrics, and on GET
+// /stats the job engine's own job table (serve.Jobs) beside per-worker
+// byte/retry ledgers. See docs/ARCHITECTURE.md for where the layer
+// sits and docs/OPERATIONS.md for running a fleet.
 package cluster
 
 import (
@@ -65,7 +65,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -104,9 +103,6 @@ type Config struct {
 	ProbeTimeout time.Duration
 }
 
-// maxRetainedJobs bounds the /stats history, as in internal/serve.
-const maxRetainedJobs = 4096
-
 // Coordinator is the cluster job engine.
 type Coordinator struct {
 	cfg     Config
@@ -115,11 +111,7 @@ type Coordinator struct {
 	reg     *obs.Registry
 	obsm    coordMetrics
 	workers []*worker
-
-	mu     sync.Mutex
-	jobs   map[int]*JobStats
-	order  []int
-	nextID int
+	jobs    serve.Jobs[JobStats, *JobStats]
 }
 
 // coordMetrics holds the coordinator's metric family handles.
@@ -154,10 +146,10 @@ func newCoordMetrics(reg *obs.Registry) coordMetrics {
 	}
 }
 
-// JobStats is one cluster job's ledger, served on /stats.
+// JobStats is one cluster job's ledger, served on /stats. Its state runs
+// staging → running → streaming → done|failed|canceled.
 type JobStats struct {
-	ID     int    `json:"id"`
-	State  string `json:"state"` // staging|running|streaming|done|failed|canceled
+	serve.Job
 	N      int    `json:"n"`
 	Wire   string `json:"wire,omitempty"`
 	Shards int    `json:"shards,omitempty"`
@@ -174,16 +166,6 @@ type JobStats struct {
 	SplitMS    int64  `json:"split_ms"`
 	ScatterMS  int64  `json:"scatter_ms"`
 	StreamMS   int64  `json:"stream_ms"`
-	TotalMS    int64  `json:"total_ms"`
-	Err        string `json:"err,omitempty"`
-}
-
-func (j *JobStats) live() bool {
-	switch j.State {
-	case "staging", "running", "streaming":
-		return true
-	}
-	return false
 }
 
 // WorkerStats is one worker's cumulative ledger, served on /stats and
@@ -227,7 +209,6 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg: cfg, start: time.Now(), build: obs.ReadBuildInfo(),
 		reg: reg, obsm: newCoordMetrics(reg),
-		jobs: make(map[int]*JobStats),
 	}
 	// One client for all worker traffic, with no overall timeout: shard
 	// sorts are long-lived.
@@ -271,16 +252,10 @@ type statsSnapshot struct {
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	snap := statsSnapshot{}
+	snap := statsSnapshot{Jobs: c.jobs.List(nil)}
 	for _, wk := range c.workers {
 		snap.Workers = append(snap.Workers, wk.stats())
 	}
-	c.mu.Lock()
-	for _, j := range c.jobs {
-		snap.Jobs = append(snap.Jobs, *j)
-	}
-	c.mu.Unlock()
-	sort.Slice(snap.Jobs, func(a, b int) bool { return snap.Jobs[a].ID < snap.Jobs[b].ID })
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -343,58 +318,18 @@ func (c *Coordinator) probeWorkers(ctx context.Context) []*worker {
 	return healthy
 }
 
-// newJob registers a job record, evicting old finished jobs beyond the
-// retention cap.
-func (c *Coordinator) newJob() *JobStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j := &JobStats{ID: c.nextID, State: "staging"}
-	c.nextID++
-	c.jobs[j.ID] = j
-	c.order = append(c.order, j.ID)
-	for i := 0; len(c.jobs) > maxRetainedJobs && i < len(c.order); {
-		id := c.order[i]
-		old, ok := c.jobs[id]
-		if ok && old.live() {
-			i++
-			continue
-		}
-		delete(c.jobs, id)
-		c.order = append(c.order[:i], c.order[i+1:]...)
-	}
-	return j
-}
-
-func (c *Coordinator) setJob(j *JobStats, f func(*JobStats)) {
-	c.mu.Lock()
-	f(j)
-	c.mu.Unlock()
-}
-
 func (c *Coordinator) handleSort(w http.ResponseWriter, r *http.Request) {
-	j := c.newJob()
+	j := c.jobs.Open(JobStats{})
 	var tr *obs.Trace
 	if c.cfg.TraceDir != "" {
 		tr = obs.NewTrace(fmt.Sprintf("job-%d", j.ID))
 	}
 	root := tr.Root("cluster-job")
-	start := time.Now()
 	err := c.runJob(r.Context(), j, w, r, root)
 	root.End()
-	c.mu.Lock()
-	j.TotalMS = time.Since(start).Milliseconds()
-	if err != nil {
-		if j.State != "canceled" {
-			j.State = "failed"
-		}
-		j.Err = err.Error()
-	} else {
-		j.State = "done"
-	}
-	outcome := j.State
-	c.mu.Unlock()
-	c.obsm.jobs.With(outcome).Inc()
-	serve.ExportTrace(c.cfg.TraceDir, j.ID, tr)
+	fin := c.jobs.Close(j, err, nil)
+	c.obsm.jobs.With(fin.State).Inc()
+	serve.ExportTrace(c.cfg.TraceDir, fin.ID, tr)
 }
 
 // runJob executes one cluster sort end to end: stage → probe → split →
@@ -416,7 +351,7 @@ func (c *Coordinator) runJob(ctx context.Context, j *JobStats, w http.ResponseWr
 	stageStart := time.Now()
 	in, err := serve.StageRequest(w, r, j.ID, dir, root)
 	c.obsm.phase.With("stage").Observe(time.Since(stageStart).Seconds())
-	c.setJob(j, func(j *JobStats) {
+	c.jobs.Update(j, func(j *JobStats) {
 		j.Wire, j.N, j.StageMS = in.Out.Name(), in.N, time.Since(stageStart).Milliseconds()
 		if err != nil && ctx.Err() != nil {
 			j.State = "canceled"
@@ -434,7 +369,7 @@ func (c *Coordinator) runJob(ctx context.Context, j *JobStats, w http.ResponseWr
 	if len(healthy) == 0 {
 		return serve.Fail(w, http.StatusServiceUnavailable, "job %d: no healthy workers", j.ID)
 	}
-	c.setJob(j, func(j *JobStats) { j.State = "running" })
+	c.jobs.Update(j, func(j *JobStats) { j.State = "running" })
 
 	// Split: sample, cut splitters, write shard files.
 	splitSp := root.Child("split")
@@ -442,7 +377,7 @@ func (c *Coordinator) runJob(ctx context.Context, j *JobStats, w http.ResponseWr
 	shards, err := c.partition(in.Path, in.N, in.Skip, dir, splitSp)
 	splitSp.End()
 	c.obsm.phase.With("split").Observe(time.Since(splitStart).Seconds())
-	c.setJob(j, func(j *JobStats) {
+	c.jobs.Update(j, func(j *JobStats) {
 		j.SplitMS = time.Since(splitStart).Milliseconds()
 		j.Shards = len(shards)
 	})
@@ -469,7 +404,7 @@ func (c *Coordinator) runJob(ctx context.Context, j *JobStats, w http.ResponseWr
 			ledger = false // a native-model shard carries no ext ledger
 		}
 	}
-	c.setJob(j, func(j *JobStats) {
+	c.jobs.Update(j, func(j *JobStats) {
 		j.ScatterMS = time.Since(scatterStart).Milliseconds()
 		j.Retries = d.retried
 		j.Hedges = d.hedged
@@ -479,7 +414,7 @@ func (c *Coordinator) runJob(ctx context.Context, j *JobStats, w http.ResponseWr
 	})
 	if err != nil {
 		if ctx.Err() != nil {
-			c.setJob(j, func(j *JobStats) { j.State = "canceled" })
+			c.jobs.Update(j, func(j *JobStats) { j.State = "canceled" })
 			return fmt.Errorf("job %d: %w", j.ID, err)
 		}
 		return serve.Fail(w, http.StatusBadGateway, "job %d: %v", j.ID, err)
@@ -497,14 +432,14 @@ func (c *Coordinator) runJob(ctx context.Context, j *JobStats, w http.ResponseWr
 		w.Header().Set("X-Asymsortd-Writes", strconv.FormatUint(writes, 10))
 		w.Header().Set("X-Asymsortd-Plan-Writes", strconv.FormatUint(planWrites, 10))
 	}
-	c.setJob(j, func(j *JobStats) { j.State = "streaming" })
+	c.jobs.Update(j, func(j *JobStats) { j.State = "streaming" })
 	streamStart := time.Now()
 	streamSp := root.Child("gather")
 	streamSp.Set(obs.Attr{Key: "recs", Val: int64(in.N)})
 	err = in.Out.StreamFiles(w, paths, in.N)
 	streamSp.End()
 	c.obsm.phase.With("gather").Observe(time.Since(streamStart).Seconds())
-	c.setJob(j, func(j *JobStats) { j.StreamMS = time.Since(streamStart).Milliseconds() })
+	c.jobs.Update(j, func(j *JobStats) { j.StreamMS = time.Since(streamStart).Milliseconds() })
 	if err != nil {
 		return fmt.Errorf("job %d: streaming output: %w", j.ID, err)
 	}

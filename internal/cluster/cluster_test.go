@@ -31,6 +31,14 @@ func newWorker(t *testing.T, mem int) *httptest.Server {
 // newWorkerIn is newWorker with tmp as the worker's spill directory.
 func newWorkerIn(t *testing.T, mem int, tmp string) *httptest.Server {
 	t.Helper()
+	ts := httptest.NewServer(newEngine(t, mem, tmp).Handler())
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// newEngine builds the job engine a worker serves.
+func newEngine(t *testing.T, mem int, tmp string) *serve.Server {
+	t.Helper()
 	b, err := serve.NewBroker(serve.BrokerConfig{Mem: mem, Procs: 2, MinLease: 16 * 64})
 	if err != nil {
 		t.Fatal(err)
@@ -39,12 +47,7 @@ func newWorkerIn(t *testing.T, mem int, tmp string) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		b.Close()
-	})
-	return ts
+	return srv
 }
 
 // newCoordinator wires a coordinator over the worker URLs on an
@@ -331,9 +334,7 @@ func TestClusterRetry(t *testing.T) {
 	if want := sortedText(keys); string(body) != want {
 		t.Fatal("output is not the sorted key text after retries")
 	}
-	c.mu.Lock()
-	job := *c.jobs[0]
-	c.mu.Unlock()
+	job := c.jobs.List(nil)[0]
 	if job.State != "done" || job.Retries < 1 {
 		t.Fatalf("job ledger after flaky worker: %+v (want done with retries >= 1)", job)
 	}
@@ -415,9 +416,7 @@ func TestClusterWorkerDiesMidJob(t *testing.T) {
 			// a hair after the client sees the body end.
 			var job JobStats
 			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Millisecond) {
-				c.mu.Lock()
-				job = *c.jobs[0]
-				c.mu.Unlock()
+				job = c.jobs.List(nil)[0]
 				var left []string
 				for _, dir := range tmps {
 					entries, err := os.ReadDir(dir)
@@ -430,7 +429,7 @@ func TestClusterWorkerDiesMidJob(t *testing.T) {
 						}
 					}
 				}
-				if !job.live() && len(left) == 0 {
+				if !job.Live() && len(left) == 0 {
 					break
 				}
 				if time.Now().After(deadline) {
@@ -461,6 +460,54 @@ func TestClusterWorkerDiesMidJob(t *testing.T) {
 				t.Fatalf("metrics: %g jobs done, %g attempts failed; want 1 and >= 1", done, failed)
 			}
 		})
+	}
+}
+
+// TestClusterSkipsDrainingWorker: a draining daemon still answers
+// /healthz with a 200, whose body says "draining". The coordinator must
+// book it unhealthy and send it no shard, and its own /healthz must say
+// degraded, while the job still sorts on the live worker.
+func TestClusterSkipsDrainingWorker(t *testing.T) {
+	srv := newEngine(t, 1<<14, t.TempDir())
+	srv.SetDraining()
+	draining := httptest.NewServer(srv.Handler())
+	t.Cleanup(draining.Close)
+	_, coord := newCoordinator(t, Config{Workers: []string{draining.URL, newWorker(t, 1<<14).URL}, Shards: 4})
+	keys := genKeys(20000, 17)
+	resp, body := post(t, coord.URL, "", "", []byte(keysText(keys)))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %.300s", resp.StatusCode, body)
+	}
+	if want := sortedText(keys); string(body) != want {
+		t.Fatal("output is not the sorted key text")
+	}
+
+	sr, err := http.Get(coord.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st statsSnapshot
+	err = json.NewDecoder(sr.Body).Decode(&st)
+	sr.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := st.Workers[0]; w.Healthy || w.Shards != 0 || !strings.Contains(w.LastErr, "draining") {
+		t.Fatalf("draining worker on /stats: %+v, want unhealthy, 0 shards, last_err naming draining", w)
+	}
+	if w := st.Workers[1]; !w.Healthy || w.Shards != 4 {
+		t.Fatalf("live worker on /stats: %+v, want healthy with all 4 shards", w)
+	}
+
+	hr, err := http.Get(coord.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hs healthSnapshot
+	err = json.NewDecoder(hr.Body).Decode(&hs)
+	hr.Body.Close()
+	if err != nil || hs.Status != "degraded" || hs.HealthyWorkers != 1 {
+		t.Fatalf("healthz over a draining worker: %+v (%v), want degraded with 1 healthy worker", hs, err)
 	}
 }
 
@@ -573,9 +620,7 @@ func TestClusterHedging(t *testing.T) {
 	if took := time.Since(start); took > 30*time.Second {
 		t.Fatalf("hedged job took %v — the throttled worker was on the critical path", took)
 	}
-	c.mu.Lock()
-	job := *c.jobs[0]
-	c.mu.Unlock()
+	job := c.jobs.List(nil)[0]
 	if job.Hedges < 1 {
 		t.Fatalf("job ledger: %+v (want hedges >= 1)", job)
 	}

@@ -13,6 +13,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -58,8 +59,9 @@ func (w *worker) stats() WorkerStats {
 	}
 }
 
-// probe hits GET /healthz and records the outcome. Any 200 is healthy;
-// a draining or dead daemon is not dispatched to.
+// probe hits GET /healthz and records the outcome. Only a 200 whose
+// body reports status "ok" is healthy: a draining daemon still answers
+// 200, and neither it nor a dead one is dispatched to.
 func (w *worker) probe(ctx context.Context, timeout time.Duration) bool {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
@@ -70,12 +72,18 @@ func (w *worker) probe(ctx context.Context, timeout time.Duration) bool {
 	} else if resp, err := w.client.Do(req); err != nil {
 		errMsg = err.Error()
 	} else {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16)) // a short read fails the decode
 		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			ok = true
-		} else {
+		var h struct {
+			Status string `json:"status"`
+		}
+		switch {
+		case resp.StatusCode != http.StatusOK:
 			errMsg = fmt.Sprintf("healthz status %d", resp.StatusCode)
+		case json.Unmarshal(body, &h) != nil || h.Status != "ok":
+			errMsg = fmt.Sprintf("healthz status %q", h.Status)
+		default:
+			ok = true
 		}
 	}
 	w.mu.Lock()

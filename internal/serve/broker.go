@@ -192,8 +192,8 @@ func (b *Broker) publish() {
 }
 
 // Close is a no-op: the broker holds no goroutines or files of its
-// own. It stays so that callers can keep pairing NewBroker with a
-// deferred Close.
+// own. It stays only because bench/asymperf still calls it; drop it
+// with that call.
 func (b *Broker) Close() {}
 
 // Acquire blocks until the broker grants a lease of at least

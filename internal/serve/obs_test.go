@@ -34,10 +34,7 @@ func newObsService(t *testing.T, mem, procs, block int) (*testService, *obs.Regi
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		b.Close()
-	})
+	t.Cleanup(ts.Close)
 	return &testService{b: b, srv: srv, ts: ts, tmp: tmp}, reg, traceDir
 }
 
@@ -205,7 +202,7 @@ func TestStatsMetricsUnderChurn(t *testing.T) {
 			}
 			for _, j := range snap.Jobs {
 				// Live jobs must expose a phase and a sane elapsed wall.
-				if j.live() && j.PhaseMS < 0 {
+				if j.Live() && j.PhaseMS < 0 {
 					t.Errorf("live job %d in %q has phase_ms %d", j.ID, j.State, j.PhaseMS)
 					return
 				}

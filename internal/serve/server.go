@@ -65,10 +65,8 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -113,12 +111,6 @@ type ServerConfig struct {
 	TraceDir string
 }
 
-// maxRetainedJobs bounds the /stats history: the daemon serves
-// unbounded traffic, so finished jobs are evicted oldest-first beyond
-// this many entries (running jobs are never evicted). Per-kernel
-// aggregates are folded at completion, so eviction loses no ledger.
-const maxRetainedJobs = 4096
-
 // Server is the HTTP job engine.
 type Server struct {
 	cfg      ServerConfig
@@ -128,11 +120,10 @@ type Server struct {
 	reg      *obs.Registry
 	obsm     serverMetrics
 	meter    *extmem.OmegaMeter
-	mu       sync.Mutex
-	jobs     map[int]*JobStats
-	agg      map[string]KernelLedger
-	order    []int // job ids in creation order, for oldest-first eviction
-	nextID   int
+	jobs     Jobs[JobStats, *JobStats]
+	// agg is guarded by the job table's lock: jobs fold into it as they
+	// close, so eviction loses no ledger.
+	agg map[string]KernelLedger
 }
 
 // serverMetrics holds the engine's metric family handles, resolved once
@@ -183,11 +174,11 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 	}
 }
 
-// JobStats is one job's ledger, served on /stats.
+// JobStats is one job's ledger, served on /stats. Its state runs
+// staging → queued → running → streaming → done|failed|canceled.
 type JobStats struct {
-	ID     int    `json:"id"`
+	Job
 	Kernel string `json:"kernel"`
-	State  string `json:"state"` // staging|queued|running|done|failed|canceled
 	Model  string `json:"model,omitempty"`
 	N      int    `json:"n"`
 	OutN   int    `json:"out_n,omitempty"`
@@ -221,26 +212,14 @@ type JobStats struct {
 	StageMS  int64 `json:"stage_ms"`
 	SortMS   int64 `json:"sort_ms"`
 	StreamMS int64 `json:"stream_ms"`
-	TotalMS  int64 `json:"total_ms"`
 	// PhaseMS is only set on live jobs in /stats responses: elapsed wall
 	// time in the current State (for "queued" it is the live queue
 	// wait). Zero on finished jobs.
-	PhaseMS int64  `json:"phase_ms,omitempty"`
-	Err     string `json:"err,omitempty"`
+	PhaseMS int64 `json:"phase_ms,omitempty"`
 
 	// phaseStart is when the job entered its current State; unexported,
 	// so it never serializes. handleStats derives PhaseMS from it.
 	phaseStart time.Time
-}
-
-// live reports whether the job still holds resources (never evicted,
-// and its PhaseMS is computed in /stats).
-func (j *JobStats) live() bool {
-	switch j.State {
-	case "staging", "queued", "running", "streaming":
-		return true
-	}
-	return false
 }
 
 // KernelLedger aggregates finished jobs per kernel; it is folded at
@@ -280,8 +259,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		cfg: cfg, start: time.Now(), build: obs.ReadBuildInfo(),
 		reg: reg, obsm: newServerMetrics(reg),
-		meter: extmem.NewOmegaMeter(cfg.TmpDir),
-		jobs:  make(map[int]*JobStats), agg: make(map[string]KernelLedger),
+		meter: extmem.NewOmegaMeter(cfg.TmpDir), agg: make(map[string]KernelLedger),
 	}
 	reg.GaugeFunc("asymsortd_uptime_seconds",
 		"Seconds since the job engine started.",
@@ -619,23 +597,21 @@ func (s *Server) tuningSnapshot() tuningStats {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	snap := statsSnapshot{Broker: s.cfg.Broker.Stats(), Tuning: s.tuningSnapshot(), Kernels: maps.Clone(s.agg)}
-	now := time.Now()
-	for _, j := range s.jobs {
-		cp := *j
-		// Live jobs report elapsed wall time in their current phase; a
-		// queued job's PhaseMS is its live queue wait.
-		if cp.live() && !j.phaseStart.IsZero() {
-			cp.PhaseMS = now.Sub(j.phaseStart).Milliseconds()
-			if cp.State == "queued" {
-				cp.QueueMS = cp.PhaseMS
+	snap := statsSnapshot{Broker: s.cfg.Broker.Stats(), Tuning: s.tuningSnapshot()}
+	snap.Jobs = s.jobs.List(func(jobs []JobStats) {
+		snap.Kernels = maps.Clone(s.agg)
+		now := time.Now()
+		for i := range jobs {
+			// Live jobs report elapsed wall time in their current phase; a
+			// queued job's PhaseMS is its live queue wait.
+			if j := &jobs[i]; j.Live() {
+				j.PhaseMS = now.Sub(j.phaseStart).Milliseconds()
+				if j.State == "queued" {
+					j.QueueMS = j.PhaseMS
+				}
 			}
 		}
-		snap.Jobs = append(snap.Jobs, cp)
-	}
-	s.mu.Unlock()
-	sort.Slice(snap.Jobs, func(a, b int) bool { return snap.Jobs[a].ID < snap.Jobs[b].ID })
+	})
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -667,35 +643,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(h)
 }
 
-// newJob registers a job record and returns it with its id assigned,
-// evicting the oldest finished jobs beyond the retention cap.
-func (s *Server) newJob(kernelName string) *JobStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j := &JobStats{ID: s.nextID, Kernel: kernelName, State: "staging", phaseStart: time.Now()}
-	s.nextID++
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-	for i := 0; len(s.jobs) > maxRetainedJobs && i < len(s.order); {
-		id := s.order[i]
-		old, ok := s.jobs[id]
-		if ok && old.live() {
-			i++ // never evict a live job
-			continue
-		}
-		delete(s.jobs, id)
-		s.order = append(s.order[:i], s.order[i+1:]...)
-	}
-	return j
-}
-
-// setJob mutates a job record under the lock.
-func (s *Server) setJob(j *JobStats, f func(*JobStats)) {
-	s.mu.Lock()
-	f(j)
-	s.mu.Unlock()
-}
-
 // handleKernel runs one job of the named kernel. alias marks the
 // historical /sort route, whose responses stay byte-identical to the
 // pre-registry daemon (no kernel/out headers, bare-key text output).
@@ -705,46 +652,32 @@ func (s *Server) handleKernel(w http.ResponseWriter, r *http.Request, name strin
 		JSONError(w, http.StatusNotFound, "unknown kernel %q (kernels: %s)", name, strings.Join(kernel.Names(), ", "))
 		return
 	}
-	j := s.newJob(k.Name)
+	j := s.jobs.Open(JobStats{Kernel: k.Name, phaseStart: time.Now()})
 	var tr *obs.Trace
 	if s.cfg.TraceDir != "" {
 		tr = obs.NewTrace(fmt.Sprintf("job-%d", j.ID))
 	}
 	sj := &servedJob{Server: s, j: j, w: w, r: r, k: k, alias: alias, root: tr.Root("job")}
-	start := time.Now()
 	err := sj.runJob()
 	sj.root.End()
-	s.mu.Lock()
-	j.TotalMS = time.Since(start).Milliseconds()
-	if err != nil {
-		if j.State != "canceled" {
-			j.State = "failed"
+	fin := s.jobs.Close(j, err, func(j *JobStats) {
+		a := s.agg[j.Kernel]
+		a.Jobs++
+		switch j.State {
+		case "done":
+			a.Done++
+		case "canceled":
+			a.Canceled++
+		default:
+			a.Failed++
 		}
-		j.Err = err.Error()
-	} else {
-		j.State = "done"
-	}
-	a := s.agg[j.Kernel]
-	a.Jobs++
-	switch j.State {
-	case "done":
-		a.Done++
-	case "canceled":
-		a.Canceled++
-	default:
-		a.Failed++
-	}
-	a.Reads += j.Reads
-	a.Writes += j.Writes
-	a.PlanWrites += j.PlanWrites
-	s.agg[j.Kernel] = a
-	kernelName, model, outcome := j.Kernel, j.Model, j.State
-	s.mu.Unlock()
-	if model == "" {
-		model = "none"
-	}
-	s.obsm.jobs.With(kernelName, model, outcome).Inc()
-	ExportTrace(s.cfg.TraceDir, j.ID, tr)
+		a.Reads += j.Reads
+		a.Writes += j.Writes
+		a.PlanWrites += j.PlanWrites
+		s.agg[j.Kernel] = a
+	})
+	s.obsm.jobs.With(fin.Kernel, cmp.Or(fin.Model, "none"), fin.State).Inc()
+	ExportTrace(s.cfg.TraceDir, fin.ID, tr)
 }
 
 // servedJob is one kernel request on its way through runJob's steps.
@@ -767,8 +700,8 @@ type servedJob struct {
 	out string // the result record file
 }
 
-// set mutates the job record under the server's lock.
-func (sj *servedJob) set(f func(*JobStats)) { sj.setJob(sj.j, f) }
+// set mutates the job record under the job table's lock.
+func (sj *servedJob) set(f func(*JobStats)) { sj.jobs.Update(sj.j, f) }
 
 // runJob executes one kernel job end to end: stage, admit, run,
 // stream. Any error return before output streaming starts has been

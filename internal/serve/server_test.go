@@ -42,10 +42,7 @@ func newTestService(t *testing.T, mem, procs, block int) *testService {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		b.Close()
-	})
+	t.Cleanup(ts.Close)
 	return &testService{b: b, srv: srv, ts: ts, tmp: tmp}
 }
 
@@ -380,28 +377,6 @@ func TestServeQueueBackpressure(t *testing.T) {
 	}
 }
 
-// TestServeJobRetention: the /stats history is bounded — finished jobs
-// beyond the cap are evicted oldest-first, live jobs never.
-func TestServeJobRetention(t *testing.T) {
-	s := newTestService(t, 1<<13, 1, 64)
-	live := s.srv.newJob("sort") // stays "staging" — must survive any eviction
-	for i := 0; i < maxRetainedJobs+50; i++ {
-		j := s.srv.newJob("sort")
-		s.srv.setJob(j, func(j *JobStats) { j.State = "done" })
-	}
-	s.srv.mu.Lock()
-	defer s.srv.mu.Unlock()
-	if len(s.srv.jobs) > maxRetainedJobs+1 {
-		t.Fatalf("%d jobs retained, cap is %d", len(s.srv.jobs), maxRetainedJobs)
-	}
-	if _, ok := s.srv.jobs[live.ID]; !ok {
-		t.Fatal("live job was evicted")
-	}
-	if _, ok := s.srv.jobs[1]; ok {
-		t.Fatal("oldest finished job survived past the cap")
-	}
-}
-
 // TestServeBadRequests: malformed keys and bad params surface as HTTP
 // errors, not hung jobs or leaked leases.
 func TestServeBadRequests(t *testing.T) {
@@ -594,7 +569,6 @@ func TestServeBinaryExactDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	defer b.Close()
 	defer ts.Close()
 	s := &testService{b: b, srv: srv, ts: ts}
 	recs := make([]seq.Record, 1500)

@@ -25,10 +25,7 @@ func newTuningService(t *testing.T, mem, block int, omega float64) *testService 
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		b.Close()
-	})
+	t.Cleanup(ts.Close)
 	return &testService{b: b, srv: srv, ts: ts, tmp: tmp}
 }
 
