@@ -80,6 +80,12 @@ import (
 	"asymsort/internal/serve"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request header before the server closes it, so a client that opens
+// connections and never finishes a header cannot hold a goroutine and a
+// file descriptor each. It is fixed, not a flag; tests lower it.
+var readHeaderTimeout = 10 * time.Second
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -219,7 +225,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		go http.Serve(dln, nil)
 		defer dln.Close()
 	}
-	httpSrv := &http.Server{Handler: h}
+	httpSrv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	select {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -21,6 +22,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // daemon is one asymsortd started through run on its own goroutine.
@@ -240,6 +242,42 @@ func TestFlagErrors(t *testing.T) {
 		err := run(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...), &out)
 		if err == nil || out.Len() > 0 {
 			t.Errorf("%v: err=%v, printed %q; want an error and no banner", args, err, out.String())
+		}
+	}
+}
+
+// TestSlowHeaderClosed: a connection that sends half a request line and
+// then stalls is closed once the header timeout passes, by the job
+// engine and by the coordinator alike. net/http answers the torn
+// request line with a 400 before it closes.
+func TestSlowHeaderClosed(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 200 * time.Millisecond
+	for _, args := range [][]string{
+		{"-addr", "127.0.0.1:0", "-mem", "8MB", "-tmpdir", t.TempDir()},
+		{"-coordinator", "-workers", "http://127.0.0.1:1", "-addr", "127.0.0.1:0", "-tmpdir", t.TempDir()},
+	} {
+		d := start(t, args...)
+		begin := time.Now() // before the dial: the server's clock starts at its accept
+		conn, err := net.Dial("tcp", strings.TrimPrefix(d.url, "http://"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.WriteString(conn, "GET /heal"); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(begin.Add(5 * time.Second))
+		got, err := io.ReadAll(conn)
+		conn.Close()
+		if err != nil {
+			t.Fatalf("%v: the stalled connection is still open after %v: %v", args, time.Since(begin), err)
+		}
+		if len(got) > 0 && !strings.HasPrefix(string(got), "HTTP/1.1 400 ") || time.Since(begin) < readHeaderTimeout {
+			t.Fatalf("%v: closed after %v with %q; want nothing or a 400, after the %v header timeout",
+				args, time.Since(begin), got, readHeaderTimeout)
+		}
+		if out, err := d.stop(); err != nil {
+			t.Fatalf("%v: run after the drain: %v\n%s", args, err, out)
 		}
 	}
 }

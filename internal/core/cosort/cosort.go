@@ -95,7 +95,7 @@ func sortInto(c rt.Ctx, in, out rt.Arr[seq.Record], opt Options) {
 	}
 	if rawOut := rt.Raw(out); rawOut != nil && n <= nativeLeaf {
 		copy(rawOut, rt.Raw(in))
-		rt.SeqSortRecords(rawOut)
+		rt.SeqSortRecords(rawOut, nil)
 		return
 	}
 	if n <= smallCutoff {
@@ -442,7 +442,7 @@ func scatterSegments(c rt.Ctx, work, out rt.Arr[seq.Record], bounds []int, pos, 
 func refineBucket(c rt.Ctx, seg rt.Arr[seq.Record], omega int, opt Options) {
 	m := seg.Len()
 	if raw := rt.Raw(seg); raw != nil && m <= nativeLeaf {
-		rt.SeqSortRecords(raw)
+		rt.SeqSortRecords(raw, nil)
 		return
 	}
 	if m <= smallCutoff {

@@ -511,7 +511,7 @@ func leafSort(c rt.Ctx, seg rt.Arr[seq.Record]) {
 		return
 	}
 	if !c.Metered() {
-		rt.SeqSortRecords(seg.Unwrap())
+		rt.SeqSortRecords(seg.Unwrap(), nil)
 		return
 	}
 	recs := make([]seq.Record, m)

@@ -24,7 +24,10 @@
 //     so far). A key above the watermark's, at or below the cut and
 //     below the full candidates' largest is kept by one branch-free
 //     compare; only keys equal to the watermark's or the candidates'
-//     largest take the exact (Key, Val) test. min(P, leaves) workers
+//     largest take the exact (Key, Val) test. Each sort's scratch is
+//     a buffer the worker already holds: a one-pass leaf sorts with
+//     the idle read chunk, a selection pass's sorts with the read
+//     chunk's consumed tail past its survivors. min(P, leaves) workers
 //     form the leaves, each taking the next leaf and running read →
 //     select → write on its own private M-record buffer; at P = 1 that
 //     is one goroutine on the engine's one arena.

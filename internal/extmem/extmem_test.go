@@ -295,7 +295,10 @@ func TestSortFanInOverride(t *testing.T) {
 	// c = M/(f+1) wider than one stage, so its buffer is carved from the
 	// arena rather than the formation read chunk. Both the sequential
 	// engine and the parallel merge must take that path and keep the
-	// write ledger on plan.
+	// write ledger on plan. The plan's leaves, 17 500 records each, are
+	// also the one-pass leaves longer than the formChunk read chunk
+	// their sort borrows as scratch: its top pass runs in place, and
+	// only its buckets are sorted out of place through the chunk.
 	big := seq.Uniform(70000, 10)
 	for _, procs := range []int{1, 4} {
 		cfg := Config{Mem: 1 << 15, Block: 16, K: 1, FanIn: 2, Procs: procs}

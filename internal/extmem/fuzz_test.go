@@ -167,10 +167,18 @@ func FuzzExtSort(f *testing.F) {
 // whose cut edge passes 2⁶⁴, keys 0 and 2⁶⁴−1 against a watermark in
 // between and no bound, the watermark's key with Vals on both sides of
 // it, and ties on the full candidates' largest key across spans.
+//
+// Every sort in a pass borrows the span's consumed tail, past its
+// survivors, as scratch. The heavy seeds put one record in four on one
+// key: in a first span whose survivors overflow the empty candidates,
+// the survivors overflow the tail too, so the sort's top pass runs in
+// place and only the heavy key's bucket fits the tail. Later spans'
+// survivors fit their tail whole, the candidates filling mid-span fit
+// it, and candidates that never fill take the whole last span.
 func FuzzSelectSmallest(f *testing.F) {
 	ramp, rev := make([]byte, 256), make([]byte, 256)
 	mixed, pairs, equal := make([]byte, 600), make([]byte, 400), make([]byte, 300)
-	wmKey, ties := make([]byte, 400), make([]byte, 400)
+	wmKey, ties, heavy := make([]byte, 400), make([]byte, 400), make([]byte, 500)
 	for i := range ramp {
 		ramp[i], rev[i] = byte(i), byte(255-i)
 	}
@@ -192,6 +200,12 @@ func FuzzSelectSmallest(f *testing.F) {
 	}
 	for i := range equal {
 		equal[i] = 42
+	}
+	for i, r := range seq.Uniform(len(heavy), 12) {
+		heavy[i] = byte(r.Key) // one record in four on key 5 (bytes 40–47)
+		if i%4 == 0 {
+			heavy[i] = 40 + byte(r.Key%8)
+		}
 	}
 	top := make([]byte, 300) // two in three records on the top key
 	for i := range top {
@@ -224,6 +238,12 @@ func FuzzSelectSmallest(f *testing.F) {
 	// Bounds on the watermark's key and just below it.
 	f.Add(wmKey, []byte{64}, uint16(99), byte(43), uint8(1), byte(40), uint8(0))
 	f.Add(wmKey, []byte{64}, uint16(99), byte(43), uint8(1), byte(39), uint8(0))
+	// Survivors that overflow the empty candidates and the span's tail,
+	// then survivors and filling candidates that fit it, and candidates
+	// that never fill.
+	f.Add(heavy, []byte{255}, uint16(99), byte(0), uint8(0), byte(120), uint8(0))
+	f.Add(heavy, []byte{40, 255}, uint16(99), byte(0), uint8(0), byte(120), uint8(0))
+	f.Add(heavy, []byte{255}, uint16(299), byte(0), uint8(0), byte(50), uint8(0))
 
 	f.Fuzz(func(t *testing.T, data, spans []byte, m uint16, wmByte byte, dups uint8, bound byte, spread uint8) {
 		s := uint(spread&127) % 59 // 31<<58 still fits below 2⁶⁴

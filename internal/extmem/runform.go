@@ -30,6 +30,17 @@ import (
 // largest key; only keys equal to the watermark's key or the
 // candidates' largest take the exact (Key, Val) test.
 //
+// Every sort borrows its scratch (rt.SeqSortSmallest's out-of-place
+// path) from a buffer the worker already holds, so formation adds no
+// memory. A one-pass leaf is read into the candidate buffer and sorted
+// with the idle read chunk as scratch. A selection pass lends each read
+// chunk's consumed tail, past its compacted survivors, to the survivor
+// sorts and to the candidate sort when the candidates fill, and
+// candidates that never fill take the whole last chunk. Only a slice
+// longer than its scratch — a leaf longer than the chunk, survivors
+// that overflow the tail — takes the sort's in-place pass, and then
+// only at its top.
+//
 // Formation runs on min(P, leaves) workers, each one processor of the
 // paper's parallel machine (§3) with a private memory of size M: a
 // worker takes the next leaf from a shared counter and runs read →
@@ -113,15 +124,16 @@ func (e *engine) formRuns(leaves []*planNode) error {
 // formLeaves forms every leaf on min(P, len(leaves)) workers. Leaf i's
 // sorted batches reach sink in order, each holding the leaf's records
 // at offsets [off, off+len(batch)); workers call sink concurrently for
-// different leaves. A lone worker sorts on the whole pool; several
-// workers already fill it, so each sorts in place. After the first
-// failure the workers stop at their next leaf boundary, and formLeaves
-// returns that error once all of them have joined.
+// different leaves. A lone worker on a wider pool sorts on the whole
+// pool; otherwise each worker runs the radix leaf sort with the scratch
+// its formLeaf lends. After the first failure the workers stop at
+// their next leaf boundary, and formLeaves returns that error once all
+// of them have joined.
 func (e *engine) formLeaves(leaves []*planNode, sink func(i, off int, batch []seq.Record) error) error {
 	P := min(e.cfg.procs, len(leaves))
 	sortRecs := rt.SeqSortRecords
-	if P == 1 {
-		sortRecs = func(recs []seq.Record) { rt.SortRecords(e.cfg.pool, recs) }
+	if P == 1 && e.cfg.pool.Procs() > 1 {
+		sortRecs = func(recs, _ []seq.Record) { rt.SortRecords(e.cfg.pool, recs) }
 	}
 	var (
 		next     atomic.Int64
@@ -159,13 +171,14 @@ func (e *engine) formLeaves(leaves []*planNode, sink func(i, off int, batch []se
 
 // formLeaf forms one leaf on a worker's candidate buffer buf (M
 // records), read chunk and key count. A leaf that fits the budget
-// (always, when k = 1) takes one read, one sort and one emit. A larger
+// (always, when k = 1) takes one read, one sort and one emit: it is read
+// into buf and sorted with the idle read chunk as scratch. A larger
 // leaf runs selection passes, each emitting the M smallest records past
 // the previous pass's watermark, already sorted. Its first pass counts
 // the leaf's keys span by span, and every pass keeps only keys at or
 // below the count's cut: in the first pass, the cut of the spans
 // counted so far.
-func (e *engine) formLeaf(nd *planNode, buf, chunk []seq.Record, keys *keyCount, sortRecs func([]seq.Record), emit func(off int, batch []seq.Record) error) error {
+func (e *engine) formLeaf(nd *planNode, buf, chunk []seq.Record, keys *keyCount, sortRecs func(recs, scratch []seq.Record), emit func(off int, batch []seq.Record) error) error {
 	if err := e.canceled(); err != nil {
 		return err
 	}
@@ -176,7 +189,7 @@ func (e *engine) formLeaf(nd *planNode, buf, chunk []seq.Record, keys *keyCount,
 		if err := e.in.ReadAt(nd.lo+e.cfg.inSkip, cand); err != nil {
 			return err
 		}
-		sortRecs(cand)
+		sortRecs(cand, chunk[:cap(chunk)])
 		return emit(nd.lo, cand)
 	}
 	// next streams the leaf's range through chunk from rd, one span per
@@ -332,11 +345,15 @@ func (c *keyCount) cut(emitted, m int) uint64 {
 // cap(cand) smallest, which become cand. Otherwise they top cand up,
 // and cand is sorted with sortRecs the moment it fills; survivors
 // after that are radix-sorted, again only as far as cap(cand), and
-// merged into cand from the back.
-func selectSmallest(next func() ([]seq.Record, uint64, error), wm watermark, cand []seq.Record, sortRecs func([]seq.Record)) (_ []seq.Record, sorted int, err error) {
+// merged into cand from the back. Every sort takes the span's consumed
+// tail, past the survivors, as its scratch, and a cand that never
+// fills takes the whole last span.
+func selectSmallest(next func() ([]seq.Record, uint64, error), wm watermark, cand []seq.Record, sortRecs func(recs, scratch []seq.Record)) (_ []seq.Record, sorted int, err error) {
 	m, skip := cap(cand), wm.dups
+	var last []seq.Record // the latest span, all consumed once its turn ends
 	span, bound, err := next()
 	for ; err == nil && len(span) > 0; span, bound, err = next() {
+		last = span
 		full := len(cand) == m
 		lo, edge, w := wm.rec.Key, wm.rec.Key, uint64(0)
 		if bound > lo {
@@ -358,9 +375,9 @@ func selectSmallest(next func() ([]seq.Record, uint64, error), wm watermark, can
 				k++
 			}
 		}
-		surv := span[:k]
+		surv, tail := span[:k], span[k:]
 		if len(cand) == 0 && len(surv) > m {
-			rt.SeqSortSmallest(surv, m)
+			rt.SeqSortSmallest(surv, m, tail)
 			sorted += len(surv)
 			cand = append(cand, surv[:m]...)
 			continue
@@ -371,17 +388,17 @@ func selectSmallest(next func() ([]seq.Record, uint64, error), wm watermark, can
 			if len(cand) < m {
 				continue
 			}
-			sortRecs(cand)
+			sortRecs(cand, tail)
 			sorted += m
 		}
 		if len(surv) > 0 {
-			rt.SeqSortSmallest(surv, m)
+			rt.SeqSortSmallest(surv, m, tail)
 			sorted += len(surv)
 			mergeSmallest(cand, surv[:min(len(surv), m)])
 		}
 	}
 	if err == nil && len(cand) < m {
-		sortRecs(cand) // the pass never filled cand
+		sortRecs(cand, last) // the pass never filled cand
 		sorted += len(cand)
 	}
 	return cand, sorted, err

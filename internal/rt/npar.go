@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"math"
 	"math/bits"
 
 	"asymsort/internal/seq"
@@ -22,34 +23,53 @@ const sortLeaf = 1 << 12
 // repository, so native and simulated runs produce identical outputs.
 func SortRecords(p *Pool, recs []seq.Record) {
 	if len(recs) <= sortLeaf || p.tokens == nil {
-		SeqSortRecords(recs)
+		SeqSortRecords(recs, nil)
 		return
 	}
 	buf := make([]seq.Record, len(recs))
 	msort(p, recs, buf, false)
 }
 
-// radixCutoff is the bucket size below which SeqSortSmallest finishes
-// with insertion sort: a 256-bucket digit pass costs more than the few
-// inversions of a tiny bucket.
+// radixCutoff is the bucket size below which the leaf sort finishes
+// with insertion sort: a digit pass costs more than the few inversions
+// of a tiny bucket.
 const radixCutoff = 32
 
-// SeqSortRecords sorts a in place by the repository's total record
-// order — the sequential leaf sort of the native backend.
-func SeqSortRecords(a []seq.Record) { SeqSortSmallest(a, len(a)) }
+// scatterBits caps the digit of an out-of-place pass: up to 2 048
+// records it takes about one bucket per record, and its counts stay on
+// the stack.
+const scatterBits = 11
+
+// SeqSortRecords sorts a by the repository's total record order — the
+// sequential leaf sort of the native backend — with scratch as
+// SeqSortSmallest's.
+func SeqSortRecords(a, scratch []seq.Record) { SeqSortSmallest(a, len(a), scratch) }
 
 // SeqSortSmallest leaves the m smallest records of a, sorted, in a[:m]
-// and the rest of a, in no particular order, in a[m:]. It is an
-// in-place MSD radix sort (American flag sort) on 8-bit digits of the
-// 128-bit (Key, Val) composite, whose unsigned digit order is exactly
-// seq.TotalLess. Each bucket starts at the highest bit where its keys
-// differ, read from the OR and AND of the keys, and moves on to Val
-// digits once every Key bit agrees; a bucket whose records all agree is
-// done. Every digit consumes at least 8 of the 128 bits, so recursion
-// is at most 16 digits deep, and buckets under radixCutoff records
-// finish with insertion sort. Buckets that start at or past m are
-// neither permuted nor sorted.
-func SeqSortSmallest(a []seq.Record, m int) {
+// and the rest of a, in no particular order, in a[m:]. It is an MSD
+// radix sort on the 128-bit (Key, Val) composite, whose unsigned digit
+// order is exactly seq.TotalLess. Each pass digits a bucket by its keys
+// from the top bit where they differ, and by its payloads once every
+// key is the same; a bucket whose records all agree is done, and a
+// bucket under radixCutoff records finishes with insertion sort. A
+// pass that recurses consumes at least 6 of a component's bits or all
+// that still differ, so recursion is at most 23 passes deep. Buckets
+// that start at or past m are not sorted.
+//
+// scratch is optional working space whose contents the sort clobbers;
+// the sort allocates nothing. A slice, or a bucket, that fits in
+// scratch is sorted out of place (scatterSort): one count, one
+// branch-free scatter into scratch, and one insertion pass that brings
+// each run of small buckets back. A slice that does not fit takes an
+// in-place American flag pass on an 8-bit digit (flagSort) and recurses
+// into its buckets with the same scratch, so with no scratch the whole
+// sort is in place.
+func SeqSortSmallest(a []seq.Record, m int, scratch []seq.Record) {
+	// scatterSort counts in 32 bits.
+	if len(scratch) >= len(a) && uint64(len(a)) <= math.MaxUint32 {
+		radixSort(a, scratch[:len(a)], m, false)
+		return
+	}
 	if len(a) < radixCutoff {
 		insertionRecs(a)
 		return
@@ -60,7 +80,7 @@ func SeqSortSmallest(a []seq.Record, m int) {
 		and &= r.Key
 	}
 	if d := or ^ and; d != 0 {
-		flagSort(a, m, ^uint64(0), d)
+		flagSort(a, m, ^uint64(0), d, scratch)
 		return
 	}
 	or, and = a[0].Val, a[0].Val
@@ -69,17 +89,112 @@ func SeqSortSmallest(a []seq.Record, m int) {
 		and &= r.Val
 	}
 	if d := or ^ and; d != 0 {
-		flagSort(a, m, 0, d)
+		flagSort(a, m, 0, d, scratch)
 	}
 }
 
-// flagSort permutes a into 256 buckets by the 8-bit digit whose top bit
-// is the highest set bit of diff, then sorts every bucket, stopping at
-// the first bucket that starts at or past m: only the records of a[:m]
-// have to be in place. The digit is read from Key when keyMask is all
-// ones and from Val when it is zero; bits above diff's top bit agree
-// across a, so they never split it.
-func flagSort(a []seq.Record, m int, keyMask, diff uint64) {
+// radixSort sorts the records of x as far as its m smallest, leaving
+// them in y when toY is set and in x otherwise; the other slice is
+// clobbered. x and y have equal lengths and do not overlap.
+func radixSort(x, y []seq.Record, m int, toY bool) {
+	if len(x) < radixCutoff {
+		if toY {
+			insertInto(y, x)
+		} else {
+			insertionRecs(x)
+		}
+		return
+	}
+	keyMask, base, span := digitRange(x)
+	if span == 0 {
+		if toY {
+			copy(y, x)
+		}
+		return
+	}
+	scatterSort(x, y, m, toY, keyMask, base, span)
+}
+
+// digitRange returns the smallest key of a non-empty a and the span
+// up to its largest, with an all-ones keyMask, or, when every key is
+// the same, the smallest payload and the payloads' span, with a zero
+// keyMask. A zero span means every record of a is the same.
+func digitRange(a []seq.Record) (keyMask, lo, span uint64) {
+	lo, hi := a[0].Key, a[0].Key
+	for _, r := range a[1:] {
+		lo, hi = min(lo, r.Key), max(hi, r.Key)
+	}
+	if lo != hi {
+		return ^uint64(0), lo, hi - lo
+	}
+	lo, hi = a[0].Val, a[0].Val
+	for _, r := range a[1:] {
+		lo, hi = min(lo, r.Val), max(hi, r.Val)
+	}
+	return 0, lo, hi - lo
+}
+
+// scatterSort is radixSort's pass: it counts x by a digit of up to
+// scatterBits bits (about one bucket per record) of each record's
+// distance from base, whose top bit is span's, scatters x into y by
+// that count, and finishes every bucket that starts below m. A run of
+// consecutive buckets of at most radixCutoff records takes one
+// insertion pass — records never cross a bucket boundary, so it costs
+// only the inversions inside each bucket — and a larger bucket recurses
+// with x and y swapped. The digit is read from Key when keyMask is all
+// ones and from Val when it is zero.
+func scatterSort(x, y []seq.Record, m int, toY bool, keyMask, base, span uint64) {
+	width := bits.Len64(span)
+	nb := min(bits.Len(uint(len(x)-1)), scatterBits, width)
+	shift := uint(width - nb)
+	valMask := ^keyMask
+	out := x
+	if toY {
+		out = y
+	}
+	var end [1 << scatterBits]uint32
+	for _, r := range x {
+		end[((r.Key&keyMask|r.Val&valMask)-base)>>shift&(1<<scatterBits-1)]++
+	}
+	var off uint32
+	for d, c := range end[:1<<nb] {
+		end[d] = off
+		off += c
+	}
+	for _, r := range x {
+		d := ((r.Key&keyMask | r.Val&valMask) - base) >> shift & (1<<scatterBits - 1)
+		y[end[d]] = r
+		end[d]++
+	}
+	run, lo := 0, 0 // y[run:lo] is the pending run of small buckets
+	for _, e := range end[:1<<nb] {
+		if lo >= m {
+			break
+		}
+		hi := int(e)
+		if hi-lo > radixCutoff {
+			insertInto(out[run:lo], y[run:lo])
+			radixSort(y[lo:hi], x[lo:hi], m-lo, !toY)
+			run = hi
+		}
+		lo = hi
+	}
+	insertInto(out[run:lo], y[run:lo])
+	if !toY {
+		copy(x[lo:], y[lo:]) // the buckets past m, unsorted
+	}
+}
+
+// flagSort permutes a in place into 256 buckets by the 8-bit digit
+// whose top bit is the highest set bit of diff, then finishes every
+// bucket, stopping at the first that starts at or past m: only the
+// records of a[:m] have to be in place. As in scatterSort, a run of
+// small buckets takes one insertion pass; a larger bucket recurses with
+// scratch. The digit is read from Key when keyMask is all ones and from
+// Val when it is zero; bits above diff's top bit agree across a, so
+// they never split it. Unlike scatterSort's, the digit takes no
+// subtraction: it sits on the cycle leader's chain of dependent loads.
+func flagSort(a []seq.Record, m int, keyMask, diff uint64, scratch []seq.Record) {
 	valMask := ^keyMask
 	shift := max(bits.Len64(diff)-8, 0)
 	digit := func(r seq.Record) uint8 { return uint8((r.Key&keyMask | r.Val&valMask) >> shift) }
@@ -112,16 +227,19 @@ func flagSort(a []seq.Record, m int, keyMask, diff uint64) {
 			head[b]++
 		}
 	}
-	lo := 0
+	run, lo := 0, 0 // a[run:lo] is the pending run of small buckets
 	for _, hi := range end {
 		if lo >= m {
 			break
 		}
-		if hi-lo > 1 {
-			SeqSortSmallest(a[lo:hi], m-lo)
+		if hi-lo > radixCutoff {
+			insertionRecs(a[run:lo])
+			SeqSortSmallest(a[lo:hi], m-lo, scratch)
+			run = hi
 		}
 		lo = hi
 	}
+	insertionRecs(a[run:lo])
 }
 
 // insertionRecs sorts a small a in place under seq.TotalLess.
@@ -137,17 +255,28 @@ func insertionRecs(a []seq.Record) {
 	}
 }
 
+// insertInto insertion-sorts src into dst, of the same length, under
+// seq.TotalLess. dst may be src itself: record i is read before any
+// shift reaches it.
+func insertInto(dst, src []seq.Record) {
+	dst = dst[:len(src)] // lets the compiler drop the bounds check on dst[j]
+	for i, v := range src {
+		j := i - 1
+		for j >= 0 && seq.TotalLess(v, dst[j]) {
+			dst[j+1] = dst[j]
+			j--
+		}
+		dst[j+1] = v
+	}
+}
+
 // msort sorts a, leaving the result in b when toBuf is set and in a
-// otherwise. a and b have equal length and may not alias.
+// otherwise. a and b have equal length and may not alias. A leaf sorts
+// out of place between its halves of a and b.
 func msort(p *Pool, a, b []seq.Record, toBuf bool) {
 	n := len(a)
 	if n <= sortLeaf {
-		if toBuf {
-			copy(b, a)
-			SeqSortRecords(b)
-		} else {
-			SeqSortRecords(a)
-		}
+		radixSort(a, b, n, toBuf)
 		return
 	}
 	mid := n / 2
