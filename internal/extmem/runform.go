@@ -39,7 +39,10 @@ import (
 // candidates that never fill take the whole last chunk. Only a slice
 // longer than its scratch — a leaf longer than the chunk, survivors
 // that overflow the tail — takes the sort's in-place pass, and then
-// only at its top.
+// only at its top. A lone worker on a wider pool sorts its candidates
+// with rt.SortRecords and the same scratch, which mergesorts a slice
+// of more than 4 096 records through the scratch, or through a buffer
+// it allocates when the scratch is shorter than the slice.
 //
 // Formation runs on min(P, leaves) workers, each one processor of the
 // paper's parallel machine (§3) with a private memory of size M: a
@@ -124,16 +127,16 @@ func (e *engine) formRuns(leaves []*planNode) error {
 // formLeaves forms every leaf on min(P, len(leaves)) workers. Leaf i's
 // sorted batches reach sink in order, each holding the leaf's records
 // at offsets [off, off+len(batch)); workers call sink concurrently for
-// different leaves. A lone worker on a wider pool sorts on the whole
-// pool; otherwise each worker runs the radix leaf sort with the scratch
-// its formLeaf lends. After the first failure the workers stop at
-// their next leaf boundary, and formLeaves returns that error once all
-// of them have joined.
+// different leaves. Every sort takes the scratch its formLeaf lends: a
+// lone worker sorts on the whole pool (rt.SortRecords), while several
+// workers already fill it, so each runs the radix leaf sort. After the
+// first failure the workers stop at their next leaf boundary, and
+// formLeaves returns that error once all of them have joined.
 func (e *engine) formLeaves(leaves []*planNode, sink func(i, off int, batch []seq.Record) error) error {
 	P := min(e.cfg.procs, len(leaves))
 	sortRecs := rt.SeqSortRecords
-	if P == 1 && e.cfg.pool.Procs() > 1 {
-		sortRecs = func(recs, _ []seq.Record) { rt.SortRecords(e.cfg.pool, recs) }
+	if P == 1 {
+		sortRecs = func(recs, scratch []seq.Record) { rt.SortRecords(e.cfg.pool, recs, scratch...) }
 	}
 	var (
 		next     atomic.Int64

@@ -31,16 +31,22 @@ func reference(in []seq.Record) []seq.Record {
 
 // TestSortRecordsMatchesSlicesSort is the native-backend property test:
 // across input families, sizes (including 0 and 1), and worker counts,
-// SortRecords must agree element-for-element with the stdlib sort.
+// SortRecords must agree element-for-element with the stdlib sort. Each
+// runs with no scratch, a third of the slice (a merge buffer is
+// allocated; the leaf's buckets that fit go out of place) and the
+// slice's length (the merge buffer, or the leaf's scratch throughout).
 func TestSortRecordsMatchesSlicesSort(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		p := NewPool(procs)
 		for _, n := range []int{0, 1, 2, 3, 100, sortLeaf, sortLeaf + 1, 3*sortLeaf + 17, 1 << 16} {
 			for name, in := range inputFamilies(n, uint64(n)+77) {
-				got := slices.Clone(in)
-				SortRecords(p, got)
-				if want := reference(in); !slices.Equal(got, want) {
-					t.Fatalf("procs=%d n=%d %s: SortRecords disagrees with slices.Sort", procs, n, name)
+				want := reference(in)
+				for _, s := range []int{0, n / 3, n} {
+					got := slices.Clone(in)
+					SortRecords(p, got, make([]seq.Record, s)...)
+					if !slices.Equal(got, want) {
+						t.Fatalf("procs=%d n=%d %s scratch=%d: SortRecords disagrees with slices.Sort", procs, n, name, s)
+					}
 				}
 			}
 		}
