@@ -369,8 +369,10 @@ func genKey(sp jobSpec, r *xrand.SplitMix64, i int) uint64 {
 }
 
 // checksum is the order-independent multiset digest both sides of the
-// wire are folded into (the same construction cmd/asymsort's ext
-// verifier uses).
+// wire are folded into: the count, sum and xor of xrand.Mix(key). It
+// hashes the key alone, since a text sort response carries no
+// payloads, so it is not the digest of cmd/asymsort's ext verifier,
+// which hashes Mix(Key ^ Mix(Val)) of whole records.
 type checksum struct {
 	n        int
 	sum, xor uint64

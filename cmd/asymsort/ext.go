@@ -1,18 +1,20 @@
 package main
 
-// The ext model: sort a file larger than RAM with the internal/extmem
-// engine. Input is staged into a binary record file through serve's
-// codec, the one the daemon stages request bodies with: text keys
-// become records with payload = record index (blank lines are not
-// numbered), so records are unique under seq.TotalLess as the engine
-// requires, and under -wire binary a chunked frame (or any frame on
-// stdin) is spooled raw, with no parse. A seekable contiguous frame
-// file skips staging entirely — the frame file itself is handed to the
-// engine with Config.InSkip covering the header slot, so the staging
-// write (the expensive op, charged ω in the paper's model) vanishes.
-// Verification is streaming in every dialect — order check plus a
+// The ext model: run a kernel's external-memory composition over a
+// file larger than RAM. Input is staged into a binary record file
+// through serve's codec, the one the daemon stages request bodies
+// with: text keys become records with payload = record index (blank
+// lines are not numbered), so records are unique under seq.TotalLess
+// as the engine requires, and under -wire binary a chunked frame (or
+// any frame on stdin) is spooled raw, with no parse. A seekable
+// contiguous frame file skips staging entirely — the frame file itself
+// is handed to the engine with Config.InSkip covering the header slot,
+// so the staging write (the expensive op, charged ω in the paper's
+// model) vanishes. Every kernel's measured block writes must equal its
+// composition's plan. Sort verifies by streaming — order check plus a
 // record checksum against the input — since the whole point is that
-// nothing here fits in memory.
+// nothing here fits in memory; the other kernels' outputs are compared
+// with the kernel's in-memory reference over the staged input.
 
 import (
 	"fmt"
@@ -21,22 +23,12 @@ import (
 	"time"
 
 	"asymsort/internal/extmem"
+	"asymsort/internal/kernel"
 	"asymsort/internal/seq"
 	"asymsort/internal/serve"
 	"asymsort/internal/wire"
 	"asymsort/internal/xrand"
 )
-
-// runExt drives one external sort end to end, funneling every failure
-// through a single error return so the staging/spill cleanup defers in
-// extRun always fire before the process exits.
-func runExt(inPath, outPath, memFlag string, blockRecs int, omega uint64, k, fanin int,
-	tmpdir string, n int, seed uint64, procs int, wireMode string) {
-	if err := extRun(inPath, outPath, memFlag, blockRecs, omega, k, fanin, tmpdir, n, seed, procs, wireMode); err != nil {
-		fmt.Fprintf(os.Stderr, "asymsort: %v\n", err)
-		os.Exit(1)
-	}
-}
 
 // checksum is an order-independent digest of a record multiset.
 type checksum struct {
@@ -51,144 +43,132 @@ func (c *checksum) add(r seq.Record) {
 	c.xor ^= h
 }
 
-// extRun stages, sorts, verifies, and reports; its defers remove the
+// ext stages, runs, verifies, and reports; its defers remove the
 // staged record files (and an auto-created temp dir) on every path.
-func extRun(inPath, outPath, memFlag string, blockRecs int, omega uint64, k, fanin int,
-	tmpdir string, n int, seed uint64, procs int, wireMode string) error {
-	binaryWire := false
-	switch wireMode {
-	case "", "text":
-	case "binary":
-		binaryWire = true
-	default:
-		return fmt.Errorf("bad -wire %q (text | binary)", wireMode)
-	}
-	memBytes, err := parseSize(memFlag)
-	if err != nil {
-		return fmt.Errorf("bad -mem: %v", err)
-	}
-	memRecs := int(memBytes / extmem.RecordBytes)
-
+func (j *job) ext() error {
+	tmpdir := j.tmpdir
 	if tmpdir == "" {
-		tmpdir, err = os.MkdirTemp("", "asymsort-ext-")
-		if err != nil {
+		var err error
+		if tmpdir, err = os.MkdirTemp("", "asymsort-ext-"); err != nil {
 			return err
 		}
 		defer os.RemoveAll(tmpdir)
 	} else if err := os.MkdirAll(tmpdir, 0o755); err != nil {
 		return err
 	}
-
-	// Stage the input as a binary record file; the engine sorts records
-	// [skip, skip+n) of engineIn.
 	staged := filepath.Join(tmpdir, fmt.Sprintf("asymsort-ext-%d-in", os.Getpid()))
-	sortedBin := filepath.Join(tmpdir, fmt.Sprintf("asymsort-ext-%d-out", os.Getpid()))
+	outBin := filepath.Join(tmpdir, fmt.Sprintf("asymsort-ext-%d-out", os.Getpid()))
 	defer os.Remove(staged)
-	defer os.Remove(sortedBin)
+	defer os.Remove(outBin)
 
-	engineIn, skip := staged, 0
-	src := "generated uniform workload"
+	// The kernel reads records [skip, skip+n) of engineIn.
 	start := time.Now()
-	if inPath == "" {
-		err = stageUniform(staged, n, seed)
-	} else {
-		src = inPath
-		if src == "-" {
-			src = "stdin"
-		}
-		if engineIn, n, skip, err = stageInput(inPath, staged, binaryWire); engineIn == inPath {
-			// Contiguous seekable frame: the frame file IS the staged
-			// input (header = one record slot, skipped via InSkip), so
-			// staging costs only the checksum read, no write.
-			src += " (contiguous frame, staged in place)"
-		}
-	}
+	engineIn, n, skip, src, err := j.stage(staged)
 	if err != nil {
 		return err
 	}
-	inSum, err := checksumRecords(engineIn, skip, skip+n)
-	if err != nil {
-		return err
+	var inSum checksum
+	if j.k.Name == "sort" {
+		if inSum, err = checksumRecords(engineIn, skip, skip+n); err != nil {
+			return err
+		}
 	}
 	stageTime := time.Since(start)
+	fmt.Fprintf(j.w, "external %s: n=%d records (%s) from %s\n",
+		j.k.Name, n, serve.FmtBytes(int64(n)*extmem.RecordBytes), src)
 
 	cfg := extmem.Config{
-		Mem: memRecs, Block: blockRecs, K: k, Omega: float64(omega),
-		FanIn: fanin, TmpDir: tmpdir, Procs: procs, InSkip: skip,
+		Mem: j.mem, Block: j.b, K: j.rk, Omega: float64(j.omega),
+		FanIn: j.fanin, TmpDir: tmpdir, Procs: j.procs, InSkip: skip,
 	}
-	fmt.Printf("external sort: n=%d records (%s) from %s\n",
-		inSum.n, fmtBytes(int64(inSum.n)*extmem.RecordBytes), src)
-
-	rep, err := extmem.Sort(cfg, engineIn, sortedBin)
+	start = time.Now()
+	res, err := j.k.Ext(cfg, engineIn, outBin, j.p)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  budget   : M=%d records (%s), B=%d records (%s), ω=%d\n",
-		rep.Mem, fmtBytes(int64(rep.Mem)*extmem.RecordBytes),
-		rep.Block, fmtBytes(int64(rep.Block)*extmem.RecordBytes), omega)
-	fmt.Printf("  plan     : k=%d, fan-in=%d, %d runs, %d merge levels (Appendix A: ω/lg(M/B) admits k=%d)\n",
-		rep.K, rep.FanIn, rep.Runs, rep.Levels,
-		extmem.ChooseK(float64(omega), rep.Mem, rep.Block))
-	engine := "sequential engine"
-	if rep.Procs > 1 {
-		engine = fmt.Sprintf("%d formation workers + %d-worker parallel merge", rep.Procs, rep.Procs)
+	if err := j.report(res, stageTime, time.Since(start)); err != nil {
+		return err
 	}
-	fmt.Printf("  procs    : %d (%s)\n", rep.Procs, engine)
-	for lvl, io := range rep.LevelIO {
-		name := fmt.Sprintf("merge %d", lvl)
-		if lvl == 0 {
-			name = "runs"
+	if j.k.Name == "sort" {
+		return j.verifySorted(outBin, res.OutN, inSum)
+	}
+	in, err := readRecords(engineIn, skip, skip+n)
+	if err != nil {
+		return err
+	}
+	out, err := readRecords(outBin, 0, res.OutN)
+	if err != nil {
+		return err
+	}
+	return j.finish(out, j.k.Ref(in, j.p))
+}
+
+// report prints the ext run's budget, each sort's plan and level
+// ledger, the total ledger and the wall times, and fails the run when
+// the measured block writes differ from the composition's plan.
+func (j *job) report(res *kernel.ExtResult, stageTime, kernelTime time.Duration) error {
+	mem := j.mem - j.mem%j.b
+	fmt.Fprintf(j.w, "  budget   : M=%d records (%s), B=%d records (%s), ω=%d\n",
+		mem, serve.FmtBytes(int64(mem)*extmem.RecordBytes),
+		j.b, serve.FmtBytes(int64(j.b)*extmem.RecordBytes), j.omega)
+	var form, merge time.Duration
+	for _, rep := range res.Sorts {
+		fmt.Fprintf(j.w, "  plan     : k=%d, fan-in=%d, %d runs, %d merge levels (Appendix A: ω/lg(M/B) admits k=%d)\n",
+			rep.K, rep.FanIn, rep.Runs, rep.Levels,
+			extmem.ChooseK(float64(j.omega), rep.Mem, rep.Block))
+		engine := "sequential engine"
+		if rep.Procs > 1 {
+			engine = fmt.Sprintf("%d formation workers + %d-worker parallel merge", rep.Procs, rep.Procs)
 		}
-		fmt.Printf("  level %-8s: %10d block reads %10d block writes\n", name, io.Reads, io.Writes)
+		fmt.Fprintf(j.w, "  procs    : %d (%s)\n", rep.Procs, engine)
+		for lvl, io := range rep.LevelIO {
+			name := fmt.Sprintf("merge %d", lvl)
+			if lvl == 0 {
+				name = "runs"
+			}
+			fmt.Fprintf(j.w, "  level %-8s: %10d block reads %10d block writes\n", name, io.Reads, io.Writes)
+		}
+		form += rep.FormTime
+		merge += rep.MergeTime
 	}
-	fmt.Printf("  total    : %d reads, %d writes, device cost R+ωW = %.0f\n",
-		rep.Total.Reads, rep.Total.Writes, rep.Cost())
-	fmt.Printf("  elapsed  : stage %v, run formation %v, merge %v\n",
-		stageTime.Round(time.Millisecond), rep.FormTime.Round(time.Millisecond),
-		rep.MergeTime.Round(time.Millisecond))
+	fmt.Fprintf(j.w, "  total    : %d reads, %d writes, device cost R+ωW = %d\n",
+		res.Total.Reads, res.Total.Writes, res.Total.Cost(j.omega))
+	if res.Total.Writes != res.PlanWrites {
+		return fmt.Errorf("INTERNAL ERROR: measured %d block writes, the composition's plan says %d",
+			res.Total.Writes, res.PlanWrites)
+	}
+	fmt.Fprintf(j.w, "  planned  : %d block writes, equal to the measured ledger\n", res.PlanWrites)
+	fmt.Fprintf(j.w, "  elapsed  : stage %v, kernel %v (run formation %v, merge %v)\n",
+		stageTime.Round(time.Millisecond), kernelTime.Round(time.Millisecond),
+		form.Round(time.Millisecond), merge.Round(time.Millisecond))
 	// One greppable figure for scripts (the CI speedup gate): the
-	// engine's own wall-clock, staging and verification excluded.
-	fmt.Printf("  sort wall: %dms\n", (rep.FormTime + rep.MergeTime).Milliseconds())
-
-	// Streaming verification: sorted order + multiset checksum.
-	outSum, err := verifySortedBinary(sortedBin, outPath, binaryWire)
-	if err != nil {
-		return err
-	}
-	if outSum != inSum {
-		return fmt.Errorf("INTERNAL ERROR: output is not a permutation of the input (checksum mismatch)")
-	}
-	fmt.Println("  output verified: sorted, record checksum matches input")
-	if outPath != "" {
-		what := "sorted keys"
-		if binaryWire {
-			what = "sorted records (contiguous frame)"
-		}
-		fmt.Printf("  wrote %d %s to %s\n", outSum.n, what, outPath)
-	}
+	// engine's own sorting wall-clock, staging and verification
+	// excluded.
+	fmt.Fprintf(j.w, "  sort wall: %dms\n", (form + merge).Milliseconds())
 	return nil
 }
 
-// stageInput stages the file at inPath ('-' = stdin) in the -wire
-// dialect through serve's codec into staged. It returns the file the
-// engine reads — staged, or inPath itself for a seekable contiguous
+// stage stages -in in the -wire dialect through serve's codec into
+// staged, or generates -n records there. It returns the file the
+// engine reads — staged, or -in itself for a seekable contiguous
 // frame, read in place behind its header slot — with its payload
-// count and leading skip.
-func stageInput(inPath, staged string, binaryWire bool) (path string, n, skip int, err error) {
-	f := os.Stdin
-	if inPath != "-" {
-		if f, err = os.Open(inPath); err != nil {
-			return "", 0, 0, err
-		}
-		defer f.Close()
-		if binaryWire {
-			if n, ok, err := inPlaceFrame(f); ok || err != nil {
-				return inPath, n, 1, err
-			}
+// count, leading skip, and the report's name for the input.
+func (j *job) stage(staged string) (path string, n, skip int, src string, err error) {
+	if j.inPath == "" {
+		return staged, j.n, 0, "generated uniform workload", stageUniform(staged, j.n, j.seed)
+	}
+	r, f, src, err := j.source()
+	if err != nil {
+		return "", 0, 0, "", err
+	}
+	defer f.Close()
+	if f != nil && j.binary {
+		if n, ok, err := inPlaceFrame(f); ok || err != nil {
+			return j.inPath, n, 1, src + " (contiguous frame, staged in place)", err
 		}
 	}
-	n, skip, err = serve.Codec{Binary: binaryWire}.Stage(f, staged)
-	return staged, n, skip, err
+	n, skip, err = serve.Codec{Binary: j.binary}.Stage(r, staged)
+	return staged, n, skip, src, err
 }
 
 // inPlaceFrame reports whether f holds a contiguous frame, which the
@@ -215,22 +195,6 @@ func inPlaceFrame(f *os.File) (int, bool, error) {
 	return int(hdr.Count), true, nil
 }
 
-// checksumRecords returns the checksum of records [lo, hi) of the
-// record file at path.
-func checksumRecords(path string, lo, hi int) (checksum, error) {
-	var sum checksum
-	bf, err := extmem.OpenBlockFile(path, 1, nil)
-	if err != nil {
-		return sum, err
-	}
-	defer bf.Close()
-	err = extmem.ScanRecords(bf, lo, hi, func(r seq.Record) error {
-		sum.add(r)
-		return nil
-	})
-	return sum, err
-}
-
 // stageUniform streams the seq.Uniform workload to a binary record file
 // without materializing it: same key formula, bounded memory.
 func stageUniform(dst string, n int, seed uint64) error {
@@ -252,26 +216,53 @@ func stageUniform(dst string, n int, seed uint64) error {
 	return bf.Close()
 }
 
-// verifySortedBinary streams the sorted binary file, checking key
-// order and accumulating the checksum; when outPath is non-empty it
-// simultaneously writes the output ('-' = stdout) — keys as text by
-// default, or a contiguous wire frame when binaryOut is set.
-func verifySortedBinary(binPath, outPath string, binaryOut bool) (checksum, error) {
-	var sum checksum
-	bf, err := extmem.OpenBlockFile(binPath, 1, nil)
+// scanRecords calls fn on records [lo, hi) of the record file at path,
+// uncharged.
+func scanRecords(path string, lo, hi int, fn func(seq.Record) error) error {
+	bf, err := extmem.OpenBlockFile(path, 1, nil)
 	if err != nil {
-		return sum, err
+		return err
 	}
 	defer bf.Close()
+	return extmem.ScanRecords(bf, lo, hi, fn)
+}
+
+// checksumRecords returns the checksum of records [lo, hi) of the
+// record file at path.
+func checksumRecords(path string, lo, hi int) (checksum, error) {
+	var sum checksum
+	err := scanRecords(path, lo, hi, func(r seq.Record) error {
+		sum.add(r)
+		return nil
+	})
+	return sum, err
+}
+
+// readRecords reads records [lo, hi) of the record file at path.
+func readRecords(path string, lo, hi int) ([]seq.Record, error) {
+	recs := make([]seq.Record, 0, hi-lo)
+	err := scanRecords(path, lo, hi, func(r seq.Record) error {
+		recs = append(recs, r)
+		return nil
+	})
+	return recs, err
+}
+
+// verifySorted streams the sorted file of n records, checking key
+// order and that its checksum equals the input's, and writes it to
+// -out on the way.
+func (j *job) verifySorted(path string, n int, inSum checksum) error {
 	var out *recordWriter
-	if outPath != "" {
-		if out, err = createRecordWriter(outPath, binaryOut, false, bf.Len()); err != nil {
-			return sum, err
+	if j.outPath != "" {
+		var err error
+		if out, err = j.create(n); err != nil {
+			return err
 		}
 		defer out.close() // a no-op after the close below
 	}
+	var sum checksum
 	var prev uint64
-	err = extmem.ScanRecords(bf, 0, bf.Len(), func(r seq.Record) error {
+	err := scanRecords(path, 0, n, func(r seq.Record) error {
 		if sum.n > 0 && r.Key < prev {
 			return fmt.Errorf("output not sorted at record %d: %d after %d", sum.n, r.Key, prev)
 		}
@@ -282,16 +273,19 @@ func verifySortedBinary(binPath, outPath string, binaryOut bool) (checksum, erro
 		}
 		return nil
 	})
-	if err == nil && out != nil {
-		if err = out.close(); err != nil {
-			err = fmt.Errorf("writing %s: %w", outPath, err)
-		}
+	if err != nil {
+		return err
 	}
-	return sum, err
+	if sum != inSum {
+		return fmt.Errorf("INTERNAL ERROR: output is not a permutation of the input (checksum mismatch)")
+	}
+	fmt.Fprintln(j.w, "  output verified: sorted, record checksum matches input")
+	if out == nil {
+		return nil
+	}
+	if err := out.close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(j.w, "  wrote %d records to %s\n", n, j.outPath)
+	return nil
 }
-
-// parseSize and fmtBytes are the shared size helpers (serve owns the
-// canonical implementation so asymsortd's -mem parses identically).
-func parseSize(s string) (int64, error) { return serve.ParseSize(s) }
-
-func fmtBytes(n int64) string { return serve.FmtBytes(n) }

@@ -14,7 +14,7 @@ import (
 	"asymsort/internal/wire"
 )
 
-// extCase is one -model ext input: the file extRun reads ("-" reads
+// extCase is one -model ext input: the file run reads ("-" reads
 // stdin, "" generates -n records), and the records it must stage.
 type extCase struct {
 	name  string
@@ -25,45 +25,29 @@ type extCase struct {
 	want  []seq.Record
 }
 
-// runExtCase runs extRun on c with a small budget (several runs and
-// merge levels), stdin and stdout swapped for files, and returns the
-// -out bytes, what extRun printed, and its error. It fails the test if
-// the spill directory is not left empty.
-func runExtCase(t *testing.T, c extCase) (out []byte, stdout string, err error) {
+// runExtCase runs a sort of c under -model ext with a small budget
+// (several runs and merge levels) and returns the -out bytes, the
+// report, and run's error. With out "-" the records come back on
+// stdout and the report on stderr. It fails the test if the spill
+// directory is not left empty.
+func runExtCase(t *testing.T, c extCase, out string) (got []byte, report string, err error) {
 	t.Helper()
 	dir := t.TempDir()
 	tmpdir := filepath.Join(dir, "spill")
-	outPath := filepath.Join(dir, "out")
-	swap := func(f **os.File, path string, create bool) func() {
-		old := *f
-		var nf *os.File
-		var err error
-		if create {
-			nf, err = os.Create(path)
-		} else {
-			nf, err = os.Open(path)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		*f = nf
-		return func() { nf.Close(); *f = old }
+	if out == "" {
+		out = filepath.Join(dir, "out")
 	}
-	if c.in == "-" {
-		stdinPath := filepath.Join(dir, "stdin")
-		if err := os.WriteFile(stdinPath, c.stdin, 0o666); err != nil {
-			t.Fatal(err)
-		}
-		defer swap(&os.Stdin, stdinPath, false)()
+	args := []string{"-model", "ext", "-mem", "8KB", "-b", "16", "-omega", "8", "-fanin", "4",
+		"-tmpdir", tmpdir, "-seed", "7", "-procs", "2", "-out", out}
+	if c.wire != "" {
+		args = append(args, "-wire", c.wire)
 	}
-	stdoutPath := filepath.Join(dir, "stdout")
-	restore := swap(&os.Stdout, stdoutPath, true)
-	err = extRun(c.in, outPath, "8KB", 16, 8, 0, 4, tmpdir, c.n, 7, 2, c.wire)
-	restore()
-	printed, rerr := os.ReadFile(stdoutPath)
-	if rerr != nil {
-		t.Fatal(rerr)
+	if c.in != "" {
+		args = append(args, "-in", c.in)
+	} else {
+		args = append(args, "-n", strconv.Itoa(c.n))
 	}
+	stdout, stderr, err := cli(c.stdin, args...)
 	left, rerr := os.ReadDir(tmpdir)
 	if rerr != nil {
 		t.Fatal(rerr)
@@ -71,13 +55,19 @@ func runExtCase(t *testing.T, c extCase) (out []byte, stdout string, err error) 
 	for _, e := range left {
 		t.Errorf("%s: %s left in the spill directory", c.name, e.Name())
 	}
-	if err != nil {
-		return nil, string(printed), err
+	if out == "-" {
+		return []byte(stdout), stderr, err
 	}
-	if out, err = os.ReadFile(outPath); err != nil {
+	if stderr != "" {
+		t.Errorf("%s: run wrote to stderr: %q", c.name, stderr)
+	}
+	if err != nil {
+		return nil, stdout, err
+	}
+	if got, err = os.ReadFile(out); err != nil {
 		t.Fatal(err)
 	}
-	return out, string(printed), nil
+	return got, stdout, nil
 }
 
 // textKeys renders recs' keys one per line.
@@ -122,8 +112,9 @@ func contiguousFrame(t *testing.T, recs []seq.Record, count int) []byte {
 // TestExtInputs runs the ext model on every kind of input it accepts.
 // Each output must be the input's records sorted — in order, and with
 // the input's multiset, which is what the record checksum checks — the
-// spill directory must be left empty, and stdout must keep the lines
-// scripts grep.
+// spill directory must be left empty, and the report must keep the
+// lines scripts grep. With -out - the output comes back on stdout
+// alone, byte for byte, and the report goes to stderr.
 func TestExtInputs(t *testing.T) {
 	const n = 3000
 	recs := seq.Uniform(n, 11)
@@ -159,24 +150,24 @@ func TestExtInputs(t *testing.T) {
 	ledger := regexp.MustCompile(`(?m)reads, \d+ writes`)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			out, stdout, err := runExtCase(t, c)
-			if err != nil {
-				t.Fatalf("extRun: %v", err)
-			}
-			if !strings.Contains(stdout, "sort wall: ") || !ledger.MatchString(stdout) {
-				t.Errorf("stdout lacks the sort wall or ledger line:\n%s", stdout)
-			}
 			want := slices.Clone(c.want)
 			slices.SortFunc(want, seq.TotalCompare)
+			wantOut := textKeys(want)
 			if c.wire == "binary" {
 				// -out is a contiguous frame of the sorted records.
-				if !bytes.Equal(out, contiguousFrame(t, want, len(want))) {
-					t.Fatalf("-out is not the sorted input as a contiguous frame (%d bytes)", len(out))
-				}
-				return
+				wantOut = contiguousFrame(t, want, len(want))
 			}
-			if !bytes.Equal(out, textKeys(want)) {
-				t.Fatalf("-out is not the sorted input keys (%d bytes)", len(out))
+			for _, out := range []string{"", "-"} {
+				got, report, err := runExtCase(t, c, out)
+				if err != nil {
+					t.Fatalf("-out %q: run: %v", out, err)
+				}
+				if !strings.Contains(report, "sort wall: ") || !ledger.MatchString(report) {
+					t.Errorf("-out %q: the report lacks the sort wall or ledger line:\n%s", out, report)
+				}
+				if !bytes.Equal(got, wantOut) {
+					t.Fatalf("-out %q: %d bytes that are not the sorted input in the %q dialect", out, len(got), c.wire)
+				}
 			}
 		})
 	}
@@ -196,7 +187,7 @@ func TestExtTruncatedFrame(t *testing.T) {
 		{name: "file", wire: "binary", in: path},
 		{name: "stdin", wire: "binary", in: "-", stdin: short},
 	} {
-		if _, _, err := runExtCase(t, c); err == nil {
+		if _, _, err := runExtCase(t, c, ""); err == nil {
 			t.Errorf("%s: a truncated contiguous frame sorted without error", c.name)
 		}
 	}

@@ -132,6 +132,19 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout, obs.ReadBuildInfo())
 		return nil
 	}
+	// Each role rejects the flags only the other role reads, so a flag
+	// is never dropped in silence.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	other, where := []string{"workers", "shards", "retries", "hedge"}, "only with -coordinator"
+	if *coordinator {
+		other, where = []string{"mem", "b", "omega", "k", "procs", "admission"}, "only to a job engine, not with -coordinator"
+	}
+	for _, name := range other {
+		if set[name] {
+			return fmt.Errorf("-%s applies %s", name, where)
+		}
+	}
 
 	var (
 		h    http.Handler
@@ -204,6 +217,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintf(&info, "  endpoints: POST /v1/{kernel} · POST /sort · GET /stats · GET /healthz · GET /metrics\n")
 	}
 
+	if *tmpdir != "" {
+		if err := os.MkdirAll(*tmpdir, 0o777); err != nil {
+			return fmt.Errorf("bad -tmpdir: %v", err)
+		}
+	}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o777); err != nil {
 			return fmt.Errorf("bad -trace-dir: %v", err)

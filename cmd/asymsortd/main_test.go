@@ -187,6 +187,23 @@ func TestSoloDaemon(t *testing.T) {
 	}
 }
 
+// TestMissingTmpdir: a -tmpdir that does not exist yet is made at
+// start, so the first job sorts and the drain saves the ω meter there.
+func TestMissingTmpdir(t *testing.T) {
+	tmp := filepath.Join(t.TempDir(), "not", "yet")
+	d := start(t, "-addr", "127.0.0.1:0", "-mem", "8MB", "-tmpdir", tmp)
+	keys := genKeys(5000, 3)
+	if _, body := post(t, d.url+"/sort?model=ext&mem=4096", keysText(keys)); string(body) != sortedText(keys) {
+		t.Fatal("response is not the sorted key text")
+	}
+	if out, err := d.stop(); err != nil {
+		t.Fatalf("run after the drain: %v\n%s", err, out)
+	}
+	if got := dirNames(t, tmp); !slices.Equal(got, []string{".asymsort-omega.json"}) {
+		t.Fatalf("tmpdir after the drain holds %q, want only the ω meter", got)
+	}
+}
+
 // TestCoordinatorDaemon boots three job engines and a coordinator over
 // them from flags: a /sort through the coordinator equals the same
 // body sorted by one worker. The banner states the dispatch the
@@ -225,18 +242,31 @@ func TestCoordinatorDaemon(t *testing.T) {
 }
 
 // TestFlagErrors: a bad -mem, a bad -admission, -coordinator without
-// -workers and a coordinator's -retries below 1 are errors that return
-// before anything listens.
+// -workers, a coordinator's -retries below 1, and every flag only the
+// other role reads are errors that return before anything listens.
 // run gets a context that is already done, so a daemon that started
 // serving would drain at once and return nil.
 func TestFlagErrors(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	coord := []string{"-coordinator", "-workers", "http://127.0.0.1:1"}
 	for _, args := range [][]string{
 		{"-mem", "lots"},
 		{"-admission", "lifo"},
 		{"-coordinator"},
-		{"-coordinator", "-workers", "http://127.0.0.1:1", "-retries", "0"},
+		append(coord, "-retries", "0"),
+		// A job engine rejects the coordinator's flags...
+		{"-workers", "http://127.0.0.1:1"},
+		{"-shards", "3"},
+		{"-retries", "3"},
+		{"-hedge", "2s"},
+		// ...and a coordinator the job engine's, even at their defaults.
+		append(coord, "-mem", "64MB"),
+		append(coord, "-b", "64"),
+		append(coord, "-omega", "8"),
+		append(coord, "-k", "2"),
+		append(coord, "-procs", "2"),
+		append(coord, "-admission", "fifo"),
 	} {
 		var out bytes.Buffer
 		err := run(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...), &out)

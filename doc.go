@@ -51,7 +51,8 @@
 //     formation, planned k-way merge, streaming post-pass) whose
 //     measured block-write ledger must equal its own plan, and an
 //     in-memory reference every backend is differentially verified
-//     against. cmd/asymsort -kernel runs any of them on any backend;
+//     against. cmd/asymsort -kernel runs any of them on co, pram,
+//     native or ext (ram and aem run sort only);
 //     asymbench -exp kernels measures each against its executed classic
 //     sort-based baseline; examples/kernels walks semisort and top-k
 //     through the sim and ext backends

@@ -99,8 +99,9 @@ type Config struct {
 	// TraceDir, when non-empty, enables per-job trace export in the
 	// same two formats as internal/serve.
 	TraceDir string
-	// ProbeTimeout bounds one /healthz probe. Default 2s.
-	ProbeTimeout time.Duration
+	// probeTimeout bounds one /healthz probe. It is fixed at 2s, not an
+	// option; in-package tests shorten it.
+	probeTimeout time.Duration
 }
 
 // Coordinator is the cluster job engine.
@@ -199,8 +200,8 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.TmpDir == "" {
 		cfg.TmpDir = os.TempDir()
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
+	if cfg.probeTimeout <= 0 {
+		cfg.probeTimeout = 2 * time.Second
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -304,7 +305,7 @@ func (c *Coordinator) probeWorkers(ctx context.Context) []*worker {
 		wg.Add(1)
 		go func(wk *worker) {
 			defer wg.Done()
-			wk.probe(ctx, c.cfg.ProbeTimeout)
+			wk.probe(ctx, c.cfg.probeTimeout)
 		}(wk)
 	}
 	wg.Wait()

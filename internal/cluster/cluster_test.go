@@ -57,8 +57,8 @@ func newCoordinator(t *testing.T, cfg Config) (*Coordinator, *httptest.Server) {
 	if cfg.TmpDir == "" {
 		cfg.TmpDir = t.TempDir()
 	}
-	if cfg.ProbeTimeout == 0 {
-		cfg.ProbeTimeout = 500 * time.Millisecond
+	if cfg.probeTimeout == 0 {
+		cfg.probeTimeout = 500 * time.Millisecond
 	}
 	c, err := New(cfg)
 	if err != nil {

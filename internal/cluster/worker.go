@@ -397,5 +397,5 @@ func (d *dispatcher) finish(sh *shard, wk *worker, res shardResult, err error) b
 	// absorbs its queue instead of burning the shard's retry budget.
 	probeCtx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	return wk.probe(probeCtx, d.c.cfg.ProbeTimeout)
+	return wk.probe(probeCtx, d.c.cfg.probeTimeout)
 }

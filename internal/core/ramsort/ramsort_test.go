@@ -2,6 +2,7 @@ package ramsort
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -226,6 +227,22 @@ func TestTreeDuplicateKeys(t *testing.T) {
 	}
 	if !vals[100] || !vals[200] || !vals[300] {
 		t.Errorf("payloads lost on duplicates: %v", vals)
+	}
+}
+
+// TestTreeSortTotalOrder: TreeSort lists equal keys by payload even
+// when they arrive out of payload order, as pramsort's metered leaves
+// hand them over after its randomized placement.
+func TestTreeSortTotalOrder(t *testing.T) {
+	in := seq.FewDistinct(2000, 7, 3)
+	for i := range in {
+		in[i].Val = uint64(len(in) - i)
+	}
+	out := TreeSort(aram.FromSlice(aram.New(1), in)).Unwrap()
+	want := slices.Clone(in)
+	slices.SortFunc(want, seq.TotalCompare)
+	if !slices.Equal(out, want) {
+		t.Fatal("TreeSort does not order equal keys by payload")
 	}
 }
 

@@ -192,9 +192,10 @@ func (t *Tree) rightRotate(x int32) {
 	t.store(y, yn)
 }
 
-// Insert adds key with payload val. Duplicate keys are permitted and land
-// in the right subtree, preserving insertion order among equals is not
-// guaranteed (the paper assumes unique keys; ties still sort correctly).
+// Insert adds key with payload val. Duplicate keys are permitted: the
+// tree orders nodes by (key, payload), seq.TotalLess, so an in-order
+// walk lists equal keys by payload whatever order they came in. The
+// paper assumes unique keys, for which the payload is never compared.
 func (t *Tree) Insert(key, val uint64) {
 	// BST descent: reads only.
 	y := int32(nilIdx)
@@ -202,7 +203,7 @@ func (t *Tree) Insert(key, val uint64) {
 	for x != nilIdx {
 		y = x
 		xn := t.load(x)
-		if key < xn.key {
+		if key < xn.key || key == xn.key && val < xn.val {
 			x = xn.left
 		} else {
 			x = xn.right
@@ -213,7 +214,7 @@ func (t *Tree) Insert(key, val uint64) {
 		t.root = z
 	} else {
 		yn := t.load(y)
-		if key < yn.key {
+		if key < yn.key || key == yn.key && val < yn.val {
 			yn.left = z
 		} else {
 			yn.right = z

@@ -63,12 +63,13 @@ type BrokerConfig struct {
 	// deadlines entirely. Kept as the benchmark baseline the adaptive
 	// policy (the default) is measured against.
 	FIFO bool
-	// AgeQuantum is the adaptive policy's anti-starvation clock: a
+	// ageQuantum is the adaptive policy's anti-starvation clock: a
 	// queued job's effective priority rises by one for every quantum it
 	// has waited, so a low-priority job can be bypassed by higher
 	// classes for at most (prioMax - its priority) quanta before it
-	// reaches the top class and blocks further bypass. Default 1s.
-	AgeQuantum time.Duration
+	// reaches the top class and blocks further bypass. It is fixed at
+	// 1s, not an option; in-package tests shorten or lengthen it.
+	ageQuantum time.Duration
 }
 
 // prioMax bounds AcquireOpts.Priority (and the aging boost) to
@@ -149,7 +150,7 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	ageQ := cfg.AgeQuantum
+	ageQ := cfg.ageQuantum
 	if ageQ <= 0 {
 		ageQ = time.Second
 	}
@@ -322,7 +323,7 @@ func (b *Broker) shareFor(want int) int {
 }
 
 // effPrio is a waiter's aged priority: its class plus one for every
-// AgeQuantum waited, capped at prioMax — so higher classes bypass it
+// ageQuantum waited, capped at prioMax — so higher classes bypass it
 // only for a bounded window.
 func (b *Broker) effPrio(w *waiter, now time.Time) int {
 	p := w.prio

@@ -57,7 +57,7 @@ func acquirer(t *testing.T, b *Broker, id int, want int, opts AcquireOpts, order
 // TestBrokerPriorityAdmission: with the envelope occupied, a queued
 // high-priority job admits before an earlier-arrived default one.
 func TestBrokerPriorityAdmission(t *testing.T) {
-	b := newAdaptiveBroker(t, BrokerConfig{Mem: 100, Procs: 2, MinLease: 100, AgeQuantum: time.Hour})
+	b := newAdaptiveBroker(t, BrokerConfig{Mem: 100, Procs: 2, MinLease: 100, ageQuantum: time.Hour})
 	blocker, err := b.Acquire(context.Background(), 100)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestBrokerPriorityAdmission(t *testing.T) {
 // deadline-carrying jobs admit before deadline-free ones, earliest
 // deadline first.
 func TestBrokerDeadlineAdmission(t *testing.T) {
-	b := newAdaptiveBroker(t, BrokerConfig{Mem: 100, Procs: 2, MinLease: 100, AgeQuantum: time.Hour})
+	b := newAdaptiveBroker(t, BrokerConfig{Mem: 100, Procs: 2, MinLease: 100, ageQuantum: time.Hour})
 	blocker, err := b.Acquire(context.Background(), 100)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestBrokerDeadlineAdmission(t *testing.T) {
 // waited long enough out-ages a fresh high-priority arrival, bounding
 // every bypass window.
 func TestBrokerAgingPreventsStarvation(t *testing.T) {
-	b := newAdaptiveBroker(t, BrokerConfig{Mem: 100, Procs: 2, MinLease: 100, AgeQuantum: 5 * time.Millisecond})
+	b := newAdaptiveBroker(t, BrokerConfig{Mem: 100, Procs: 2, MinLease: 100, ageQuantum: 5 * time.Millisecond})
 	blocker, err := b.Acquire(context.Background(), 100)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestBrokerAgingPreventsStarvation(t *testing.T) {
 // bypasses a blocked higher-priority job — admission stops at the first
 // picked candidate that does not fit.
 func TestBrokerNoBypass(t *testing.T) {
-	b := newAdaptiveBroker(t, BrokerConfig{Mem: 100, Procs: 2, MinLease: 5, AgeQuantum: time.Hour})
+	b := newAdaptiveBroker(t, BrokerConfig{Mem: 100, Procs: 2, MinLease: 5, ageQuantum: time.Hour})
 	blocker, err := b.Acquire(context.Background(), 95)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestBrokerNoBypass(t *testing.T) {
 // size — a job asking for 3× the records gets 3× the share — instead
 // of the FIFO policy's uniform split.
 func TestBrokerPropShareSizeAware(t *testing.T) {
-	b := newAdaptiveBroker(t, BrokerConfig{Mem: 1000, Procs: 2, MinLease: 50, AgeQuantum: time.Hour})
+	b := newAdaptiveBroker(t, BrokerConfig{Mem: 1000, Procs: 2, MinLease: 50, ageQuantum: time.Hour})
 	a, err := b.Acquire(context.Background(), 1000)
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +306,7 @@ func TestBrokerTinyJobFlood(t *testing.T) {
 			)
 			b := newAdaptiveBroker(t, BrokerConfig{
 				Mem: total, Procs: 2, MinLease: minLease,
-				FIFO: tc.fifo, AgeQuantum: time.Millisecond,
+				FIFO: tc.fifo, ageQuantum: time.Millisecond,
 			})
 			var wg sync.WaitGroup
 			for i := 0; i < jobs; i++ {
